@@ -163,14 +163,13 @@ def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
     return best
 
 
-def _pack(basis_inv: np.ndarray, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    coords = arr @ basis_inv.T
-    return coords[..., 0] + 1j * coords[..., 1], coords[..., 2] + 1j * coords[..., 3]
-
-
-def _unpack(basis: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    coords = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
-    return coords @ basis.T
+def _in_planes(basis: np.ndarray, arr: np.ndarray, transform) -> np.ndarray:
+    """Apply the complex-linear transform to both planes of the basis: pack
+    the coordinates into two complex planes, transform each, unpack."""
+    coords = arr @ np.linalg.inv(basis).T
+    z1 = transform(coords[..., 0] + 1j * coords[..., 1])
+    z2 = transform(coords[..., 2] + 1j * coords[..., 3])
+    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1) @ basis.T
 
 
 def _radial_phase(geometry: GridGeometry, sign: float) -> np.ndarray:
@@ -215,15 +214,10 @@ def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     geo = h.geometry
     sig = h.signature
 
-    r_g = right_matrix(sig, pair.g.value.coeffs)
-    basis_g = _plane_basis(r_g)
-    z1, z2 = _pack(np.linalg.inv(basis_g), h.samples)
-    partial = _unpack(basis_g, _angular_dft(z1, geo.n_theta, -1.0), _angular_dft(z2, geo.n_theta, -1.0))
-
-    l_f = left_matrix(sig, pair.f.value.coeffs)
-    basis_f = _plane_basis(l_f)
-    w1, w2 = _pack(np.linalg.inv(basis_f), partial)
-    out = _unpack(basis_f, _radial_dft(w1, geo, -1.0), _radial_dft(w2, geo, -1.0))
+    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
+    partial = _in_planes(basis_g, h.samples, lambda z: _angular_dft(z, geo.n_theta, -1.0))
+    basis_f = _plane_basis(left_matrix(sig, pair.f.value.coeffs))
+    out = _in_planes(basis_f, partial, lambda z: _radial_dft(z, geo, -1.0))
 
     scale = geo.ds * geo.dtheta / TWO_PI
     return Spectrum(geo, pair, np.fft.fftshift(out * scale, axes=(0, 1)))
@@ -237,15 +231,10 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     pair = spectrum.pair
     arr = np.fft.ifftshift(spectrum.coeffs, axes=(0, 1))
 
-    l_f = left_matrix(sig, pair.f.value.coeffs)
-    basis_f = _plane_basis(l_f)
-    w1, w2 = _pack(np.linalg.inv(basis_f), arr)
-    partial = _unpack(basis_f, _radial_idft(w1, geo), _radial_idft(w2, geo))
-
-    r_g = right_matrix(sig, pair.g.value.coeffs)
-    basis_g = _plane_basis(r_g)
-    z1, z2 = _pack(np.linalg.inv(basis_g), partial)
-    out = _unpack(basis_g, _angular_dft(z1, geo.n_theta, +1.0), _angular_dft(z2, geo.n_theta, +1.0))
+    basis_f = _plane_basis(left_matrix(sig, pair.f.value.coeffs))
+    partial = _in_planes(basis_f, arr, lambda w: _radial_idft(w, geo))
+    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
+    out = _in_planes(basis_g, partial, lambda z: _angular_dft(z, geo.n_theta, +1.0))
 
     return LogPolarSignal(geo, sig, out / geo.span)
 
@@ -258,16 +247,14 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     sig = h.signature
 
     plus, minus = split_array(h.samples, pair)
-    r_g = right_matrix(sig, pair.g.value.coeffs)
-    basis_g = _plane_basis(r_g)
-    basis_g_inv = np.linalg.inv(basis_g)
+    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
 
     total = np.zeros_like(h.samples)
     for radial_sign, part in ((+1.0, plus), (-1.0, minus)):
-        z1, z2 = _pack(basis_g_inv, part)
-        z1 = _radial_dft(_angular_dft(z1, geo.n_theta, -1.0), geo, radial_sign)
-        z2 = _radial_dft(_angular_dft(z2, geo.n_theta, -1.0), geo, radial_sign)
-        total += _unpack(basis_g, z1, z2)
+        total += _in_planes(
+            basis_g, part,
+            lambda z: _radial_dft(_angular_dft(z, geo.n_theta, -1.0), geo, radial_sign),
+        )
 
     scale = geo.ds * geo.dtheta / TWO_PI
     return Spectrum(geo, pair, np.fft.fftshift(total * scale, axes=(0, 1)))
@@ -310,14 +297,6 @@ def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
 
 
 # -- operator actions on signals and spectra ------------------------------------------
-
-
-def _left_multiply_signal(h: LogPolarSignal, value: Multivector) -> LogPolarSignal:
-    return h.with_samples(gp(h.signature, np.broadcast_to(value.coeffs, h.samples.shape), h.samples))
-
-
-def _right_multiply_signal(h: LogPolarSignal, value: Multivector) -> LogPolarSignal:
-    return h.with_samples(gp(h.signature, h.samples, np.broadcast_to(value.coeffs, h.samples.shape)))
 
 
 def _span_coefficients(value: Multivector, root: RootOfMinusOne) -> tuple[float, float]:

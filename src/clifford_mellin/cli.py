@@ -4,9 +4,6 @@ Every command echoes its canonical configuration in the JSON summary, is
 deterministic for a fixed seed (PCG64), and writes output files atomically
 (temp file then rename).  Exit codes: 0 success, 1 usage, 2 file format,
 3 violated contract or domain error, 4 registration found no match.
-The environment variable CLIFFORD_MELLIN_THREADS caps the worker count for
-internal parallelism; the current implementation runs sequentially, so it
-is validated and echoed but never exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -82,79 +79,32 @@ def _parse_center(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("CLIFFORD_MELLIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"CLIFFORD_MELLIN_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"CLIFFORD_MELLIN_THREADS must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Canonical run description; identical configs with a fixed seed yield
-    identical outputs."""
+    identical outputs.  Every flag default lives in the parser; the fields
+    with defaults here are declared by some subcommands only."""
 
     command: str
-    algebra: str = "Cl(0,2)"
-    f: tuple[float, ...] = (0.0, 1.0, 0.0, 0.0)
-    g: tuple[float, ...] = (0.0, 0.0, 1.0, 0.0)
-    ns: int = 64
-    ntheta: int = 64
-    smin: float = -np.pi
-    smax: float = np.pi
-    seed: int = 0
-    tol: float | None = None
-    out: str | None = None
+    algebra: str
+    f: tuple[float, ...]
+    g: tuple[float, ...]
+    ns: int
+    ntheta: int
+    smin: float
+    smax: float
+    seed: int
+    tol: float | None
+    out: str | None
+    center: tuple[float, float] | None
     inputs: tuple[str, ...] = ()
-    center: tuple[float, float] | None = None
     resolution: int | None = None
     pair_degenerate: bool = False
-    threads: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "algebra": self.algebra,
-            "f": list(self.f),
-            "g": list(self.g),
-            "ns": self.ns,
-            "ntheta": self.ntheta,
-            "smin": self.smin,
-            "smax": self.smax,
-            "seed": self.seed,
-            "tol": self.tol,
-            "out": self.out,
-            "inputs": list(self.inputs),
-            "center": None if self.center is None else list(self.center),
-            "resolution": self.resolution,
-            "pair_degenerate": self.pair_degenerate,
-            "threads": self.threads,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            command=data["command"],
-            algebra=data["algebra"],
-            f=tuple(data["f"]),
-            g=tuple(data["g"]),
-            ns=data["ns"],
-            ntheta=data["ntheta"],
-            smin=data["smin"],
-            smax=data["smax"],
-            seed=data["seed"],
-            tol=data["tol"],
-            out=data["out"],
-            inputs=tuple(data["inputs"]),
-            center=None if data["center"] is None else tuple(data["center"]),
-            resolution=data["resolution"],
-            pair_degenerate=data["pair_degenerate"],
-            threads=data["threads"],
-        )
+        """Inverse of dataclasses.asdict after a JSON round trip."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     @property
     def signature(self) -> Signature:
@@ -170,26 +120,17 @@ class RunConfig:
         return make_pair(Multivector(sig, self.f), Multivector(sig, self.g))
 
 
+_CONFIG_FIELDS = {field.name for field in fields(RunConfig)}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    algebra = getattr(args, "algebra", None)
-    return RunConfig(
-        command=args.command,
-        algebra=algebra.name if isinstance(algebra, Signature) else "Cl(0,2)",
-        f=getattr(args, "f", (0.0, 1.0, 0.0, 0.0)),
-        g=getattr(args, "g", (0.0, 0.0, 1.0, 0.0)),
-        ns=getattr(args, "ns", 64),
-        ntheta=getattr(args, "ntheta", 64),
-        smin=getattr(args, "smin", -np.pi),
-        smax=getattr(args, "smax", np.pi),
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", None),
-        out=getattr(args, "out", None),
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        center=getattr(args, "center", None),
-        resolution=getattr(args, "resolution", None),
-        pair_degenerate=getattr(args, "pair_degenerate", False),
-        threads=_threads_from_env(),
-    )
+    values = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    return RunConfig.from_dict({**values, "algebra": args.algebra.name})
+
+
+def _with_geometry(config: RunConfig, geo: GridGeometry) -> RunConfig:
+    """The config echoing the grid that was actually used."""
+    return replace(config, ns=geo.n_s, ntheta=geo.n_theta, smin=geo.s_min, smax=geo.s_max)
 
 
 def _atomic_write(path: str, write_fn) -> None:
@@ -223,12 +164,67 @@ def _load_signal(config: RunConfig, path: str) -> LogPolarSignal:
 # -- transform / invert ------------------------------------------------------------
 
 
-def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
-    """Wall time of the per-bin direct sum; grids beyond 2048 bins measure a
-    row subset and scale by the bin count (per-bin work is constant)."""
+def cmd_transform(args) -> int:
+    config = _config_from_args(args)
+    pair = config.pair
+    h = _load_signal(config, config.inputs[0])
+    config = _with_geometry(config, h.geometry)
+
+    start = time.perf_counter()
+    spectrum = cfmt.cfmt_fast(h, pair)
+    time_fast = time.perf_counter() - start
+
+    if config.out:
+        _atomic_write(config.out, lambda tmp: cfmt.write_clmf(tmp, spectrum))
+    n_sig = signal_norm(h)
+    n_spec = spectrum.norm()
+    # Parseval holds only for blade-like pairs; elsewhere the norm gap means nothing.
+    if pair.blade_like:
+        parseval = {"relative_difference": abs(n_sig - n_spec) / max(n_sig, 1e-300)}
+    else:
+        parseval = {"blade_like": False}
+    _emit(
+        {
+            "config": asdict(config),
+            "norm_signal": n_sig,
+            "norm_spectrum": n_spec,
+            **parseval,
+            "time_fast_s": time_fast,
+        }
+    )
+    return 0
+
+
+def cmd_invert(args) -> int:
+    config = _config_from_args(args)
+    spectrum = cfmt.read_clmf(config.inputs[0])
+    pair = spectrum.pair
+    config = replace(
+        _with_geometry(config, spectrum.geometry),
+        algebra=spectrum.signature.name,
+        f=tuple(pair.f.value.coeffs.tolist()),
+        g=tuple(pair.g.value.coeffs.tolist()),
+    )
+    h = cfmt.cfmt_inverse(spectrum)
+    if config.out:
+        _atomic_write(config.out, lambda tmp: write_clms(tmp, h))
+    _emit(
+        {
+            "config": asdict(config),
+            "norm_signal": signal_norm(h),
+            "norm_spectrum": spectrum.norm(),
+        }
+    )
+    return 0
+
+
+def _time_direct(h: LogPolarSignal, pair: RootPair, full: bool) -> tuple[float, bool, int]:
+    """Wall time of the per-bin direct sum; unless full, grids beyond 2048
+    bins measure a row subset and scale by the bin count (per-bin work is
+    constant)."""
     geo = h.geometry
     total_bins = geo.n_s * geo.n_theta
-    if total_bins <= 2048:
+    if full or total_bins <= 2048:
         start = time.perf_counter()
         cfmt.direct_spectrum(h, pair)
         return time.perf_counter() - start, False, total_bins
@@ -243,51 +239,6 @@ def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
     return elapsed * total_bins / measured, True, measured
 
 
-def cmd_transform(args) -> int:
-    config = _config_from_args(args)
-    pair = config.pair
-    h = _load_signal(config, config.inputs[0])
-
-    start = time.perf_counter()
-    spectrum = cfmt.cfmt_fast(h, pair)
-    time_fast = time.perf_counter() - start
-    time_direct, extrapolated, bins = _time_direct(h, pair)
-
-    if config.out:
-        _atomic_write(config.out, lambda tmp: cfmt.write_clmf(tmp, spectrum))
-    n_sig = signal_norm(h)
-    n_spec = spectrum.norm()
-    _emit(
-        {
-            "config": config.to_dict(),
-            "norm_signal": n_sig,
-            "norm_spectrum": n_spec,
-            "relative_difference": abs(n_sig - n_spec) / max(n_sig, 1e-300),
-            "time_fast_s": time_fast,
-            "time_direct_s": time_direct,
-            "direct_extrapolated": extrapolated,
-            "direct_bins_measured": bins,
-        }
-    )
-    return 0
-
-
-def cmd_invert(args) -> int:
-    config = _config_from_args(args)
-    spectrum = cfmt.read_clmf(config.inputs[0])
-    h = cfmt.cfmt_inverse(spectrum)
-    if config.out:
-        _atomic_write(config.out, lambda tmp: write_clms(tmp, h))
-    _emit(
-        {
-            "config": config.to_dict(),
-            "norm_signal": signal_norm(h),
-            "norm_spectrum": spectrum.norm(),
-        }
-    )
-    return 0
-
-
 def cmd_fast_bench(args) -> int:
     config = _config_from_args(args)
     pair = config.pair
@@ -296,16 +247,10 @@ def cmd_fast_bench(args) -> int:
     start = time.perf_counter()
     cfmt.cfmt_fast(h, pair)
     time_fast = time.perf_counter() - start
-    if args.full_direct:
-        start = time.perf_counter()
-        cfmt.direct_spectrum(h, pair)
-        time_direct = time.perf_counter() - start
-        extrapolated, bins = False, config.ns * config.ntheta
-    else:
-        time_direct, extrapolated, bins = _time_direct(h, pair)
+    time_direct, extrapolated, bins = _time_direct(h, pair, args.full_direct)
     _emit(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "time_fast_s": time_fast,
             "time_direct_s": time_direct,
             "direct_extrapolated": extrapolated,
@@ -326,7 +271,7 @@ def cmd_split(args) -> int:
     parts = split(x, pair)
     _emit(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "plus": list(parts.plus.coeffs),
             "minus": list(parts.minus.coeffs),
         }
@@ -336,8 +281,7 @@ def cmd_split(args) -> int:
 
 def cmd_manifold(args) -> int:
     config = _config_from_args(args)
-    resolution = config.resolution or 33
-    rows = export_manifold(config.signature, resolution)
+    rows = export_manifold(config.signature, config.resolution)
     lines = ["b1,b2,beta,branch"]
     lines += [f"{b1!r},{b2!r},{beta!r},{branch}" for b1, b2, beta, branch in rows]
     text = "\n".join(lines) + "\n"
@@ -345,7 +289,7 @@ def cmd_manifold(args) -> int:
         _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))
     else:
         sys.stdout.write(text)
-    _emit({"config": config.to_dict(), "points": len(rows)})
+    _emit({"config": asdict(config), "points": len(rows)})
     return 0
 
 
@@ -353,6 +297,7 @@ def cmd_descriptor(args) -> int:
     config = _config_from_args(args)
     pair = config.pair
     h = _load_signal(config, config.inputs[0])
+    config = _with_geometry(config, h.geometry)
     desc = descriptor(h, pair)
     geo = h.geometry
     lines = ["j,k,v,mag"]
@@ -367,7 +312,7 @@ def cmd_descriptor(args) -> int:
         _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))
     else:
         sys.stdout.write(text)
-    _emit({"config": config.to_dict(), "bins": int(desc.magnitudes.size)})
+    _emit({"config": asdict(config), "bins": int(desc.magnitudes.size)})
     return 0
 
 
@@ -380,7 +325,7 @@ def cmd_register(args) -> int:
     result = register(signals[0], signals[1], config.pair)
     _emit(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "scale": result.scale,
             "angle_rad": result.angle,
             "confidence": result.confidence,
@@ -745,7 +690,7 @@ def cmd_verify(args) -> int:
     config = _config_from_args(args)
     rows = _verify_rows(config)
     failures = sum(1 for row in rows if row["pass"] is False)
-    report = {"config": config.to_dict(), "results": rows, "failures": failures}
+    report = {"config": asdict(config), "results": rows, "failures": failures}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if config.out:
         _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))

@@ -1,16 +1,18 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from imagegen import blob_image, warp_similarity
 
-from clifford_mellin import cli
-from clifford_mellin.algebra import CL02
+from clifford_mellin import cfmt, cli
+from clifford_mellin.algebra import CL02, CL11
 from clifford_mellin.cfmt import read_clmf
 from clifford_mellin.cli import RunConfig
 from clifford_mellin.imaging import write_pgm
+from clifford_mellin.roots import RootPair, random_roots
 from clifford_mellin.signal import default_geometry, random_signal, read_clms, write_clms
 
 
@@ -37,7 +39,9 @@ def test_transform_and_invert_round_trip(tmp_path, capsys, signal_file):
     summary = json.loads(out)
     assert summary["relative_difference"] <= 1e-10
     assert summary["time_fast_s"] > 0.0
-    assert summary["time_direct_s"] > 0.0
+    # only fast-bench times the direct sum
+    for key in ("time_direct_s", "direct_extrapolated", "direct_bins_measured"):
+        assert key not in summary
     assert spectrum_path.exists()
 
     back_path = tmp_path / "back.clms"
@@ -59,7 +63,7 @@ def test_config_echo_round_trip(capsys, signal_file):
     code, out = run(capsys, "transform", str(signal_file), "--seed", "9")
     assert code == 0
     config = RunConfig.from_dict(json.loads(out)["config"])
-    assert config == RunConfig.from_dict(config.to_dict())
+    assert config == RunConfig.from_dict(asdict(config))
     assert config.seed == 9
     assert config.command == "transform"
 
@@ -209,10 +213,86 @@ def test_verify_tolerance_override_can_fail(capsys):
     assert json.loads(out)["failures"] > 0
 
 
-def test_threads_env_validation(monkeypatch, capsys, signal_file):
-    monkeypatch.setenv("CLIFFORD_MELLIN_THREADS", "4")
-    code, out = run(capsys, "transform", str(signal_file))
+def _coeff_flag(name, coeffs):
+    return f"--{name}=" + ",".join(repr(float(c)) for c in coeffs)
+
+
+def test_transform_never_runs_the_direct_sum(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(cfmt, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("cfmt_direct", "direct_spectrum"):
+        monkeypatch.setattr(cfmt, name, counted(name))
+    path = tmp_path / "big.clms"
+    write_clms(path, random_signal(default_geometry(64), CL02, seed=1))
+    code, _ = run(capsys, "transform", str(path))
     assert code == 0
-    assert json.loads(out)["config"]["threads"] == 4
-    monkeypatch.setenv("CLIFFORD_MELLIN_THREADS", "zero")
-    assert cli.main(["transform", str(signal_file)]) == 1
+    assert calls == []
+
+
+def test_transform_labels_parseval_for_non_blade_pair(tmp_path, capsys):
+    f, g = random_roots(CL11, 2, seed=0)
+    assert not RootPair(f, g).blade_like
+    path = tmp_path / "cl11.clms"
+    write_clms(path, random_signal(default_geometry(16), CL11, seed=2))
+    code, out = run(capsys, "transform", str(path), "--algebra", "Cl(1,1)",
+                    _coeff_flag("f", f.value.coeffs), _coeff_flag("g", g.value.coeffs))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["blade_like"] is False
+    assert "relative_difference" not in summary
+
+
+def test_transform_echoes_signal_geometry(tmp_path, capsys):
+    path = tmp_path / "small.clms"
+    h = random_signal(default_geometry(16), CL02, seed=4)
+    write_clms(path, h)
+    code, out = run(capsys, "transform", str(path))
+    assert code == 0
+    config = json.loads(out)["config"]
+    geo = h.geometry
+    assert (config["ns"], config["ntheta"]) == (16, 16)
+    assert (config["smin"], config["smax"]) == (geo.s_min, geo.s_max)
+
+
+def test_descriptor_echoes_signal_geometry(tmp_path, capsys):
+    path = tmp_path / "small.clms"
+    write_clms(path, random_signal(default_geometry(16), CL02, seed=4))
+    code, out = run(capsys, "descriptor", str(path), "--ns", "64", "--ntheta", "32",
+                    "--out", str(tmp_path / "desc.csv"))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["config"]["ns"], summary["config"]["ntheta"]) == (16, 16)
+    assert summary["bins"] == 16 * 16
+
+
+def test_invert_echoes_spectrum_header(tmp_path, capsys):
+    source = tmp_path / "small.clms"
+    spectrum_path = tmp_path / "small.clmf"
+    write_clms(source, random_signal(default_geometry(16), CL02, seed=4))
+    code, _ = run(capsys, "transform", str(source), "--f", "0,0,1,0", "--g", "0,1,0,0",
+                  "--out", str(spectrum_path))
+    assert code == 0
+    code, out = run(capsys, "invert", str(spectrum_path), "--algebra", "Cl(2,0)")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["algebra"] == "Cl(0,2)"
+    assert config["f"] == [0.0, 0.0, 1.0, 0.0]
+    assert config["g"] == [0.0, 1.0, 0.0, 0.0]
+    assert (config["ns"], config["ntheta"]) == (16, 16)
+
+
+def test_fast_bench_times_the_direct_sum(capsys):
+    code, out = run(capsys, "fast-bench", "--ns", "16", "--ntheta", "16")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["time_direct_s"] > 0.0
+    assert summary["speedup"] > 0.0
