@@ -13,11 +13,16 @@ routes are provided:
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
-  so each side packs into two complex planes and reduces to an ordinary FFT.
+  so each pass is a plain FFT in the two planes of that structure.
 * cfmt_fast: the quasi-complex route.  The signal splits into the +-
   eigenparts of x -> f x g; on each part the left radial kernel converts to
   a right kernel with a sign flip, so both kernels act in the commutative
   subalgebra generated by g and one complex FFT per plane does the work.
+
+The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane
+basis, viewed as complex without a copy, are the two planes; one real 4x4 map
+links the passes, a (-1)^(i+t) sign pattern replaces fftshift (sizes are
+even), and the s_min phase and the scale form one per-row factor.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -142,62 +147,56 @@ def _check_signal_pair(h: LogPolarSignal, pair: RootPair) -> None:
         )
 
 
-# -- complex-plane packing -------------------------------------------------------
+# -- shared FFT core ----------------------------------------------------------------
 
 
 def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
     """Column basis (u1, J u1, u3, J u3) splitting R^4 into two J-invariant
-    planes, for J with J @ J = -I.  u1 is the scalar unit; u3 is the standard
-    basis vector giving the largest determinant."""
-    u1 = np.array([1.0, 0.0, 0.0, 0.0])
-    u2 = j_matrix @ u1
-    best_det = 0.0
-    best = None
-    for i in (1, 2, 3):
-        u3 = np.zeros(4)
-        u3[i] = 1.0
-        candidate = np.column_stack([u1, u2, u3, j_matrix @ u3])
-        det = abs(np.linalg.det(candidate))
-        if det > best_det:
-            best_det, best = det, candidate
-    return best
+    planes, for J with J @ J = -I, so that J is multiplication by i in each.
+    u1 is the scalar unit; u3 is the standard basis vector giving the largest
+    determinant."""
+    unit = np.eye(4)
+    candidates = [
+        np.column_stack([unit[0], j_matrix @ unit[0], u3, j_matrix @ u3]) for u3 in unit[1:]
+    ]
+    return max(candidates, key=lambda basis: abs(np.linalg.det(basis)))
 
 
-def _in_planes(basis: np.ndarray, arr: np.ndarray, transform) -> np.ndarray:
-    """Apply the complex-linear transform to both planes of the basis: pack
-    the coordinates into two complex planes, transform each, unpack."""
-    coords = arr @ np.linalg.inv(basis).T
-    z1 = transform(coords[..., 0] + 1j * coords[..., 1])
-    z2 = transform(coords[..., 2] + 1j * coords[..., 3])
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1) @ basis.T
+def _pair_bases(pair: RootPair) -> tuple[np.ndarray, np.ndarray]:
+    """Plane bases of the left structure L_f and the right structure R_g."""
+    sig, f, g = pair.signature, pair.f.value.coeffs, pair.g.value.coeffs
+    return _plane_basis(left_matrix(sig, f)), _plane_basis(right_matrix(sig, g))
 
 
-def _radial_phase(geometry: GridGeometry, sign: float) -> np.ndarray:
-    """Per-row phase exp(sign * i * 2*pi*j*s_min/span) in FFT bin order."""
-    freqs = np.fft.fftfreq(geometry.n_s, d=1.0 / geometry.n_s)
-    return np.exp(sign * 2j * np.pi * freqs * geometry.s_min / geometry.span)[:, None]
+def _remap(arr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply a real 4x4 matrix to each coefficient vector of arr, given as
+    (n_s, n_theta, 4) reals or as their (n_s, n_theta, 2) complex planes; the
+    fresh (n_s, n_theta, 4) result's .view(complex) is its planes, uncopied."""
+    coords = np.ascontiguousarray(arr).view(float)
+    return (coords.reshape(-1, 4) @ matrix.T).reshape(coords.shape)
 
 
-def _radial_dft(z: np.ndarray, geometry: GridGeometry, sign: float) -> np.ndarray:
-    """sum_m z[m] exp(sign * i v_j s_m) along axis 0, output in FFT bin order."""
+def _dft(z: np.ndarray, axis: int, sign: float) -> np.ndarray:
+    """Unnormalised sum_m z[m] exp(sign * 2*pi*i*j*m/n) along axis."""
     if sign < 0:
-        out = np.fft.fft(z, axis=0)
-    else:
-        out = np.fft.ifft(z, axis=0) * geometry.n_s
-    return out * _radial_phase(geometry, sign)
+        return np.fft.fft(z, axis=axis)
+    return np.fft.ifft(z, axis=axis, norm="forward")
 
 
-def _radial_idft(w: np.ndarray, geometry: GridGeometry) -> np.ndarray:
-    """sum_j w[j] exp(+i v_j s_m) over FFT-ordered bins, output per sample;
-    the s_min phase attaches to the input rows here."""
-    return np.fft.ifft(w * _radial_phase(geometry, +1.0), axis=0) * geometry.n_s
+def _alternate_signs(z: np.ndarray) -> np.ndarray:
+    """Multiply z in place by (-1)^(i+t) over its first two axes, return it.
+    On the input of an even-length DFT pass this rolls the output by half a
+    period: fftshift before a forward pass, ifftshift after an inverse one."""
+    z[1::2] *= -1
+    z[:, 1::2] *= -1
+    return z
 
 
-def _angular_dft(z: np.ndarray, n_theta: int, sign: float) -> np.ndarray:
-    """sum_t z[t] exp(sign * i k theta_t) along axis 1 (theta_0 = 0)."""
-    if sign < 0:
-        return np.fft.fft(z, axis=1)
-    return np.fft.ifft(z, axis=1) * n_theta
+def _radial_factor(geometry: GridGeometry, sign: float, scale: float) -> np.ndarray:
+    """scale * exp(sign * i * v_j * s_min) per centred row j, shaped (n_s, 1, 1)."""
+    j = np.arange(geometry.n_s) - geometry.n_s // 2
+    phase = np.exp(sign * 2j * np.pi * j * geometry.s_min / geometry.span)
+    return (scale * phase)[:, None, None]
 
 
 # -- transform routes --------------------------------------------------------------
@@ -206,37 +205,37 @@ def _angular_dft(z: np.ndarray, n_theta: int, sign: float) -> np.ndarray:
 def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Exact FFT evaluation of the defining sum, without splitting.
 
-    The angular side runs in the two planes of the right-multiplication
-    structure R_g, the radial side in the planes of the left-multiplication
+    The angular pass runs in the two planes of the right-multiplication
+    structure R_g, the radial pass in the planes of the left-multiplication
     structure L_f; both are plain complex FFTs there.
     """
     _check_signal_pair(h, pair)
     geo = h.geometry
-    sig = h.signature
+    basis_f, basis_g = _pair_bases(pair)
 
-    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
-    partial = _in_planes(basis_g, h.samples, lambda z: _angular_dft(z, geo.n_theta, -1.0))
-    basis_f = _plane_basis(left_matrix(sig, pair.f.value.coeffs))
-    out = _in_planes(basis_f, partial, lambda z: _radial_dft(z, geo, -1.0))
-
-    scale = geo.ds * geo.dtheta / TWO_PI
-    return Spectrum(geo, pair, np.fft.fftshift(out * scale, axes=(0, 1)))
+    z = _alternate_signs(_remap(h.samples, np.linalg.inv(basis_g)).view(complex))
+    z = _dft(z, 1, -1.0)
+    z = _dft(_remap(z, np.linalg.solve(basis_f, basis_g)).view(complex), 0, -1.0)
+    z *= _radial_factor(geo, -1.0, geo.ds * geo.dtheta / TWO_PI)
+    return Spectrum(geo, pair, _remap(z, basis_f))
 
 
 def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
-    """Inverse transform; cfmt_inverse(cfmt_forward(h)) reproduces h exactly
-    up to roundoff for any root pair."""
+    """Inverse transform, with the weight dv/(2pi) = 1/span per radial bin.
+
+    The round trip is exact to roundoff for roots of order one; its error
+    grows like (|f| |g|)^2 times machine epsilon.  On a 32x32 grid, Cl(1,1)
+    pairs at chart radius 10, 100 and 1000 give relative errors of about
+    2e-12, 4e-8 and 1e-4."""
     geo = spectrum.geometry
-    sig = spectrum.signature
-    pair = spectrum.pair
-    arr = np.fft.ifftshift(spectrum.coeffs, axes=(0, 1))
+    basis_f, basis_g = _pair_bases(spectrum.pair)
 
-    basis_f = _plane_basis(left_matrix(sig, pair.f.value.coeffs))
-    partial = _in_planes(basis_f, arr, lambda w: _radial_idft(w, geo))
-    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
-    out = _in_planes(basis_g, partial, lambda z: _angular_dft(z, geo.n_theta, +1.0))
-
-    return LogPolarSignal(geo, sig, out / geo.span)
+    z = _remap(spectrum.coeffs, np.linalg.inv(basis_f)).view(complex)
+    z *= _radial_factor(geo, +1.0, 1.0 / geo.span)
+    z = _dft(z, 0, +1.0)
+    z = _remap(z, np.linalg.solve(basis_g, basis_f)).view(complex)
+    z = _alternate_signs(_dft(z, 1, +1.0))
+    return LogPolarSignal(geo, spectrum.signature, _remap(z, basis_g))
 
 
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
@@ -244,20 +243,17 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     with the per-part sign, and transform both parts in the planes of R_g."""
     _check_signal_pair(h, pair)
     geo = h.geometry
-    sig = h.signature
-
-    plus, minus = split_array(h.samples, pair)
-    basis_g = _plane_basis(right_matrix(sig, pair.g.value.coeffs))
-
-    total = np.zeros_like(h.samples)
-    for radial_sign, part in ((+1.0, plus), (-1.0, minus)):
-        total += _in_planes(
-            basis_g, part,
-            lambda z: _radial_dft(_angular_dft(z, geo.n_theta, -1.0), geo, radial_sign),
-        )
-
+    _, basis_g = _pair_bases(pair)
+    to_planes = np.linalg.inv(basis_g)
     scale = geo.ds * geo.dtheta / TWO_PI
-    return Spectrum(geo, pair, np.fft.fftshift(total * scale, axes=(0, 1)))
+
+    total = np.zeros((geo.n_s, geo.n_theta, 2), dtype=complex)
+    for radial_sign, part in zip((+1.0, -1.0), split_array(h.samples, pair)):
+        z = _alternate_signs(_remap(part, to_planes).view(complex))
+        z = _dft(_dft(z, 1, -1.0), 0, radial_sign)
+        z *= _radial_factor(geo, radial_sign, scale)
+        total += z
+    return Spectrum(geo, pair, _remap(total, basis_g))
 
 
 def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:

@@ -72,10 +72,14 @@ class RootOfMinusOne:
 
 
 def validate_root(a: Multivector) -> RootOfMinusOne:
-    """Accept a as a square root of -1, or raise NotARootError with the residual."""
+    """Accept a as a square root of -1, or raise NotARootError with the residual.
+
+    The bound on |a*a + 1| is ROOT_TOL * max(1, |a|^2), with |a|^2 the sum of
+    the squared coefficients: roundoff in a*a grows with |a|^2, so a fixed
+    bound would reject roots that the chart itself computes far out."""
     square = a * a
     residual = (square + Multivector.scalar(a.signature, 1.0)).modulus()
-    if residual > ROOT_TOL:
+    if residual > ROOT_TOL * max(1.0, float(np.dot(a.coeffs, a.coeffs))):
         raise NotARootError(
             f"{a!r} squares to {square!r}, not -1 (residual {residual:.3e})", residual
         )

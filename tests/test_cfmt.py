@@ -122,6 +122,72 @@ def test_direct_spectrum_matches_fast(sig):
         assert np.max(np.abs(oracle.coeffs - fast.coeffs)) <= 1e-10
 
 
+# non-square, asymmetric, minimal and shifted windows (s_min > 0 and s_max < 0)
+UNCOMMON_GRIDS = [
+    (2, 2, -1.0, 1.0),
+    (2, 8, 0.3, 2.9),
+    (16, 8, -2.0, 2.0),
+    (8, 32, 0.3, 2.9),
+    (12, 6, -5.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("grid", UNCOMMON_GRIDS)
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_uncommon_grids_agree_with_oracle(sig, grid):
+    geo = GridGeometry(*grid)
+    h = random_signal(geo, sig, seed=8)
+    pair = RootPair(*random_roots(sig, 2, seed=9))
+    spectrum = cfmt.cfmt_forward(h, pair)
+    peak = np.max(np.abs(spectrum.coeffs))
+    oracle = cfmt.direct_spectrum(h, pair)
+    assert np.max(np.abs(spectrum.coeffs - oracle.coeffs)) <= 1e-10 * peak
+    fast = cfmt.cfmt_fast(h, pair)
+    assert np.max(np.abs(fast.coeffs - spectrum.coeffs)) <= 1e-10 * peak
+    back = cfmt.cfmt_inverse(spectrum)
+    assert np.max(np.abs(back.samples - h.samples)) <= 1e-10 * np.max(np.abs(h.samples))
+
+
+def test_routes_leave_inputs_untouched():
+    h = random_signal(GEO, CL11, seed=10)
+    pair = RootPair(*random_roots(CL11, 2, seed=11))
+    samples = h.samples.copy()
+    spectrum = cfmt.cfmt_forward(h, pair)
+    fast = cfmt.cfmt_fast(h, pair)
+    coeffs = spectrum.coeffs.copy()
+    back = cfmt.cfmt_inverse(spectrum)
+    assert np.array_equal(h.samples, samples)
+    assert np.array_equal(spectrum.coeffs, coeffs)
+    for output, source in (
+        (spectrum.coeffs, h.samples),
+        (fast.coeffs, h.samples),
+        (back.samples, spectrum.coeffs),
+    ):
+        assert not np.shares_memory(output, source)
+
+
+def test_remap_accepts_planes_with_swapped_strides():
+    # numpy < 2 returns an FFT along a middle axis with the planes axis strided
+    rng = np.random.default_rng(12)
+    planes = rng.normal(size=(6, 4, 4)).view(complex)
+    swapped = np.swapaxes(np.swapaxes(planes, 1, 2).copy(), 1, 2)
+    assert not swapped.flags.c_contiguous
+    matrix = rng.normal(size=(4, 4))
+    assert np.array_equal(cfmt._remap(swapped, matrix), cfmt._remap(planes, matrix))
+
+
+def test_round_trip_error_follows_pair_size():
+    # the documented growth: about (|f| |g|)^2 times machine epsilon
+    h = random_signal(GEO, CL11, seed=0)
+    for radius in (10.0, 100.0, 1000.0):
+        b1, b2 = radius * np.sin(0.3), radius * np.cos(0.3)
+        pair = RootPair(sample_root(CL11, b1, b2, 1), sample_root(CL11, -b1, b2, -1))
+        size = float(np.sum(pair.f.value.coeffs**2) * np.sum(pair.g.value.coeffs**2))
+        back = cfmt.cfmt_inverse(cfmt.cfmt_forward(h, pair))
+        error = np.max(np.abs(back.samples - h.samples)) / np.max(np.abs(h.samples))
+        assert error <= 4.0 * size * np.finfo(float).eps
+
+
 # -- inversion ----------------------------------------------------------------------
 
 

@@ -33,6 +33,18 @@ def test_validate_rejects_non_roots():
         validate_root(Multivector.scalar(CL02, 1.0))
 
 
+def test_validate_bound_scales_with_root_size():
+    # the chart computes this point; its square misses -1 by 1.8e-12 of roundoff
+    root = sample_root(CL20, 100.0, 30.0, 1)
+    assert root.parameters[:2] == (100.0, 30.0)
+    b1, b2, beta = root.parameters
+    with pytest.raises(NotARootError):
+        validate_root(Multivector(CL20, (0.0, b1, b2, beta * (1.0 + 1e-6))))
+    # unit-sized candidates still face the plain ROOT_TOL bound
+    with pytest.raises(NotARootError):
+        validate_root(Multivector(CL02, (0.0, 1.0 + 1e-9, 0.0, 0.0)))
+
+
 def test_sample_root_examples():
     assert sample_root(CL20, 0.0, 0.0, 1).value == basis(CL20)[3]
     root = sample_root(CL02, 1.0, 0.0, 1)
