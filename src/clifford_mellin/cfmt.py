@@ -9,7 +9,10 @@ with the left radial kernel and the right angular kernel never reordered
 around h (f and g need not commute with the samples).  Three evaluation
 routes are provided:
 
-* cfmt_direct: the literal double sum at one real (v, k); the oracle.
+* cfmt_direct: the literal double sum at one real (v, k); the oracle.  Each
+  kernel is cos - root*sin, so the sum reduces to four real-weighted grid
+  sums (cos/sin in s times cos/sin in theta) that f and g then multiply by
+  the geometric product; it uses no FFT and no plane basis.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
@@ -265,24 +268,34 @@ def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:
 
 
 def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multivector:
-    """Literal double sum at one real frequency point (v, k)."""
+    """Literal double sum at one real frequency point (v, k).
+
+    With exp(-f v s) = c(s) + f sn(s) and exp(-g k theta) = C(theta) + g Sn(theta)
+    (c, sn the cosine and sine of -v s; C, Sn those of -k theta) the sum is
+    A_cC + f (A_sC + A_sS g) + A_cS g, where A_ab = sum a(s) b(theta) h(s, theta)
+    are four real-weighted grid sums; f and g enter through the geometric
+    product, never through a plane basis or an FFT.
+    """
     _check_signal_pair(h, pair)
     geo = h.geometry
     sig = h.signature
-    kernel_left = _kernel_values(pair.f, -v * geo.s_values)
-    kernel_right = _kernel_values(pair.g, -k * geo.theta_values)
-    terms = gp(sig, kernel_left[:, None, :], h.samples)
-    terms = gp(sig, terms, kernel_right[None, :, :])
-    total = terms.reshape(-1, 4).sum(axis=0)
+    radial = -v * geo.s_values
+    angular = -k * geo.theta_values
+    rows = np.stack([np.cos(radial), np.sin(radial)])  # (2, n_s)
+    cols = np.stack([np.cos(angular), np.sin(angular)])  # (2, n_theta)
+    partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(2, geo.n_theta, 4)
+    sums = cols @ partial  # sums[a, b] = A_ab, a radial and b angular (cos, sin)
+    times_g = gp(sig, sums[:, 1], pair.g.value.coeffs)  # (A_cS g, A_sS g)
+    total = sums[0, 0] + times_g[0] + gp(sig, pair.f.value.coeffs, sums[1, 0] + times_g[1])
     return Multivector(sig, total * (geo.ds * geo.dtheta / TWO_PI))
 
 
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Full spectrum by the literal sum at every grid frequency.
 
-    Each bin is evaluated independently, so the cost is quadratic in the
-    total sample count; this is the oracle the FFT routes are checked
-    against.
+    Each bin is evaluated independently by cfmt_direct, so the cost is
+    quadratic in the total sample count; this is the oracle the FFT routes
+    are checked against.
     """
     geo = h.geometry
     coeffs = np.empty((geo.n_s, geo.n_theta, 4))

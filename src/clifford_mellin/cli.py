@@ -301,12 +301,11 @@ def cmd_descriptor(args) -> int:
     desc = descriptor(h, pair)
     geo = h.geometry
     lines = ["j,k,v,mag"]
-    j_values = np.arange(-geo.n_s // 2, geo.n_s // 2)
-    k_values = np.arange(-geo.n_theta // 2, geo.n_theta // 2)
-    for i, j in enumerate(j_values):
+    j_values = range(-geo.n_s // 2, geo.n_s // 2)
+    k_values = range(-geo.n_theta // 2, geo.n_theta // 2)
+    for j, row in zip(j_values, desc.magnitudes.tolist()):
         v = repr(float(geo.dv * j))
-        for t, k in enumerate(k_values):
-            lines.append(f"{j},{k},{v},{float(desc.magnitudes[i, t])!r}")
+        lines += [f"{j},{k},{v},{mag!r}" for k, mag in zip(k_values, row)]
     text = "\n".join(lines) + "\n"
     if config.out:
         _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))

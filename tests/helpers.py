@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from clifford_mellin.algebra import CL11, Multivector
+from clifford_mellin.algebra import CL11, Multivector, gp
+from clifford_mellin.cfmt import _kernel_values
 from clifford_mellin.roots import RootPair, random_roots, sample_root
 
 
@@ -40,3 +41,15 @@ def wild_pairs(sig, n, seed):
 def random_multivectors(sig, n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return [Multivector(sig, c) for c in rng.uniform(-scale, scale, size=(n, 4))]
+
+
+def literal_direct_sum(h, pair, v, k):
+    """The defining sum at (v, k) as two full-grid geometric products:
+    exp(-f v s) h(s, theta) exp(-g k theta) at every sample, then summed."""
+    geo = h.geometry
+    sig = h.signature
+    kernel_left = _kernel_values(pair.f, -v * geo.s_values)
+    kernel_right = _kernel_values(pair.g, -k * geo.theta_values)
+    terms = gp(sig, kernel_left[:, None, :], h.samples)
+    terms = gp(sig, terms, kernel_right[None, :, :])
+    return terms.reshape(-1, 4).sum(axis=0) * (geo.ds * geo.dtheta / (2.0 * np.pi))

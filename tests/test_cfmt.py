@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import moderate_pairs, wild_pairs
+from helpers import literal_direct_sum, moderate_pairs, wild_pairs
 
 from clifford_mellin import cfmt
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis
@@ -146,6 +146,24 @@ def test_uncommon_grids_agree_with_oracle(sig, grid):
     assert np.max(np.abs(fast.coeffs - spectrum.coeffs)) <= 1e-10 * peak
     back = cfmt.cfmt_inverse(spectrum)
     assert np.max(np.abs(back.samples - h.samples)) <= 1e-10 * np.max(np.abs(h.samples))
+
+
+@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)])
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_direct_matches_literal_grid_sum(sig, grid):
+    # the separable evaluation against the two-gp sum over every sample
+    geo = GridGeometry(*grid)
+    h = random_signal(geo, sig, seed=13)
+    rng = np.random.default_rng(14)
+    wild = wild_pairs(sig, 2, seed=15)
+    points = [(0.37 * geo.dv, -2.5), (-1.9 * geo.dv, 0.25), (3.3, 7.75)]
+    for _ in range(12):
+        i, t = int(rng.integers(geo.n_s)), int(rng.integers(geo.n_theta))
+        points.append((float(geo.v_values[i]), float(geo.k_values[t])))
+    for pair in [default_pair(sig), *wild, RootPair(wild[0].f, -wild[0].f)]:
+        want = np.array([literal_direct_sum(h, pair, v, k) for v, k in points])
+        got = np.array([cfmt.cfmt_direct(h, pair, v, k).coeffs for v, k in points])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_routes_leave_inputs_untouched():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import pathlib
 from dataclasses import asdict
 
 import numpy as np
@@ -11,9 +12,15 @@ from clifford_mellin import cfmt, cli
 from clifford_mellin.algebra import CL02, CL11
 from clifford_mellin.cfmt import read_clmf
 from clifford_mellin.cli import RunConfig
-from clifford_mellin.imaging import write_pgm
-from clifford_mellin.roots import RootPair, random_roots
-from clifford_mellin.signal import default_geometry, random_signal, read_clms, write_clms
+from clifford_mellin.imaging import descriptor, write_pgm
+from clifford_mellin.roots import RootPair, default_pair, random_roots
+from clifford_mellin.signal import (
+    GridGeometry,
+    default_geometry,
+    random_signal,
+    read_clms,
+    write_clms,
+)
 
 
 def run(capsys, *argv):
@@ -296,3 +303,40 @@ def test_fast_bench_times_the_direct_sum(capsys):
     summary = json.loads(out)
     assert summary["time_direct_s"] > 0.0
     assert summary["speedup"] > 0.0
+
+
+def test_descriptor_csv_renders_every_bin(tmp_path, capsys):
+    path = tmp_path / "small.clms"
+    h = random_signal(GridGeometry(8, 12, 0.3, 2.9), CL02, seed=6)
+    write_clms(path, h)
+    out_path = tmp_path / "desc.csv"
+    code, _ = run(capsys, "descriptor", str(path), "--out", str(out_path))
+    assert code == 0
+    geo = h.geometry
+    mags = descriptor(h, default_pair(CL02)).magnitudes
+    lines = ["j,k,v,mag"]
+    for i in range(geo.n_s):
+        j = i - geo.n_s // 2
+        for t in range(geo.n_theta):
+            k = t - geo.n_theta // 2
+            lines.append(f"{j},{k},{float(geo.dv * j)!r},{float(mags[i, t])!r}")
+    assert out_path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_verify_report_matches_golden_seed0(capsys):
+    # tests/data/verify_seed0.json is `verify --seed 0` captured before the
+    # direct sum became separable; only residuals may move, within roundoff
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "verify_seed0.json").read_text())
+    code, out = run(capsys, "verify", "--seed", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"] == golden["config"]
+    assert report["failures"] == golden["failures"] == 0
+    assert len(report["results"]) == len(golden["results"])
+    for got, want in zip(report["results"], golden["results"]):
+        residual, expected = got.pop("residual"), want.pop("residual")
+        assert got == want
+        if expected is None:
+            assert residual is None
+        else:
+            assert abs(residual - expected) <= max(1e-12, 0.01 * abs(expected)), (got, expected)
