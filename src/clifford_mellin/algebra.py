@@ -132,11 +132,6 @@ def principal_reverse_signs(sig: Signature) -> np.ndarray:
     return np.array([1.0, float(e1), float(e2), float(-e1 * e2)])
 
 
-def modulus_array(a: np.ndarray) -> np.ndarray:
-    """Euclidean length of the coefficient 4-vectors along the last axis."""
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
 def scalar_product_array(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Scalar part of the geometric product, broadcasting over (...,4) arrays."""
     e1, e2 = sig.squares

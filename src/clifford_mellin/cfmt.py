@@ -18,9 +18,14 @@ routes are provided:
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
   so each pass is a plain FFT in the two planes of that structure.
 * cfmt_fast: the quasi-complex route.  The signal splits into the +-
-  eigenparts of x -> f x g; on each part the left radial kernel converts to
-  a right kernel with a sign flip, so both kernels act in the commutative
-  subalgebra generated by g and one complex FFT per plane does the work.
+  eigenparts of the sandwich S: x -> f x g; on x_+ the left radial kernel
+  exp(-f v s) equals the right kernel exp(+g v s), on x_- it equals
+  exp(-g v s), so both kernels act in the commutative subalgebra generated
+  by g.  S is an involution commuting with R_g and S != +-I (no root of -1
+  is central), so each eigenspace is exactly one R_g-complex plane; in the
+  basis (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and
+  one 2-D FFT over both planes does the work, the + plane read with its rows
+  reversed.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane
 basis, viewed as complex without a copy, are the two planes; one real 4x4 map
@@ -57,7 +62,7 @@ from .signal import (
     scalar_inner_product,
     split_signal,
 )
-from .split import split_array
+from .split import sandwich_matrix, split_array
 
 __all__ = [
     "Spectrum",
@@ -171,6 +176,22 @@ def _pair_bases(pair: RootPair) -> tuple[np.ndarray, np.ndarray]:
     return _plane_basis(left_matrix(sig, f)), _plane_basis(right_matrix(sig, g))
 
 
+def _split_basis(pair: RootPair) -> np.ndarray:
+    """Column basis (u+, R_g u+, u-, R_g u-) of the +-1 eigenplanes of the
+    sandwich S = L_f R_g, with u+- the largest column of the projector
+    (I +- S)/2.  Each projector is nonzero and its range is one R_g-invariant
+    plane, on which R_g has no real eigenvector; so the basis is invertible
+    for every pair, g = +-f included."""
+    sandwich = sandwich_matrix(pair)
+    j_matrix = right_matrix(pair.signature, pair.g.value.coeffs)
+    columns = []
+    for sign in (+1.0, -1.0):
+        projector = 0.5 * (np.eye(4) + sign * sandwich)
+        u = projector[:, np.argmax(np.sum(projector * projector, axis=0))]
+        columns += [u, j_matrix @ u]
+    return np.column_stack(columns)
+
+
 def _remap(arr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Apply a real 4x4 matrix to each coefficient vector of arr, given as
     (n_s, n_theta, 4) reals or as their (n_s, n_theta, 2) complex planes; the
@@ -242,21 +263,28 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
 
 
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
-    """Quasi-complex route: split h, flip the radial kernel to the right side
-    with the per-part sign, and transform both parts in the planes of R_g."""
+    """Quasi-complex route: the paper's split, as one FFT over two planes.
+
+    In the basis of _split_basis, plane 0 holds x_+ and plane 1 holds x_-,
+    each as a complex function with R_g acting as i.  Both get the angular
+    kernel exp(-i k theta); the radial kernel is exp(+i v s) on plane 0 and
+    exp(-i v s) on plane 1.  So one fft2 serves both, and plane 0 reads its
+    rows at -j, which turns the negative-sign radial DFT into the positive
+    one.  The cost is that of cfmt_forward with one 4x4 map fewer and one
+    row gather on a single plane more.
+    """
     _check_signal_pair(h, pair)
     geo = h.geometry
-    _, basis_g = _pair_bases(pair)
-    to_planes = np.linalg.inv(basis_g)
+    basis = _split_basis(pair)
     scale = geo.ds * geo.dtheta / TWO_PI
 
-    total = np.zeros((geo.n_s, geo.n_theta, 2), dtype=complex)
-    for radial_sign, part in zip((+1.0, -1.0), split_array(h.samples, pair)):
-        z = _alternate_signs(_remap(part, to_planes).view(complex))
-        z = _dft(_dft(z, 1, -1.0), 0, radial_sign)
-        z *= _radial_factor(geo, radial_sign, scale)
-        total += z
-    return Spectrum(geo, pair, _remap(total, basis_g))
+    z = _alternate_signs(_remap(h.samples, np.linalg.inv(basis)).view(complex))
+    z = np.fft.fft2(z, axes=(0, 1))
+    z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
+    z *= np.concatenate(
+        [_radial_factor(geo, +1.0, scale), _radial_factor(geo, -1.0, scale)], axis=-1
+    )
+    return Spectrum(geo, pair, _remap(z, basis))
 
 
 def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:

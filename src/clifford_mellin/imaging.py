@@ -197,6 +197,7 @@ def _bilinear_sample(field: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
     """Bilinear interpolation of an (h, w, c) field at float (x, y) positions;
     reads outside the raster return 0."""
     h, w = field.shape[:2]
+    flat = field.reshape(h * w, -1)
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
     fx = xs - x0
@@ -208,8 +209,8 @@ def _bilinear_sample(field: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nd
             yy = y0 + dy
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-            values = field[yy.clip(0, h - 1), xx.clip(0, w - 1)]
-            out += np.where(valid[..., None], values * weight[..., None], 0.0)
+            values = flat[yy.clip(0, h - 1) * w + xx.clip(0, w - 1)]
+            out += values * (weight * valid)[..., None]
     return out
 
 
@@ -236,7 +237,8 @@ def to_log_polar(
     angles = geometry.theta_values[None, :]
     xs = cx + radii * np.cos(angles)
     ys = cy + radii * np.sin(angles)
-    samples = _bilinear_sample(source.multivector_field(), xs, ys)
+    samples = np.zeros((geometry.n_s, geometry.n_theta, 4))
+    samples[..., list(source.mapping)] = _bilinear_sample(image.pixels, xs, ys)
     return LogPolarSignal(geometry, source.signature, samples)
 
 
@@ -298,20 +300,17 @@ def register(
     geo = h1.geometry
     a1 = h1.samples - h1.samples.mean(axis=(0, 1), keepdims=True)
     a2 = h2.samples - h2.samples.mean(axis=(0, 1), keepdims=True)
-    corr = np.zeros((geo.n_s, geo.n_theta))
-    for c in range(4):
-        a = np.fft.fft2(a1[..., c])
-        b = np.fft.fft2(a2[..., c])
-        corr += np.fft.ifft2(a * np.conj(b)).real
+    cross = np.fft.rfft2(a1, axes=(0, 1)) * np.conj(np.fft.rfft2(a2, axes=(0, 1)))
+    corr = np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
 
     peak_flat = int(np.argmax(corr))
     pi, pt = np.unravel_index(peak_flat, corr.shape)
     excl_s = max(1, geo.n_s // 16)
     excl_t = max(1, geo.n_theta // 16)
     masked = corr.copy()
-    for di in range(-excl_s, excl_s + 1):
-        for dt in range(-excl_t, excl_t + 1):
-            masked[(pi + di) % geo.n_s, (pt + dt) % geo.n_theta] = -np.inf
+    rows = (pi + np.arange(-excl_s, excl_s + 1)) % geo.n_s
+    cols = (pt + np.arange(-excl_t, excl_t + 1)) % geo.n_theta
+    masked[np.ix_(rows, cols)] = -np.inf
     second = float(np.max(masked))
     peak = float(corr[pi, pt])
     if second <= 0.0:

@@ -122,9 +122,6 @@ class LogPolarSignal:
         arr = np.broadcast_to(value.coeffs, (geometry.n_s, geometry.n_theta, 4))
         return cls(geometry, value.signature, arr.copy())
 
-    def sample_at(self, i: int, t: int) -> Multivector:
-        return Multivector(self.signature, self.samples[i, t])
-
     def with_samples(self, samples: np.ndarray) -> "LogPolarSignal":
         return LogPolarSignal(self.geometry, self.signature, samples)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, Signature, gp
+from .algebra import Multivector, Signature, left_matrix, right_matrix
 from .errors import ContractError, SignatureMismatchError
 from .roots import RootOfMinusOne, RootPair
 
@@ -45,12 +45,18 @@ def recombine(sp: SplitPair) -> Multivector:
     return sp.plus + sp.minus
 
 
+def sandwich_matrix(pair: RootPair) -> np.ndarray:
+    """Matrix S = L_f R_g with S @ x = coefficients of f x g.
+
+    S is an involution that commutes with R_g, and S != +-I because no root
+    of -1 is central; so its +-1 eigenspaces are two R_g-invariant planes."""
+    sig = pair.signature
+    return left_matrix(sig, pair.f.value.coeffs) @ right_matrix(sig, pair.g.value.coeffs)
+
+
 def split_array(samples: np.ndarray, pair: RootPair) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise split of a (...,4) coefficient array."""
-    sig = pair.signature
-    fc = pair.f.value.coeffs
-    gc = pair.g.value.coeffs
-    sandwich = gp(sig, np.broadcast_to(fc, samples.shape), gp(sig, samples, np.broadcast_to(gc, samples.shape)))
+    sandwich = samples @ sandwich_matrix(pair).T
     return 0.5 * (samples + sandwich), 0.5 * (samples - sandwich)
 
 

@@ -53,3 +53,73 @@ def literal_direct_sum(h, pair, v, k):
     terms = gp(sig, kernel_left[:, None, :], h.samples)
     terms = gp(sig, terms, kernel_right[None, :, :])
     return terms.reshape(-1, 4).sum(axis=0) * (geo.ds * geo.dtheta / (2.0 * np.pi))
+
+
+def gp_split_array(samples, pair):
+    """The split x_pm = (x +- f x g)/2 of a (..., 4) array by two broadcast
+    geometric products, the reference for the matrix form."""
+    sig = pair.signature
+    f = np.broadcast_to(pair.f.value.coeffs, samples.shape)
+    g = np.broadcast_to(pair.g.value.coeffs, samples.shape)
+    sandwich = gp(sig, f, gp(sig, samples, g))
+    return 0.5 * (samples + sandwich), 0.5 * (samples - sandwich)
+
+
+def channelwise_correlation(h1, h2):
+    """Channel-summed cyclic cross-correlation of the mean-removed signals,
+    one complex fft2/ifft2 per channel: the reference for register."""
+    a1 = h1.samples - h1.samples.mean(axis=(0, 1), keepdims=True)
+    a2 = h2.samples - h2.samples.mean(axis=(0, 1), keepdims=True)
+    corr = np.zeros(h1.samples.shape[:2])
+    for c in range(4):
+        corr += np.fft.ifft2(np.fft.fft2(a1[..., c]) * np.conj(np.fft.fft2(a2[..., c]))).real
+    return corr
+
+
+def correlation_register(corr, geo, min_confidence=1.05):
+    """(steps, matched, confidence) from a correlation surface, masking the
+    main lobe one cell at a time: the reference for register's peak search."""
+    pi, pt = np.unravel_index(int(np.argmax(corr)), corr.shape)
+    excl_s = max(1, geo.n_s // 16)
+    excl_t = max(1, geo.n_theta // 16)
+    masked = corr.copy()
+    for di in range(-excl_s, excl_s + 1):
+        for dt in range(-excl_t, excl_t + 1):
+            masked[(pi + di) % geo.n_s, (pt + dt) % geo.n_theta] = -np.inf
+    second = float(np.max(masked))
+    peak = float(corr[pi, pt])
+    if second <= 0.0:
+        confidence = np.inf if peak > 0.0 else 1.0
+    else:
+        confidence = peak / second
+    steps = (
+        int((pi + geo.n_s // 2) % geo.n_s - geo.n_s // 2),
+        int((pt + geo.n_theta // 2) % geo.n_theta - geo.n_theta // 2),
+    )
+    return steps, bool(confidence >= min_confidence), float(confidence)
+
+
+def field_log_polar_samples(source, geometry, center):
+    """Log-polar samples read from the zero-padded four-channel field of the
+    image, corner by corner with np.where: the reference for to_log_polar."""
+    field = source.multivector_field()
+    h, w = field.shape[:2]
+    cx, cy = center
+    radii = np.exp(geometry.s_values)[:, None]
+    angles = geometry.theta_values[None, :]
+    xs = cx + radii * np.cos(angles)
+    ys = cy + radii * np.sin(angles)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    fx = xs - x0
+    fy = ys - y0
+    out = np.zeros(xs.shape + (4,))
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xx = x0 + dx
+            yy = y0 + dy
+            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+            valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
+            values = field[yy.clip(0, h - 1), xx.clip(0, w - 1)]
+            out += np.where(valid[..., None], values * weight[..., None], 0.0)
+    return out

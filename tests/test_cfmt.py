@@ -256,11 +256,16 @@ def test_round_trip_degenerate_pairs(sig):
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_fast_equals_forward(sig):
-    for idx, pair in enumerate(wild_pairs(sig, 3, seed=11) + [default_pair(sig)]):
-        h = random_signal(GEO, sig, seed=12 + idx)
-        fast = cfmt.cfmt_fast(h, pair)
-        forward = cfmt.cfmt_forward(h, pair)
-        assert fast.max_abs_diff(forward) <= 1e-10
+    # g = +-f included: a split-plane basis can fit every wild pair yet fail there
+    f = random_roots(sig, 1, seed=21)[0]
+    pairs = wild_pairs(sig, 3, seed=11) + [default_pair(sig), RootPair(f, f), RootPair(f, -f)]
+    for grid in [(32, 32, -np.pi, np.pi)] + UNCOMMON_GRIDS:
+        geo = GridGeometry(*grid)
+        for idx, pair in enumerate(pairs):
+            h = random_signal(geo, sig, seed=12 + idx)
+            fast = cfmt.cfmt_fast(h, pair)
+            forward = cfmt.cfmt_forward(h, pair)
+            assert fast.max_abs_diff(forward) <= 1e-13 * np.max(np.abs(forward.coeffs))
 
 
 def test_fast_degenerate_pair_real_signal_vs_oracle():

@@ -27,7 +27,12 @@ from clifford_mellin.imaging import (
 )
 from clifford_mellin.roots import default_pair
 from clifford_mellin.signal import GridGeometry, default_geometry, random_signal
-from helpers import wild_pairs
+from helpers import (
+    channelwise_correlation,
+    correlation_register,
+    field_log_polar_samples,
+    wild_pairs,
+)
 
 GEO = default_geometry(64)
 
@@ -174,6 +179,22 @@ def test_resampling_guards():
         to_log_polar(source, small_log_geometry(16, s_max=1.0), center=(200.0, 16.0))
 
 
+def test_log_polar_matches_four_channel_field_resampling():
+    # only the image's channels are sampled; the result must be bit-identical
+    rng = np.random.default_rng(40)
+    gray = blob_image(64, seed=41)
+    rgb = np.stack([blob_image(64, seed=s) for s in (42, 43, 44)], axis=-1)
+    geo = GridGeometry(24, 20, -1.0, np.log(20.0))
+    cases = [(gray, (0,)), (gray, (2,)), (rgb, (1, 2, 3)), (rgb, (0, 2, 1))]
+    for pixels, mapping in cases:
+        source = ImageSignalSource(RasterImage(pixels), CL20, mapping)
+        # the centroid, and a center whose outer rings leave the raster
+        for center in (None, (3.0, 5.5), tuple(rng.uniform(20.0, 43.0, size=2))):
+            got = to_log_polar(source, geo, center=center)
+            want = field_log_polar_samples(source, geo, center or source.image.centroid())
+            assert np.array_equal(got.samples, want)
+
+
 # -- descriptors -------------------------------------------------------------------------
 
 
@@ -270,6 +291,40 @@ def test_register_recovers_continuous_rotation_and_scale():
     assert result.matched
     assert abs(result.angle - angle) <= geo.dtheta
     assert abs(np.log(result.scale) - np.log(scale)) <= geo.ds
+
+
+def test_register_matches_channelwise_correlation():
+    # one real FFT per signal over all channels against one complex FFT per channel
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    center = (63.5, 63.5)
+    gray = blob_image(128, seed=45)
+    rgb = np.stack([blob_image(128, seed=s) for s in (46, 47, 48)], axis=-1)
+    cases = []
+    for pixels, mapping in ((gray, (0,)), (rgb, (1, 2, 3))):
+        def signal_of(p):
+            source = ImageSignalSource(RasterImage(p), CL02, mapping)
+            return to_log_polar(source, image_geo, center=center)
+
+        base = signal_of(pixels)
+        for angle, scale in ((0.3, 1.1), (-2.0, 0.9)):
+            cases.append((base, signal_of(warp_similarity(pixels, angle, scale, center=center))))
+    # random four-channel signals; at 8x8 the exclusion window wraps the grid edge
+    for n in (8, 16, 32):
+        geo = default_geometry(n)
+        h = random_signal(geo, CL02, seed=49 + n)
+        noise = random_signal(geo, CL02, seed=50 + n).samples
+        for p, q in ((0, 0), (1, -2), (n // 2, n - 1)):
+            moved = cfmt.apply_scale_rotate(h, p, q)
+            cases.append((h, moved.with_samples(moved.samples + 0.5 * noise)))
+        cases.append((h, random_signal(geo, CL02, seed=51 + n)))
+    for h1, h2 in cases:
+        result = register(h1, h2)
+        steps, matched, confidence = correlation_register(
+            channelwise_correlation(h1, h2), h1.geometry
+        )
+        assert result.steps == steps
+        assert result.matched == matched
+        assert result.confidence == pytest.approx(confidence, rel=1e-12)
 
 
 def test_register_reports_no_match_on_flat_correlation():

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import moderate_pairs, random_multivectors, wild_pairs
+from helpers import gp_split_array, moderate_pairs, random_multivectors, wild_pairs
 
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis
 from clifford_mellin.errors import ContractError, SignatureMismatchError
 from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, validate_root
-from clifford_mellin.split import exp_swap_check, f_split, mixed_scalar, recombine, split
+from clifford_mellin.split import exp_swap_check, f_split, mixed_scalar, recombine, split, split_array
 
 
 def test_split_example_cl02():
@@ -207,3 +207,16 @@ def test_split_signature_mismatch():
     pair = default_pair(CL02)
     with pytest.raises(SignatureMismatchError):
         split(Multivector.scalar(CL20, 1.0), pair)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_split_array_matches_gp_sandwich(sig):
+    # the one 4x4 matrix against the two broadcast geometric products
+    samples = np.random.default_rng(28).uniform(-1, 1, size=(9, 7, 4))
+    f = random_roots(sig, 1, seed=29)[0]
+    for pair in wild_pairs(sig, 10, seed=30) + [RootPair(f, f), RootPair(f, -f)]:
+        got = split_array(samples, pair)
+        want = gp_split_array(samples, pair)
+        peak = max(float(np.max(np.abs(part))) for part in want)
+        for g_part, w_part in zip(got, want):
+            assert np.max(np.abs(g_part - w_part)) <= 1e-13 * peak
