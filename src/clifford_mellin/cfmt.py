@@ -444,8 +444,10 @@ def modulate(h: LogPolarSignal, pair: RootPair, v0: float, k0: int) -> LogPolarS
     """Radial and rotary modulation exp(f v0 s) h exp(g k0 theta).
 
     v0 must be an exact grid frequency (an integer multiple of dv) and k0 an
-    integer, so the spectrum of the result is H shifted cyclically by
-    (v0/dv, k0) bins."""
+    integer.  The spectrum of the result is H shifted by (v0/dv, k0) bins;
+    the shift is cyclic only when c = n_s*s_min/span is an integer, as on
+    every symmetric window.  Otherwise a row that wraps w times past the
+    radial band edge is also multiplied on the left by exp(-2*pi*w*c f)."""
     _check_signal_pair(h, pair)
     geo = h.geometry
     steps = v0 / geo.dv

@@ -18,42 +18,20 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import cfmt
-from .algebra import Multivector, Signature, basis
-from .errors import (
-    CliffordMellinError,
-    ContractError,
-    DomainError,
-    FormatError,
-)
+from . import cfmt, properties
+from .algebra import Multivector, Signature
+from .errors import CliffordMellinError, FormatError
 from .imaging import ingest, register, descriptor, to_log_polar
-from .roots import (
-    RootPair,
-    default_pair,
-    export_manifold,
-    make_pair,
-    random_roots,
-    sample_root,
-    validate_root,
-)
+from .roots import RootPair, export_manifold, make_pair
 from .signal import (
     GridGeometry,
     LogPolarSignal,
     norm as signal_norm,
     random_signal,
     read_clms,
-    split_signal,
     write_clms,
 )
-from .split import exp_swap_check, f_split, mixed_scalar, recombine, split
-
-DEFAULT_TOLERANCES = {
-    "algebra": 1e-12,
-    "split": 1e-10,
-    "transform": 1e-10,
-    "derivative": 1e-8,
-    "power_scaling": 1e-5,
-}
+from .split import split
 
 
 class UsageError(Exception):
@@ -337,357 +315,9 @@ def cmd_register(args) -> int:
 # -- verify -----------------------------------------------------------------------------
 
 
-def _pairs_for_verify(sig: Signature, seed: int, include_degenerate: bool):
-    named = [("blade", default_pair(sig))]
-    roots = random_roots(sig, 2, seed=seed)
-    named.append(("random", RootPair(roots[0], roots[1])))
-    if include_degenerate:
-        named.append(("degenerate", RootPair(roots[0], -roots[0])))
-    return named
-
-
-def _symmetry_pair(sig: Signature) -> RootPair:
-    if sig.squares == (-1, -1):
-        return default_pair(sig)
-    if sig.squares == (1, 1):
-        return RootPair(validate_root(basis(sig)[3]), sample_root(sig, 1.0, 0.0, 1))
-    return RootPair(validate_root(basis(sig)[2]), sample_root(sig, 0.5, float(np.sqrt(1.5)), 1))
-
-
-def _verify_rows(config: RunConfig) -> list[dict]:
-    rows = []
-
-    def add(prop, algebra, pair_name, residual, tolerance, note=None, gated=True):
-        tol = config.tol if config.tol is not None else tolerance
-        row = {
-            "property": prop,
-            "algebra": algebra,
-            "pair": pair_name,
-            "residual": float(residual),
-            "tolerance": tol,
-            "pass": bool(residual <= tol) if gated else None,
-        }
-        if note:
-            row["note"] = note
-        rows.append(row)
-
-    def skip(prop, algebra, pair_name, reason):
-        rows.append(
-            {
-                "property": prop,
-                "algebra": algebra,
-                "pair": pair_name,
-                "residual": None,
-                "tolerance": None,
-                "pass": None,
-                "status": f"skipped ({reason})",
-            }
-        )
-
-    geometry = config.geometry
-    rng = np.random.default_rng(config.seed)
-    from .algebra import SIGNATURES, gp, principal_reverse_signs, scalar_product_array
-
-    for sig in SIGNATURES:
-        name = sig.name
-        one, e1, e2, e12 = basis(sig)
-        eps = sig.squares
-
-        # multiplication rules on all basis-vector pairs
-        residual = 0.0
-        for k, a in enumerate((e1, e2)):
-            for l, b in enumerate((e1, e2)):
-                anti = a * b + b * a
-                want = 2.0 * eps[k] if k == l else 0.0
-                residual = max(
-                    residual, float(np.max(np.abs(anti.coeffs - np.array([want, 0, 0, 0]))))
-                )
-        add("multiplication_rules", name, "-", residual, DEFAULT_TOLERANCES["algebra"])
-
-        triples = rng.uniform(-1, 1, size=(3, 2000, 4))
-        left = gp(sig, gp(sig, triples[0], triples[1]), triples[2])
-        right = gp(sig, triples[0], gp(sig, triples[1], triples[2]))
-        add("associativity", name, "-", np.max(np.abs(left - right)), DEFAULT_TOLERANCES["algebra"])
-
-        blades = basis(sig)
-        residual = 0.0
-        for i, ea in enumerate(blades):
-            for j, eb in enumerate(blades):
-                value = float(
-                    scalar_product_array(
-                        sig,
-                        ea.principal_reverse().coeffs,
-                        eb.coeffs,
-                    )
-                )
-                residual = max(residual, abs(value - (1.0 if i == j else 0.0)))
-        add("basis_duality", name, "-", residual, DEFAULT_TOLERANCES["algebra"])
-
-        samples = rng.uniform(-1, 1, size=(2000, 4))
-        sq_coeffs = np.sum(samples * samples, axis=-1)
-        sq_product = scalar_product_array(sig, samples, samples * principal_reverse_signs(sig))
-        add(
-            "modulus_identity",
-            name,
-            "-",
-            np.max(np.abs(sq_coeffs - sq_product)),
-            DEFAULT_TOLERANCES["algebra"],
-        )
-
-        for pair_name, pair in _pairs_for_verify(sig, config.seed + 1, config.pair_degenerate):
-            h = random_signal(geometry, sig, seed=config.seed + 2)
-            x = Multivector(sig, rng.uniform(-1, 1, size=4))
-
-            parts = split(x, pair)
-            back = recombine(parts)
-            add(
-                "split_reconstruction",
-                name,
-                pair_name,
-                np.max(np.abs(back.coeffs - x.coeffs)),
-                DEFAULT_TOLERANCES["split"],
-            )
-            fx = pair.f.value * parts.plus * pair.g.value
-            residual = float(np.max(np.abs(fx.coeffs - parts.plus.coeffs)))
-            fx = pair.f.value * parts.minus * pair.g.value
-            residual = max(residual, float(np.max(np.abs(fx.coeffs + parts.minus.coeffs))))
-            add("split_eigen_action", name, pair_name, residual, DEFAULT_TOLERANCES["split"])
-
-            fg = pair.f.value * pair.g.value
-            xpf, xmf = f_split(x, pair.f)
-            combo = xpf * ((one + fg) * 0.5) + xmf * ((one - fg) * 0.5)
-            add(
-                "split_linear_combination",
-                name,
-                pair_name,
-                np.max(np.abs(combo.coeffs - parts.plus.coeffs)),
-                DEFAULT_TOLERANCES["split"],
-            )
-
-            add(
-                "split_exp_swap",
-                name,
-                pair_name,
-                exp_swap_check(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)), x, pair),
-                DEFAULT_TOLERANCES["split"],
-            )
-
-            if pair.blade_like:
-                y = Multivector(sig, rng.uniform(-1, 1, size=4))
-                a, b = mixed_scalar(x, y, pair)
-                add(
-                    "split_orthogonality",
-                    name,
-                    pair_name,
-                    max(abs(a), abs(b)),
-                    DEFAULT_TOLERANCES["split"],
-                )
-            else:
-                skip("split_orthogonality", name, pair_name, "non-blade-like pair")
-
-            spectrum = cfmt.cfmt_forward(h, pair)
-            add(
-                "transform_round_trip",
-                name,
-                pair_name,
-                cfmt.cfmt_inverse(spectrum).max_abs_diff(h),
-                DEFAULT_TOLERANCES["transform"],
-            )
-            add(
-                "transform_fast_vs_forward",
-                name,
-                pair_name,
-                cfmt.cfmt_fast(h, pair).max_abs_diff(spectrum),
-                DEFAULT_TOLERANCES["transform"],
-            )
-            residual = 0.0
-            for _ in range(8):
-                i = int(rng.integers(geometry.n_s))
-                t = int(rng.integers(geometry.n_theta))
-                direct = cfmt.cfmt_direct(
-                    h, pair, float(geometry.v_values[i]), float(geometry.k_values[t])
-                )
-                residual = max(residual, float(np.max(np.abs(direct.coeffs - spectrum.coeffs[i, t]))))
-            add("transform_direct_oracle", name, pair_name, residual, DEFAULT_TOLERANCES["transform"])
-
-            plus_sig, minus_sig = split_signal(h, pair)
-            plus_spec, minus_spec = spectrum.split()
-            residual = max(
-                cfmt.cfmt_forward(plus_sig, pair).max_abs_diff(plus_spec),
-                cfmt.cfmt_forward(minus_sig, pair).max_abs_diff(minus_spec),
-            )
-            add("split_transform_commutation", name, pair_name, residual, DEFAULT_TOLERANCES["transform"])
-
-            p, q = int(rng.integers(-10, 11)), int(rng.integers(-10, 11))
-            shifted = cfmt.apply_scale_rotate(h, p, q)
-            shifted_spec = cfmt.cfmt_forward(shifted, pair)
-            predicted = cfmt.predicted_shift_spectrum(spectrum, p, q)
-            add(
-                "scale_rotate_covariance",
-                name,
-                pair_name,
-                shifted_spec.max_abs_diff(predicted),
-                DEFAULT_TOLERANCES["transform"],
-            )
-            mag_residual = float(np.max(np.abs(shifted_spec.magnitude() - spectrum.magnitude())))
-            if pair.blade_like:
-                add(
-                    "magnitude_invariance",
-                    name,
-                    pair_name,
-                    mag_residual,
-                    DEFAULT_TOLERANCES["transform"],
-                )
-            else:
-                add(
-                    "magnitude_invariance",
-                    name,
-                    pair_name,
-                    mag_residual,
-                    DEFAULT_TOLERANCES["transform"],
-                    note="recorded only; identity asserted for blade-like pairs",
-                    gated=False,
-                )
-
-            if pair.blade_like:
-                plus_mag = plus_spec.magnitude() ** 2
-                minus_mag = minus_spec.magnitude() ** 2
-                total = spectrum.magnitude() ** 2
-                scale = max(1.0, float(np.max(total)))
-                add(
-                    "spectral_modulus_pythagoras",
-                    name,
-                    pair_name,
-                    float(np.max(np.abs(total - plus_mag - minus_mag))) / scale,
-                    1e-12,
-                )
-            else:
-                skip("spectral_modulus_pythagoras", name, pair_name, "non-blade-like pair")
-
-            h2 = random_signal(geometry, sig, seed=config.seed + 3)
-            alpha = Multivector.scalar(sig, 0.7) + 0.4 * pair.f.value
-            beta_r = Multivector.scalar(sig, -1.1) + 0.8 * pair.g.value
-            left_res, right_res = cfmt.check_linearity(
-                h, h2, pair, alpha, Multivector.scalar(sig, 1.5), Multivector.scalar(sig, 0.3), beta_r
-            )
-            add("left_linearity", name, pair_name, left_res, DEFAULT_TOLERANCES["transform"])
-            add("right_linearity", name, pair_name, right_res, DEFAULT_TOLERANCES["transform"])
-
-            rev_s = (-np.arange(geometry.n_s)) % geometry.n_s
-            rev_t = (-np.arange(geometry.n_theta)) % geometry.n_theta
-            reflected = cfmt.cfmt_forward(cfmt.reflect_circle(h), pair)
-            add(
-                "reflection_radial",
-                name,
-                pair_name,
-                np.max(np.abs(reflected.coeffs - spectrum.coeffs[rev_s, :, :])),
-                DEFAULT_TOLERANCES["transform"],
-            )
-            reversed_spec = cfmt.cfmt_forward(cfmt.reverse_rotation(h), pair)
-            add(
-                "reflection_angular",
-                name,
-                pair_name,
-                np.max(np.abs(reversed_spec.coeffs - spectrum.coeffs[:, rev_t, :])),
-                DEFAULT_TOLERANCES["transform"],
-            )
-
-            j0, k0 = int(rng.integers(-8, 9)), int(rng.integers(-8, 9))
-            moved = cfmt.modulate(h, pair, j0 * geometry.dv, k0)
-            expected = np.roll(spectrum.coeffs, (j0, k0), axis=(0, 1))
-            add(
-                "modulation_shift",
-                name,
-                pair_name,
-                np.max(np.abs(cfmt.cfmt_forward(moved, pair).coeffs - expected)),
-                DEFAULT_TOLERANCES["transform"],
-            )
-
-            smooth = random_signal(geometry, sig, seed=config.seed + 4, band_limit=4)
-            for order in (1, 2):
-                result = cfmt.check_derivative_theorems(smooth, pair, order)
-                add(
-                    f"derivative_radial_order_{order}",
-                    name,
-                    pair_name,
-                    result.radial_residual,
-                    DEFAULT_TOLERANCES["derivative"],
-                )
-                add(
-                    f"derivative_angular_order_{order}",
-                    name,
-                    pair_name,
-                    result.angular_residual,
-                    DEFAULT_TOLERANCES["derivative"],
-                )
-
-            s_col = geometry.s_values[:, None]
-            t_row = geometry.theta_values[None, :]
-            bump = np.exp(-((s_col / (0.25 * geometry.span)) ** 2)) * np.exp(
-                -(((t_row - np.pi) / 0.5) ** 2)
-            )
-            bump_signal = LogPolarSignal.from_channels(geometry, sig, m0=bump)
-            for m_ord, n_ord in ((1, 0), (0, 1), (1, 1)):
-                add(
-                    f"power_scaling_{m_ord}{n_ord}",
-                    name,
-                    pair_name,
-                    cfmt.check_power_scaling(bump_signal, pair, m_ord, n_ord),
-                    DEFAULT_TOLERANCES["power_scaling"],
-                )
-
-            if pair.blade_like:
-                lhs, rhs = cfmt.plancherel_check(h, h2, pair)
-                add(
-                    "plancherel",
-                    name,
-                    pair_name,
-                    abs(lhs - rhs) / max(abs(lhs), 1e-30),
-                    DEFAULT_TOLERANCES["transform"],
-                )
-                n_sig, n_spec, plus_sq, minus_sq = cfmt.parseval_check(h, pair)
-                residual = max(
-                    abs(n_sig - n_spec) / max(n_sig, 1e-30),
-                    abs(n_spec**2 - plus_sq - minus_sq) / max(n_spec**2, 1e-30),
-                )
-                add("parseval", name, pair_name, residual, DEFAULT_TOLERANCES["transform"])
-            else:
-                skip("plancherel", name, pair_name, "non-blade-like pair")
-                skip("parseval", name, pair_name, "non-blade-like pair")
-
-            if pair_name == "degenerate":
-                skip("symmetry_separation", name, pair_name, "g=±f")
-
-        pair = _symmetry_pair(sig)
-        real = random_signal(geometry, sig, seed=config.seed + 5, channels=(0,))
-        try:
-            components = cfmt.symmetry_decompose(real, pair)
-            add(
-                "symmetry_separation",
-                name,
-                "symmetry",
-                max(components.off_span.values()),
-                DEFAULT_TOLERANCES["transform"],
-            )
-        except ContractError as exc:
-            rows.append(
-                {
-                    "property": "symmetry_separation",
-                    "algebra": name,
-                    "pair": "symmetry",
-                    "residual": None,
-                    "tolerance": None,
-                    "pass": False,
-                    "status": str(exc),
-                }
-            )
-
-    return rows
-
-
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
-    rows = _verify_rows(config)
+    rows = properties.verify_rows(config.geometry, config.seed, config.tol, config.pair_degenerate)
     failures = sum(1 for row in rows if row["pass"] is False)
     report = {"config": asdict(config), "results": rows, "failures": failures}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -11,13 +11,8 @@ from imagegen import ring_blob_image, warp_similarity
 from clifford_mellin import algebra, cfmt
 from clifford_mellin.algebra import SIGNATURES, CL02, Multivector, basis, gp
 from clifford_mellin.imaging import ImageSignalSource, RasterImage, register, to_log_polar
-from clifford_mellin.roots import (
-    RootPair,
-    default_pair,
-    random_roots,
-    sample_root,
-    validate_root,
-)
+from clifford_mellin.properties import symmetry_pair
+from clifford_mellin.roots import RootPair, default_pair, random_roots, validate_root
 from clifford_mellin.signal import (
     GridGeometry,
     LogPolarSignal,
@@ -307,14 +302,6 @@ def test_criterion_7_derivative_and_power_scaling():
         " (tol 1e-5)",
         elapsed,
     )
-
-
-def symmetry_pair(sig):
-    if sig.squares == (-1, -1):
-        return default_pair(sig)
-    if sig.squares == (1, 1):
-        return RootPair(validate_root(basis(sig)[3]), sample_root(sig, 1.0, 0.0, 1))
-    return RootPair(validate_root(basis(sig)[2]), sample_root(sig, 0.5, float(np.sqrt(1.5)), 1))
 
 
 def test_criterion_8_symmetry_separation():

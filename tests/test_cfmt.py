@@ -5,9 +5,10 @@ import pytest
 from helpers import literal_direct_sum, moderate_pairs, wild_pairs
 
 from clifford_mellin import cfmt
-from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis
+from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, gp
 from clifford_mellin.errors import ContractError, FormatError
-from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, sample_root, validate_root
+from clifford_mellin.properties import symmetry_pair
+from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, sample_root
 from clifford_mellin.signal import (
     GridGeometry,
     LogPolarSignal,
@@ -21,15 +22,6 @@ from clifford_mellin.signal import (
 GEO = default_geometry(32)
 
 
-def nondegenerate_pair(sig):
-    """A non-degenerate pair with (1, f, g, fg) independent, per algebra."""
-    if sig == CL02:
-        return default_pair(CL02)
-    if sig == CL20:
-        return RootPair(validate_root(basis(CL20)[3]), sample_root(CL20, 1.0, 0.0, 1))
-    return RootPair(validate_root(basis(CL11)[2]), sample_root(CL11, 0.5, np.sqrt(1.5), 1))
-
-
 # -- defining sum and oracle -------------------------------------------------------
 
 
@@ -40,7 +32,7 @@ def test_forward_of_zero():
 
 
 def test_forward_single_sample_closed_form():
-    pair = nondegenerate_pair(CL11)
+    pair = symmetry_pair(CL11)
     arr = np.zeros((GEO.n_s, GEO.n_theta, 4))
     i0, t0 = 5, 11
     arr[i0, t0, 0] = 1.0
@@ -58,7 +50,7 @@ def test_forward_single_sample_closed_form():
 
 def test_forward_constant_is_delta_at_dc():
     for sig in SIGNATURES:
-        pair = nondegenerate_pair(sig)
+        pair = symmetry_pair(sig)
         h = LogPolarSignal.constant(GEO, Multivector.scalar(sig, 1.0))
         spectrum = cfmt.cfmt_forward(h, pair)
         dc = spectrum.coeffs[GEO.n_s // 2, GEO.n_theta // 2]
@@ -216,7 +208,7 @@ def test_inverse_of_zero_spectrum():
 
 
 def test_inverse_single_coefficient_closed_form():
-    pair = nondegenerate_pair(CL20)
+    pair = symmetry_pair(CL20)
     coeffs = np.zeros((GEO.n_s, GEO.n_theta, 4))
     i0, t0 = 19, 7
     m = Multivector(CL20, (0.3, -0.7, 0.2, 1.1))
@@ -414,7 +406,7 @@ def test_modulate_identity():
 
 
 def test_modulate_shifts_dc_delta():
-    pair = nondegenerate_pair(CL02)
+    pair = symmetry_pair(CL02)
     h = LogPolarSignal.constant(GEO, Multivector.scalar(CL02, 1.0))
     moved = cfmt.modulate(h, pair, GEO.dv, 1)
     spectrum = cfmt.cfmt_forward(moved, pair)
@@ -427,17 +419,33 @@ def test_modulate_shifts_dc_delta():
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_modulation_shift_theorem(sig):
+    # the spectrum rolls cyclically by (j0, k0) when c = n_s*s_min/span is an
+    # integer; otherwise a row that wraps w times past the radial band edge
+    # also picks up the left factor exp(-2*pi*w*c f)
     rng = np.random.default_rng(33)
     pair = moderate_pairs(sig, 1, seed=34)[0]
-    h = random_signal(GEO, sig, seed=35)
-    spectrum = cfmt.cfmt_forward(h, pair)
-    for _ in range(3):
-        j0 = int(rng.integers(-10, 11))
-        k0 = int(rng.integers(-10, 11))
-        moved = cfmt.modulate(h, pair, j0 * GEO.dv, k0)
-        got = cfmt.cfmt_forward(moved, pair)
-        expected = np.roll(spectrum.coeffs, (j0, k0), axis=(0, 1))
-        assert np.max(np.abs(got.coeffs - expected)) <= 1e-10
+    for grid in [(32, 32, -np.pi, np.pi)] + UNCOMMON_GRIDS:
+        geo = GridGeometry(*grid)
+        h = random_signal(geo, sig, seed=35)
+        spectrum = cfmt.cfmt_forward(h, pair)
+        bound = 1e-10 * max(1.0, np.max(np.abs(spectrum.coeffs)))
+        c = geo.n_s * geo.s_min / geo.span
+        for _ in range(3):
+            j0 = int(rng.integers(-10, 11))
+            k0 = int(rng.integers(-10, 11))
+            moved = cfmt.modulate(h, pair, j0 * geo.dv, k0)
+            got = cfmt.cfmt_forward(moved, pair).coeffs
+            expected = np.roll(spectrum.coeffs, (j0, k0), axis=(0, 1))
+            wraps = (np.arange(geo.n_s) - j0) // geo.n_s
+            if abs(c - round(c)) <= 1e-9 * max(1.0, abs(c)):
+                assert np.max(np.abs(got - expected)) <= bound
+            else:
+                kept = np.abs(got[wraps == 0] - expected[wraps == 0])
+                assert np.max(kept, initial=0.0) <= bound
+            phase = -2 * np.pi * wraps * c
+            factor = np.outer(np.cos(phase), [1.0, 0.0, 0.0, 0.0])
+            factor += np.outer(np.sin(phase), pair.f.value.coeffs)
+            assert np.max(np.abs(got - gp(sig, factor[:, None, :], expected))) <= bound
 
 
 def test_modulate_rejects_off_grid_frequency():
@@ -629,7 +637,7 @@ def even_even_channel(geo, rng):
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_symmetry_even_even(sig):
-    pair = nondegenerate_pair(sig)
+    pair = symmetry_pair(sig)
     channel = even_even_channel(GEO, np.random.default_rng(53))
     h = LogPolarSignal.from_channels(GEO, sig, m0=channel)
     components = cfmt.symmetry_decompose(h, pair)
@@ -642,7 +650,7 @@ def test_symmetry_even_even(sig):
 
 
 def test_symmetry_sin_cos_is_pure_f_channel():
-    pair = nondegenerate_pair(CL02)
+    pair = symmetry_pair(CL02)
     s = GEO.s_values[:, None] * np.ones((1, GEO.n_theta))
     theta = np.ones((GEO.n_s, 1)) * GEO.theta_values[None, :]
     h = LogPolarSignal.from_channels(GEO, CL02, m0=np.sin(s) * np.cos(theta))
@@ -659,7 +667,7 @@ def test_symmetry_sin_cos_is_pure_f_channel():
 
 
 def test_symmetry_zero_signal():
-    pair = nondegenerate_pair(CL11)
+    pair = symmetry_pair(CL11)
     h = LogPolarSignal.from_channels(GEO, CL11)
     components = cfmt.symmetry_decompose(h, pair)
     for label in ("ee", "eo", "oe", "oo"):
@@ -668,7 +676,7 @@ def test_symmetry_zero_signal():
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_symmetry_components_reconstruct(sig):
-    pair = nondegenerate_pair(sig)
+    pair = symmetry_pair(sig)
     h = random_signal(GEO, sig, seed=54, channels=(0,))
     components = cfmt.symmetry_decompose(h, pair)
     total = (
@@ -682,7 +690,7 @@ def test_symmetry_components_reconstruct(sig):
 
 
 def test_symmetry_rejects_bad_inputs():
-    pair = nondegenerate_pair(CL02)
+    pair = symmetry_pair(CL02)
     not_real = random_signal(GEO, CL02, seed=55)
     with pytest.raises(ContractError):
         cfmt.symmetry_decompose(not_real, pair)
@@ -705,7 +713,7 @@ def test_spectrum_pair_mixing_guard():
 
 def test_clmf_round_trip(tmp_path):
     path = tmp_path / "spectrum.clmf"
-    pair = nondegenerate_pair(CL11)
+    pair = symmetry_pair(CL11)
     h = random_signal(GridGeometry(16, 8, -2.0, 2.0), CL11, seed=59)
     spectrum = cfmt.cfmt_forward(h, pair)
     cfmt.write_clmf(path, spectrum)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import collections
 import json
 import pathlib
 from dataclasses import asdict
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from imagegen import blob_image, warp_similarity
 
-from clifford_mellin import cfmt, cli
+from clifford_mellin import cfmt, cli, properties, signal
 from clifford_mellin.algebra import CL02, CL11
 from clifford_mellin.cfmt import read_clmf
 from clifford_mellin.cli import RunConfig
@@ -323,11 +324,20 @@ def test_descriptor_csv_renders_every_bin(tmp_path, capsys):
     assert out_path.read_text() == "\n".join(lines) + "\n"
 
 
-def test_verify_report_matches_golden_seed0(capsys):
-    # tests/data/verify_seed0.json is `verify --seed 0` captured before the
-    # direct sum became separable; only residuals may move, within roundoff
-    golden = json.loads((pathlib.Path(__file__).parent / "data" / "verify_seed0.json").read_text())
-    code, out = run(capsys, "verify", "--seed", "0")
+GOLDEN_REPORTS = {
+    "verify_seed0": ["--seed", "0"],
+    "verify_seed7_degenerate": ["--seed", "7", "--pair-degenerate"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_verify_report_matches_golden(capsys, name):
+    # the files under tests/data are reports captured from earlier versions:
+    # verify_seed0 before the direct sum became separable, the degenerate
+    # one before the properties moved into one table; only residuals may
+    # move, within roundoff
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / f"{name}.json").read_text())
+    code, out = run(capsys, "verify", *GOLDEN_REPORTS[name])
     assert code == 0
     report = json.loads(out)
     assert report["config"] == golden["config"]
@@ -340,3 +350,58 @@ def test_verify_report_matches_golden_seed0(capsys):
             assert residual is None
         else:
             assert abs(residual - expected) <= max(1e-12, 0.01 * abs(expected)), (got, expected)
+
+
+def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
+    # the pair-independent signals are built once per algebra (4 x 3), and
+    # each transform that several properties share runs once per pair
+    calls = collections.Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        # every module that imported the function by name calls it too
+        for owner in (module, cfmt, signal, properties, cli):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, wrapper)
+
+    counted(signal, "random_signal")
+    for name in ("cfmt_forward", "cfmt_direct", "cfmt_fast", "cfmt_inverse"):
+        counted(cfmt, name)
+    code, _ = run(capsys, "verify", "--seed", "0")
+    assert code == 0
+    assert calls["random_signal"] == 12
+    assert calls["cfmt_forward"] <= 126
+    assert calls["cfmt_direct"] <= 246
+    assert calls["cfmt_fast"] <= 6
+    assert calls["cfmt_inverse"] <= 6
+
+
+def test_verify_skips_what_an_asymmetric_window_cannot_check(capsys):
+    # r -> 1/r and the parity split need s_min = -s_max; the cyclic
+    # modulation shift needs n_s*s_min/span to be an integer (4 on [-1, 3))
+    for smin, smax, modulation in (("0.3", "2.9", False), ("-1", "3", True)):
+        code, out = run(capsys, "verify", "--ns", "16", "--ntheta", "16",
+                        "--smin", smin, "--smax", smax)
+        assert code == 0
+        report = json.loads(out)
+        assert report["failures"] == 0
+        statuses = {
+            (r["property"], r["algebra"], r["pair"]): r.get("status") for r in report["results"]
+        }
+        for sig in ("Cl(2,0)", "Cl(1,1)", "Cl(0,2)"):
+            assert statuses[("symmetry_separation", sig, "symmetry")] == (
+                "skipped (asymmetric radial window)"
+            )
+            for pair in ("blade", "random"):
+                assert statuses[("reflection_radial", sig, pair)] == (
+                    "skipped (asymmetric radial window)"
+                )
+                assert statuses[("reflection_angular", sig, pair)] is None
+                assert statuses[("modulation_shift", sig, pair)] == (
+                    None if modulation else "skipped (n_s*s_min/span not an integer)"
+                )
