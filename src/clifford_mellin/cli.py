@@ -1,6 +1,8 @@
 """Command-line surface: transforms, property verification, registration.
 
-Every command echoes its canonical configuration in the JSON summary, is
+Each subcommand takes only the flags it reads; a CLMS input fixes the
+algebra and grid, and a root flag left out is that root of the algebra's
+default pair.  Every command echoes what it used in the JSON summary, is
 deterministic for a fixed seed (PCG64), and writes output files atomically
 (temp file then rename).  Exit codes: 0 success, 1 usage, 2 file format,
 3 violated contract or domain error, 4 registration found no match.
@@ -14,18 +16,19 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import cfmt, properties
-from .algebra import Multivector, Signature
+from .algebra import CL02, Multivector, Signature
 from .errors import CliffordMellinError, FormatError
 from .imaging import ingest, register, descriptor, to_log_polar
-from .roots import RootPair, export_manifold, make_pair
+from .roots import RootPair, default_pair, export_manifold, make_pair
 from .signal import (
     GridGeometry,
     LogPolarSignal,
+    default_geometry,
     norm as signal_norm,
     random_signal,
     read_clms,
@@ -57,58 +60,31 @@ def _parse_center(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical run description; identical configs with a fixed seed yield
-    identical outputs.  Every flag default lives in the parser; the fields
-    with defaults here are declared by some subcommands only."""
-
-    command: str
-    algebra: str
-    f: tuple[float, ...]
-    g: tuple[float, ...]
-    ns: int
-    ntheta: int
-    smin: float
-    smax: float
-    seed: int
-    tol: float | None
-    out: str | None
-    center: tuple[float, float] | None
-    inputs: tuple[str, ...] = ()
-    resolution: int | None = None
-    pair_degenerate: bool = False
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of dataclasses.asdict after a JSON round trip."""
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-
-    @property
-    def signature(self) -> Signature:
-        return Signature.parse(self.algebra)
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.ns, self.ntheta, self.smin, self.smax)
-
-    @property
-    def pair(self) -> RootPair:
-        sig = self.signature
-        return make_pair(Multivector(sig, self.f), Multivector(sig, self.g))
+def _pair(sig: Signature, f, g) -> RootPair:
+    """The roots the flags give; each one left out is that root of default_pair(sig)."""
+    default = default_pair(sig)
+    if f is None and g is None:
+        return default
+    return make_pair(
+        default.f.value if f is None else Multivector(sig, f),
+        default.g.value if g is None else Multivector(sig, g),
+    )
 
 
-_CONFIG_FIELDS = {field.name for field in fields(RunConfig)}
+def _grid(args) -> GridGeometry:
+    return GridGeometry(args.ns, args.ntheta, args.smin, args.smax)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
-    return RunConfig.from_dict({**values, "algebra": args.algebra.name})
-
-
-def _with_geometry(config: RunConfig, geo: GridGeometry) -> RunConfig:
-    """The config echoing the grid that was actually used."""
-    return replace(config, ns=geo.n_s, ntheta=geo.n_theta, smin=geo.s_min, smax=geo.s_max)
+def _echo(args, sig=None, pair=None, geo=None) -> dict:
+    """The command's own flags, with the algebra, roots and grid it resolved in their place."""
+    config = {k: v for k, v in vars(args).items() if k != "handler"}
+    if sig is not None:
+        config["algebra"] = sig.name
+    if pair is not None:
+        config.update(f=pair.f.value.coeffs.tolist(), g=pair.g.value.coeffs.tolist())
+    if geo is not None:
+        config.update(ns=geo.n_s, ntheta=geo.n_theta, smin=geo.s_min, smax=geo.s_max)
+    return config
 
 
 def _atomic_write(path: str, write_fn) -> None:
@@ -129,13 +105,22 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_signal(config: RunConfig, path: str) -> LogPolarSignal:
-    """CLMS signals load directly; PGM/PPM images resample onto the grid."""
+_IMAGE_ONLY = ("algebra", "ns", "ntheta", "smin", "smax", "center")  # a CLMS input fixes these
+
+
+def _load_signal(args) -> LogPolarSignal:
+    """A CLMS input as its header says, or a PGM/PPM image resampled on the flags' grid."""
+    path = args.inputs[0]
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic in (b"P5", b"P6"):
-        source = ingest(path, config.signature)
-        return to_log_polar(source, config.geometry, center=config.center)
+        grid = {"n_s": args.ns, "n_theta": args.ntheta, "s_min": args.smin, "s_max": args.smax}
+        geometry = replace(default_geometry(), **{k: v for k, v in grid.items() if v is not None})
+        return to_log_polar(ingest(path, args.algebra or CL02), geometry, center=args.center)
+    flags = [f"--{name}" for name in _IMAGE_ONLY if getattr(args, name) is not None]
+    if flags:
+        raise UsageError(f"{' '.join(flags)}: for image inputs only; "
+                         f"the CLMS header of {path} fixes the algebra and grid")
     return read_clms(path)
 
 
@@ -143,17 +128,15 @@ def _load_signal(config: RunConfig, path: str) -> LogPolarSignal:
 
 
 def cmd_transform(args) -> int:
-    config = _config_from_args(args)
-    pair = config.pair
-    h = _load_signal(config, config.inputs[0])
-    config = _with_geometry(config, h.geometry)
+    h = _load_signal(args)
+    pair = _pair(h.signature, args.f, args.g)
 
     start = time.perf_counter()
     spectrum = cfmt.cfmt_fast(h, pair)
     time_fast = time.perf_counter() - start
 
-    if config.out:
-        _atomic_write(config.out, lambda tmp: cfmt.write_clmf(tmp, spectrum))
+    if args.out:
+        _atomic_write(args.out, lambda tmp: cfmt.write_clmf(tmp, spectrum))
     n_sig = signal_norm(h)
     n_spec = spectrum.norm()
     # Parseval holds only for blade-like pairs; elsewhere the norm gap means nothing.
@@ -163,7 +146,7 @@ def cmd_transform(args) -> int:
         parseval = {"blade_like": False}
     _emit(
         {
-            "config": asdict(config),
+            "config": _echo(args, h.signature, pair, h.geometry),
             "norm_signal": n_sig,
             "norm_spectrum": n_spec,
             **parseval,
@@ -174,21 +157,13 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    config = _config_from_args(args)
-    spectrum = cfmt.read_clmf(config.inputs[0])
-    pair = spectrum.pair
-    config = replace(
-        _with_geometry(config, spectrum.geometry),
-        algebra=spectrum.signature.name,
-        f=tuple(pair.f.value.coeffs.tolist()),
-        g=tuple(pair.g.value.coeffs.tolist()),
-    )
+    spectrum = cfmt.read_clmf(args.inputs[0])
     h = cfmt.cfmt_inverse(spectrum)
-    if config.out:
-        _atomic_write(config.out, lambda tmp: write_clms(tmp, h))
+    if args.out:
+        _atomic_write(args.out, lambda tmp: write_clms(tmp, h))
     _emit(
         {
-            "config": asdict(config),
+            "config": _echo(args, spectrum.signature, spectrum.pair, spectrum.geometry),
             "norm_signal": signal_norm(h),
             "norm_spectrum": spectrum.norm(),
         }
@@ -218,9 +193,8 @@ def _time_direct(h: LogPolarSignal, pair: RootPair, full: bool) -> tuple[float, 
 
 
 def cmd_fast_bench(args) -> int:
-    config = _config_from_args(args)
-    pair = config.pair
-    h = random_signal(config.geometry, config.signature, seed=config.seed)
+    pair = _pair(args.algebra, args.f, args.g)
+    h = random_signal(_grid(args), args.algebra, seed=args.seed)
 
     start = time.perf_counter()
     cfmt.cfmt_fast(h, pair)
@@ -228,7 +202,7 @@ def cmd_fast_bench(args) -> int:
     time_direct, extrapolated, bins = _time_direct(h, pair, args.full_direct)
     _emit(
         {
-            "config": asdict(config),
+            "config": _echo(args, args.algebra, pair),
             "time_fast_s": time_fast,
             "time_direct_s": time_direct,
             "direct_extrapolated": extrapolated,
@@ -243,13 +217,11 @@ def cmd_fast_bench(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = _config_from_args(args)
-    pair = config.pair
-    x = Multivector(config.signature, args.x)
-    parts = split(x, pair)
+    pair = _pair(args.algebra, args.f, args.g)
+    parts = split(Multivector(args.algebra, args.x), pair)
     _emit(
         {
-            "config": asdict(config),
+            "config": _echo(args, args.algebra, pair),
             "plus": list(parts.plus.coeffs),
             "minus": list(parts.minus.coeffs),
         }
@@ -258,24 +230,21 @@ def cmd_split(args) -> int:
 
 
 def cmd_manifold(args) -> int:
-    config = _config_from_args(args)
-    rows = export_manifold(config.signature, config.resolution)
+    rows = export_manifold(args.algebra, args.resolution)
     lines = ["b1,b2,beta,branch"]
     lines += [f"{b1!r},{b2!r},{beta!r},{branch}" for b1, b2, beta, branch in rows]
     text = "\n".join(lines) + "\n"
-    if config.out:
-        _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))
+    if args.out:
+        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
     else:
         sys.stdout.write(text)
-    _emit({"config": asdict(config), "points": len(rows)})
+    _emit({"config": _echo(args, args.algebra), "points": len(rows)})
     return 0
 
 
 def cmd_descriptor(args) -> int:
-    config = _config_from_args(args)
-    pair = config.pair
-    h = _load_signal(config, config.inputs[0])
-    config = _with_geometry(config, h.geometry)
+    h = _load_signal(args)
+    pair = _pair(h.signature, args.f, args.g)
     desc = descriptor(h, pair)
     geo = h.geometry
     lines = ["j,k,v,mag"]
@@ -285,24 +254,22 @@ def cmd_descriptor(args) -> int:
         v = repr(float(geo.dv * j))
         lines += [f"{j},{k},{v},{mag!r}" for k, mag in zip(k_values, row)]
     text = "\n".join(lines) + "\n"
-    if config.out:
-        _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))
+    if args.out:
+        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
     else:
         sys.stdout.write(text)
-    _emit({"config": asdict(config), "bins": int(desc.magnitudes.size)})
+    _emit({"config": _echo(args, h.signature, pair, geo), "bins": int(desc.magnitudes.size)})
     return 0
 
 
 def cmd_register(args) -> int:
-    config = _config_from_args(args)
-    signals = []
-    for path in config.inputs:
-        source = ingest(path, config.signature)
-        signals.append(to_log_polar(source, config.geometry, center=config.center))
-    result = register(signals[0], signals[1], config.pair)
+    geometry = _grid(args)
+    signals = [to_log_polar(ingest(path, args.algebra), geometry, center=args.center)
+               for path in args.inputs]
+    result = register(*signals)
     _emit(
         {
-            "config": asdict(config),
+            "config": _echo(args, args.algebra),
             "scale": result.scale,
             "angle_rad": result.angle,
             "confidence": result.confidence,
@@ -316,36 +283,64 @@ def cmd_register(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
-    rows = properties.verify_rows(config.geometry, config.seed, config.tol, config.pair_degenerate)
+    rows = properties.verify_rows(_grid(args), args.seed, args.tol, args.pair_degenerate)
     failures = sum(1 for row in rows if row["pass"] is False)
-    report = {"config": asdict(config), "results": rows, "failures": failures}
+    report = {"config": _echo(args), "results": rows, "failures": failures}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        _atomic_write(config.out, lambda tmp: open(tmp, "w").write(text))
+    if args.out:
+        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
     sys.stdout.write(text)
     return 3 if failures else 0
 
 
-# -- parser ----------------------------------------------------------------------------
+# -- parser: each subcommand declares only the flags its handler reads ------------------
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algebra", type=Signature.parse, default=Signature.parse("Cl(0,2)"),
-                        help="algebra name: Cl(2,0), Cl(1,1) or Cl(0,2)")
-    parser.add_argument("--f", type=_parse_floats4, default=(0.0, 1.0, 0.0, 0.0),
-                        help="first root of -1 as four blade coefficients m0,m1,m2,m12")
-    parser.add_argument("--g", type=_parse_floats4, default=(0.0, 0.0, 1.0, 0.0),
-                        help="second root of -1, same format")
-    parser.add_argument("--ns", type=int, default=64, help="radial sample count (even)")
-    parser.add_argument("--ntheta", type=int, default=64, help="angular sample count (even)")
-    parser.add_argument("--smin", type=float, default=-np.pi, help="lower log-radius bound")
-    parser.add_argument("--smax", type=float, default=np.pi, help="upper log-radius bound")
-    parser.add_argument("--seed", type=int, default=0, help="PCG64 seed for random corpora")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override for verify gates")
-    parser.add_argument("--out", type=str, default=None, help="output file path")
-    parser.add_argument("--center", type=_parse_center, default=None,
-                        help="image resampling center x,y (default: intensity centroid)")
+def _add_algebra(p, default: Signature | None) -> None:
+    p.add_argument("--algebra", type=Signature.parse, default=default,
+                   help="algebra name: Cl(2,0), Cl(1,1) or Cl(0,2) (default Cl(0,2))")
+
+
+def _add_pair(p) -> None:
+    p.add_argument("--f", type=_parse_floats4, default=None,
+                   help="first root of -1 as four blade coefficients m0,m1,m2,m12 "
+                        "(default: that root of the algebra's default pair)")
+    p.add_argument("--g", type=_parse_floats4, default=None,
+                   help="second root of -1, same format and default rule")
+
+
+def _add_grid(p, n: int | None) -> None:
+    """n=None leaves the grid unset, for commands whose CLMS input fixes it."""
+    s_min, s_max = (None, None) if n is None else (-np.pi, np.pi)
+    p.add_argument("--ns", type=int, default=n, help=f"radial sample count (even; default {n or 64})")
+    p.add_argument("--ntheta", type=int, default=n, help=f"angular sample count (even; default {n or 64})")
+    p.add_argument("--smin", type=float, default=s_min, help="lower log-radius bound (default -pi)")
+    p.add_argument("--smax", type=float, default=s_max, help="upper log-radius bound (default pi)")
+
+
+def _add_center(p) -> None:
+    p.add_argument("--center", type=_parse_center, default=None,
+                   help="image resampling center x,y (default: intensity centroid)")
+
+
+def _add_out(p) -> None:
+    p.add_argument("--out", type=str, default=None, help="output file path")
+
+
+def _add_seed(p) -> None:
+    p.add_argument("--seed", type=int, default=0, help="PCG64 seed for random signals")
+
+
+def _add_signal_command(sub, name: str, handler, text: str) -> None:
+    """transform and descriptor: a CLMS INPUT fixes what the image-only flags set."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("inputs", nargs=1, metavar="INPUT")
+    _add_out(p)
+    _add_pair(p)
+    _add_algebra(p, None)
+    _add_grid(p, None)
+    _add_center(p)
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,48 +348,53 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Clifford Fourier-Mellin transforms, property checks, registration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform", parents=[], help="transform a CLMS signal or PGM/PPM image")
-    _add_shared(p)
-    p.add_argument("inputs", nargs=1, metavar="INPUT")
-    p.set_defaults(handler=cmd_transform)
+    _add_signal_command(sub, "transform", cmd_transform, "transform a CLMS signal or PGM/PPM image")
 
     p = sub.add_parser("invert", help="invert a CLMF spectrum back to a CLMS signal")
-    _add_shared(p)
     p.add_argument("inputs", nargs=1, metavar="SPECTRUM")
+    _add_out(p)
     p.set_defaults(handler=cmd_invert)
 
     p = sub.add_parser("fast-bench", help="benchmark the fast path against the direct sum")
-    _add_shared(p)
+    _add_algebra(p, CL02)
+    _add_pair(p)
+    _add_grid(p, 256)
+    _add_seed(p)
     p.add_argument("--full-direct", action="store_true",
                    help="measure every direct bin instead of extrapolating")
-    p.set_defaults(handler=cmd_fast_bench, ns=256, ntheta=256)
+    p.set_defaults(handler=cmd_fast_bench)
 
     p = sub.add_parser("verify", help="run the property suite and emit a JSON report")
-    _add_shared(p)
+    _add_grid(p, 32)
+    _add_seed(p)
+    p.add_argument("--tol", type=float, default=None, help="tolerance replacing every default gate")
+    _add_out(p)
     p.add_argument("--pair-degenerate", action="store_true",
                    help="also exercise the degenerate pair g = -f")
-    p.set_defaults(handler=cmd_verify, ns=32, ntheta=32)
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("split", help="split a multivector with respect to the root pair")
-    _add_shared(p)
+    _add_algebra(p, CL02)
+    _add_pair(p)
     p.add_argument("--x", type=_parse_floats4, required=True,
                    help="multivector to split, four blade coefficients")
     p.set_defaults(handler=cmd_split)
 
     p = sub.add_parser("register", help="estimate rotation/scale between two images")
-    _add_shared(p)
     p.add_argument("inputs", nargs=2, metavar="IMAGE")
+    _add_algebra(p, CL02)
+    _add_grid(p, 64)
+    _add_center(p)
     p.set_defaults(handler=cmd_register)
 
     p = sub.add_parser("manifold", help="export the root manifold point cloud as CSV")
-    _add_shared(p)
+    _add_algebra(p, CL02)
     p.add_argument("--resolution", type=int, default=33)
+    _add_out(p)
     p.set_defaults(handler=cmd_manifold)
 
-    p = sub.add_parser("descriptor", help="export the invariant magnitude descriptor as CSV")
-    _add_shared(p)
-    p.add_argument("inputs", nargs=1, metavar="INPUT")
-    p.set_defaults(handler=cmd_descriptor)
+    _add_signal_command(sub, "descriptor", cmd_descriptor,
+                        "export the invariant magnitude descriptor as CSV")
 
     return parser
 

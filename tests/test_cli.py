@@ -3,16 +3,15 @@
 import collections
 import json
 import pathlib
-from dataclasses import asdict
+import shlex
 
 import numpy as np
 import pytest
 from imagegen import blob_image, warp_similarity
 
 from clifford_mellin import cfmt, cli, properties, signal
-from clifford_mellin.algebra import CL02, CL11
+from clifford_mellin.algebra import CL02, CL11, CL20, Signature
 from clifford_mellin.cfmt import read_clmf
-from clifford_mellin.cli import RunConfig
 from clifford_mellin.imaging import descriptor, write_pgm
 from clifford_mellin.roots import RootPair, default_pair, random_roots
 from clifford_mellin.signal import (
@@ -39,10 +38,7 @@ def signal_file(tmp_path):
 
 def test_transform_and_invert_round_trip(tmp_path, capsys, signal_file):
     spectrum_path = tmp_path / "out.clmf"
-    code, out = run(
-        capsys, "transform", str(signal_file), "--ns", "32", "--ntheta", "32",
-        "--out", str(spectrum_path),
-    )
+    code, out = run(capsys, "transform", str(signal_file), "--out", str(spectrum_path))
     assert code == 0
     summary = json.loads(out)
     assert summary["relative_difference"] <= 1e-10
@@ -67,13 +63,43 @@ def test_transform_parseval_fields_blade_pair(tmp_path, capsys, signal_file):
     assert summary["norm_signal"] == pytest.approx(summary["norm_spectrum"], rel=1e-10)
 
 
-def test_config_echo_round_trip(capsys, signal_file):
-    code, out = run(capsys, "transform", str(signal_file), "--seed", "9")
+GRID_KEYS = {"ns", "ntheta", "smin", "smax"}
+ECHO_KEYS = {
+    "transform": {"command", "inputs", "out", "algebra", "f", "g", "center", *GRID_KEYS},
+    "descriptor": {"command", "inputs", "out", "algebra", "f", "g", "center", *GRID_KEYS},
+    "invert": {"command", "inputs", "out", "algebra", "f", "g", *GRID_KEYS},
+    "fast-bench": {"command", "algebra", "f", "g", "seed", "full_direct", *GRID_KEYS},
+    "verify": {"command", "seed", "tol", "out", "pair_degenerate", *GRID_KEYS},
+    "split": {"command", "algebra", "f", "g", "x"},
+    "register": {"command", "inputs", "algebra", "center", *GRID_KEYS},
+    "manifold": {"command", "algebra", "resolution", "out"},
+}
+
+
+@pytest.mark.parametrize("command", list(ECHO_KEYS))
+def test_config_echoes_the_command_flags(tmp_path, capsys, command):
+    # the echo is the command's own flags plus what it read from its inputs
+    clms = tmp_path / "small.clms"
+    write_clms(clms, random_signal(default_geometry(16), CL02, seed=4))
+    cli.main(["transform", str(clms), "--out", str(tmp_path / "small.clmf")])
+    image = tmp_path / "blob.pgm"
+    write_pgm(image, blob_image(64, seed=1))
+    capsys.readouterr()
+    argv = {
+        "transform": [str(clms)],
+        "descriptor": [str(clms), "--out", str(tmp_path / "desc.csv")],
+        "invert": [str(tmp_path / "small.clmf")],
+        "fast-bench": ["--ns", "8", "--ntheta", "8"],
+        "verify": ["--ns", "8", "--ntheta", "8"],
+        "split": ["--x", "1,0,0,0"],
+        "register": [str(image), str(image), "--ns", "16", "--ntheta", "16", "--smax", "3"],
+        "manifold": ["--resolution", "2", "--out", str(tmp_path / "cloud.csv")],
+    }[command]
+    code, out = run(capsys, command, *argv)
     assert code == 0
-    config = RunConfig.from_dict(json.loads(out)["config"])
-    assert config == RunConfig.from_dict(asdict(config))
-    assert config.seed == 9
-    assert config.command == "transform"
+    config = json.loads(out)["config"]
+    assert set(config) == ECHO_KEYS[command]
+    assert config["command"] == command
 
 
 def test_exit_codes(tmp_path, capsys, signal_file):
@@ -251,7 +277,7 @@ def test_transform_labels_parseval_for_non_blade_pair(tmp_path, capsys):
     assert not RootPair(f, g).blade_like
     path = tmp_path / "cl11.clms"
     write_clms(path, random_signal(default_geometry(16), CL11, seed=2))
-    code, out = run(capsys, "transform", str(path), "--algebra", "Cl(1,1)",
+    code, out = run(capsys, "transform", str(path),
                     _coeff_flag("f", f.value.coeffs), _coeff_flag("g", g.value.coeffs))
     assert code == 0
     summary = json.loads(out)
@@ -274,12 +300,15 @@ def test_transform_echoes_signal_geometry(tmp_path, capsys):
 def test_descriptor_echoes_signal_geometry(tmp_path, capsys):
     path = tmp_path / "small.clms"
     write_clms(path, random_signal(default_geometry(16), CL02, seed=4))
-    code, out = run(capsys, "descriptor", str(path), "--ns", "64", "--ntheta", "32",
-                    "--out", str(tmp_path / "desc.csv"))
+    code, out = run(capsys, "descriptor", str(path), "--out", str(tmp_path / "desc.csv"))
     assert code == 0
     summary = json.loads(out)
     assert (summary["config"]["ns"], summary["config"]["ntheta"]) == (16, 16)
     assert summary["bins"] == 16 * 16
+    # the CLMS header fixes the grid, so grid flags are refused, not dropped
+    code, out = run(capsys, "descriptor", str(path), "--ns", "64", "--ntheta", "32")
+    assert code == 1
+    assert out == ""
 
 
 def test_invert_echoes_spectrum_header(tmp_path, capsys):
@@ -289,13 +318,15 @@ def test_invert_echoes_spectrum_header(tmp_path, capsys):
     code, _ = run(capsys, "transform", str(source), "--f", "0,0,1,0", "--g", "0,1,0,0",
                   "--out", str(spectrum_path))
     assert code == 0
-    code, out = run(capsys, "invert", str(spectrum_path), "--algebra", "Cl(2,0)")
+    code, out = run(capsys, "invert", str(spectrum_path))
     assert code == 0
     config = json.loads(out)["config"]
     assert config["algebra"] == "Cl(0,2)"
     assert config["f"] == [0.0, 0.0, 1.0, 0.0]
     assert config["g"] == [0.0, 1.0, 0.0, 0.0]
     assert (config["ns"], config["ntheta"]) == (16, 16)
+    # the CLMF header fixes all of these, so invert takes no flag for them
+    assert cli.main(["invert", str(spectrum_path), "--algebra", "Cl(2,0)"]) == 1
 
 
 def test_fast_bench_times_the_direct_sum(capsys):
@@ -405,3 +436,88 @@ def test_verify_skips_what_an_asymmetric_window_cannot_check(capsys):
                 assert statuses[("modulation_shift", sig, pair)] == (
                     None if modulation else "skipped (n_s*s_min/span not an integer)"
                 )
+
+
+UNREAD_FLAGS = {
+    "invert": (["invert", "{clmf}", "--algebra", "Cl(2,0)"], "--algebra"),
+    "manifold": (["manifold", "--ns", "7"], "--ns"),
+    "verify": (["verify", "--f", "0,1,0,0"], "--f"),
+    "register": (["register", "{pgm}", "{pgm}", "--f", "0,1,0,0"], "--f"),
+    "split": (["split", "--x", "1,0,0,0", "--out", "{tmp}/split.json"], "--out"),
+    "fast-bench": (["fast-bench", "--tol", "1e-3"], "--tol"),
+    "transform": (["transform", "{clms}", "--center", "1,1"], "--center"),
+    "descriptor": (["descriptor", "{clms}", "--center", "1,1"], "--center"),
+}
+
+
+@pytest.mark.parametrize("command", list(UNREAD_FLAGS))
+def test_a_flag_the_command_would_drop_is_a_usage_error(tmp_path, capsys, signal_file, command):
+    # a command refuses each flag it would not read, and a CLMS input the
+    # flags that only set how an image is resampled
+    clmf, pgm = tmp_path / "input.clmf", tmp_path / "blob.pgm"
+    assert cli.main(["transform", str(signal_file), "--out", str(clmf)]) == 0
+    write_pgm(pgm, blob_image(32, seed=1))
+    capsys.readouterr()
+    template, flag = UNREAD_FLAGS[command]
+    argv = [a.format(clms=signal_file, clmf=clmf, pgm=pgm, tmp=tmp_path) for a in template]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_cl11_signal_transforms_at_default_flags(tmp_path, capsys):
+    # the CLMS header gives the algebra, and the roots are its default pair
+    path = tmp_path / "cl11.clms"
+    write_clms(path, random_signal(default_geometry(16), CL11, seed=2))
+    code, out = run(capsys, "transform", str(path))
+    assert code == 0
+    config = json.loads(out)["config"]
+    pair = default_pair(CL11)
+    assert config["algebra"] == "Cl(1,1)"
+    assert config["f"] == pair.f.value.coeffs.tolist()
+    assert config["g"] == pair.g.value.coeffs.tolist()
+
+
+@pytest.mark.parametrize("algebra", ["Cl(1,1)", "Cl(2,0)"])
+@pytest.mark.parametrize("argv", [["split", "--x", "1,2,3,4"], ["fast-bench"]],
+                         ids=["split", "fast-bench"])
+def test_an_algebra_needs_no_root_flags(capsys, argv, algebra):
+    code, out = run(capsys, *argv, "--algebra", algebra)
+    assert code == 0
+    config = json.loads(out)["config"]
+    pair = default_pair(Signature.parse(algebra))
+    assert config["algebra"] == algebra
+    assert (config["f"], config["g"]) == (pair.f.value.coeffs.tolist(), pair.g.value.coeffs.tolist())
+
+
+def test_a_missing_root_falls_back_on_its_own(capsys):
+    code, out = run(capsys, "split", "--algebra", "Cl(2,0)", "--x", "1,0,0,0", "--g", "0,0,0,1")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["f"] == default_pair(CL20).f.value.coeffs.tolist()
+    assert config["g"] == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_verify_skips_derivatives_of_a_signal_that_is_not_band_limited(capsys):
+    # on 8x8 the smooth test signal reaches the Nyquist bin, where the
+    # spectral derivative is not exact
+    code, out = run(capsys, "verify", "--ns", "8", "--ntheta", "8")
+    assert code == 0
+    rows = [r for r in json.loads(out)["results"] if r["property"].startswith("derivative_")]
+    assert len(rows) == 4 * 3 * 2
+    assert {r["status"] for r in rows} == {"skipped (test signal not band-limited on this grid)"}
+
+
+def test_readme_examples_parse():
+    # every command line the README shows is one the parser accepts
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("clifford-mellin ")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        commands.add(args.command)
+        if getattr(args, "inputs", [""])[0].endswith(".clms"):
+            assert all(getattr(args, name) is None for name in cli._IMAGE_ONLY), line
+    assert commands == set(ECHO_KEYS)
