@@ -35,6 +35,11 @@ even), and the s_min phase and the scale form one per-row factor.
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
 measure dv per v-bin and weight 1 per k.
+
+Spectra share the signal module's grid-array codec: Spectrum validates its
+coefficients with the same check as LogPolarSignal, and CLMF v1 is the CLMS
+grid file with f= and g= header lines added.  Spectrum CSV and the imaging
+descriptor CSV are both rendered by frequency_csv_rows.
 """
 
 from __future__ import annotations
@@ -50,14 +55,16 @@ from .algebra import (
     left_matrix,
     right_matrix,
 )
-from .errors import ContractError, DomainError, FormatError, GeometryError, SignatureMismatchError
-from .roots import RootOfMinusOne, RootPair
+from .errors import (ContractError, DomainError, FormatError, GeometryError, NotARootError,
+                     SignatureMismatchError)
+from .roots import RootOfMinusOne, RootPair, make_pair
 from .signal import (
     GridGeometry,
     LogPolarSignal,
     TWO_PI,
-    _format_header,
-    _read_header,
+    _grid_array,
+    _read_grid_file,
+    _write_grid_file,
     norm as signal_norm,
     scalar_inner_product,
     split_signal,
@@ -86,6 +93,7 @@ __all__ = [
     "symmetry_decompose",
     "write_clmf",
     "read_clmf",
+    "frequency_csv_rows",
     "spectrum_csv_rows",
 ]
 
@@ -100,16 +108,9 @@ class Spectrum:
     """
 
     def __init__(self, geometry: GridGeometry, pair: RootPair, coeffs: np.ndarray):
-        arr = np.array(coeffs, dtype=float)
-        expected = (geometry.n_s, geometry.n_theta, 4)
-        if arr.shape != expected:
-            raise GeometryError(f"coefficient shape {arr.shape} does not match {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("spectrum coefficients must be finite")
-        arr.flags.writeable = False
         self.geometry = geometry
         self.pair = pair
-        self.coeffs = arr
+        self.coeffs = _grid_array(geometry, coeffs, "spectrum coefficients")
 
     @property
     def signature(self) -> Signature:
@@ -727,79 +728,38 @@ def symmetry_decompose(h: LogPolarSignal, pair: RootPair) -> SymmetryComponents:
     )
 
 
-# -- CLMF v1 file format -----------------------------------------------------------
-
-
-def _format_mv(coeffs: np.ndarray) -> str:
-    return ",".join(repr(float(c)) for c in coeffs)
-
-
-def _parse_mv(sig: Signature, text: str) -> Multivector:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise FormatError(f"expected 4 comma-separated floats, got {text!r}")
-    try:
-        return Multivector(sig, [float(p) for p in parts])
-    except (ValueError, DomainError) as exc:
-        raise FormatError(f"bad multivector {text!r}: {exc}") from exc
+# -- CLMF v1 file format and CSV export -----------------------------------------------
 
 
 def write_clmf(path, spectrum: Spectrum) -> None:
-    """CLMF v1: text header (algebra, grid, f, g), then little-endian float64
-    coefficients in centered frequency order, four per bin."""
-    geo = spectrum.geometry
-    header = _format_header(
-        [
-            ("algebra", spectrum.signature.name),
-            ("ns", str(geo.n_s)),
-            ("ntheta", str(geo.n_theta)),
-            ("smin", repr(geo.s_min)),
-            ("smax", repr(geo.s_max)),
-            ("f", _format_mv(spectrum.pair.f.value.coeffs)),
-            ("g", _format_mv(spectrum.pair.g.value.coeffs)),
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(spectrum.coeffs, dtype="<f8").tobytes())
+    """CLMF v1: the grid-file header plus f= and g= lines (four comma-separated
+    floats each), then the coefficients in centered frequency order, four per bin."""
+    roots = tuple((key, ",".join(map(repr, root.value.coeffs.tolist())))
+                  for key, root in (("f", spectrum.pair.f), ("g", spectrum.pair.g)))
+    _write_grid_file(path, spectrum.signature, spectrum.geometry, spectrum.coeffs, roots)
 
 
 def read_clmf(path) -> Spectrum:
-    from .roots import make_pair
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields, offset = _read_header(
-        data, ["algebra", "ns", "ntheta", "smin", "smax", "f", "g"]
-    )
+    sig, geo, coeffs, roots = _read_grid_file(path, ("f", "g"))
     try:
-        sig = Signature.parse(fields["algebra"])
-        geo = GridGeometry(
-            int(fields["ns"]),
-            int(fields["ntheta"]),
-            float(fields["smin"]),
-            float(fields["smax"]),
-        )
-        pair = make_pair(_parse_mv(sig, fields["f"]), _parse_mv(sig, fields["g"]))
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"invalid CLMF header: {exc}") from exc
-    expected = geo.n_s * geo.n_theta * 4
-    payload = np.frombuffer(data, dtype="<f8", offset=offset)
-    if payload.size != expected:
-        raise FormatError(f"CLMF payload holds {payload.size} floats, expected {expected}")
-    return Spectrum(geo, pair, payload.reshape(geo.n_s, geo.n_theta, 4))
+        pair = make_pair(*(Multivector(sig, [float(x) for x in text.split(",")]) for text in roots))
+    except (ValueError, NotARootError) as exc:  # DomainError is a ValueError
+        raise FormatError(f"invalid CLMF roots {roots}: {exc}") from exc
+    return Spectrum(geo, pair, coeffs)
+
+
+def frequency_csv_rows(geometry: GridGeometry, values: np.ndarray, columns: str):
+    """CSV rows with header j,k,v,<columns>, then one row per bin of the
+    (n_s, n_theta, m) values in centered order: j, k, v = dv*j and the bin's
+    m values, each float as its repr."""
+    yield f"j,k,v,{columns}"
+    k_values = range(-geometry.n_theta // 2, geometry.n_theta // 2)
+    for j, row in zip(range(-geometry.n_s // 2, geometry.n_s // 2), values.tolist()):
+        v = repr(float(geometry.dv * j))
+        for k, cell in zip(k_values, row):
+            yield f"{j},{k},{v}," + ",".join(map(repr, cell))
 
 
 def spectrum_csv_rows(spectrum: Spectrum):
     """Rows for the CSV export with header j,k,v,m0,m1,m2,m12."""
-    geo = spectrum.geometry
-    yield "j,k,v,m0,m1,m2,m12"
-    j_values = np.arange(-geo.n_s // 2, geo.n_s // 2)
-    k_values = np.arange(-geo.n_theta // 2, geo.n_theta // 2)
-    for i, j in enumerate(j_values):
-        v = repr(float(geo.dv * j))
-        for t, k in enumerate(k_values):
-            c = [repr(float(x)) for x in spectrum.coeffs[i, t]]
-            yield f"{j},{k},{v},{c[0]},{c[1]},{c[2]},{c[3]}"
+    return frequency_csv_rows(spectrum.geometry, spectrum.coeffs, "m0,m1,m2,m12")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cfmt, properties
 from .algebra import CL02, Multivector, Signature
-from .errors import CliffordMellinError, FormatError
+from .errors import CliffordMellinError, DomainError, FormatError
 from .imaging import ingest, register, descriptor, to_log_polar
 from .roots import RootPair, default_pair, export_manifold, make_pair
 from .signal import (
@@ -46,18 +46,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _parse_floats(text: str, count: int, form: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return values
+
+
 def _parse_floats4(text: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated floats, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return _parse_floats(text, 4, "4 comma-separated floats")
 
 
 def _parse_center(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected x,y, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return _parse_floats(text, 2, "x,y")
+
+
+def _parse_algebra(text: str) -> Signature:
+    try:
+        return Signature.parse(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _pair(sig: Signature, f, g) -> RootPair:
@@ -99,6 +110,19 @@ def _atomic_write(path: str, write_fn) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to path atomically, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _emit(payload: dict) -> None:
@@ -171,13 +195,13 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _time_direct(h: LogPolarSignal, pair: RootPair, full: bool) -> tuple[float, bool, int]:
-    """Wall time of the per-bin direct sum; unless full, grids beyond 2048
-    bins measure a row subset and scale by the bin count (per-bin work is
+def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
+    """Wall time of the per-bin direct sum; grids beyond 2048 bins measure
+    whole rows up to 2048 bins and scale by the bin count (per-bin work is
     constant)."""
     geo = h.geometry
     total_bins = geo.n_s * geo.n_theta
-    if full or total_bins <= 2048:
+    if total_bins <= 2048:
         start = time.perf_counter()
         cfmt.direct_spectrum(h, pair)
         return time.perf_counter() - start, False, total_bins
@@ -199,7 +223,7 @@ def cmd_fast_bench(args) -> int:
     start = time.perf_counter()
     cfmt.cfmt_fast(h, pair)
     time_fast = time.perf_counter() - start
-    time_direct, extrapolated, bins = _time_direct(h, pair, args.full_direct)
+    time_direct, extrapolated, bins = _time_direct(h, pair)
     _emit(
         {
             "config": _echo(args, args.algebra, pair),
@@ -234,10 +258,7 @@ def cmd_manifold(args) -> int:
     lines = ["b1,b2,beta,branch"]
     lines += [f"{b1!r},{b2!r},{beta!r},{branch}" for b1, b2, beta, branch in rows]
     text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, text)
     _emit({"config": _echo(args, args.algebra), "points": len(rows)})
     return 0
 
@@ -247,17 +268,8 @@ def cmd_descriptor(args) -> int:
     pair = _pair(h.signature, args.f, args.g)
     desc = descriptor(h, pair)
     geo = h.geometry
-    lines = ["j,k,v,mag"]
-    j_values = range(-geo.n_s // 2, geo.n_s // 2)
-    k_values = range(-geo.n_theta // 2, geo.n_theta // 2)
-    for j, row in zip(j_values, desc.magnitudes.tolist()):
-        v = repr(float(geo.dv * j))
-        lines += [f"{j},{k},{v},{mag!r}" for k, mag in zip(k_values, row)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
-    else:
-        sys.stdout.write(text)
+    text = "\n".join(cfmt.frequency_csv_rows(geo, desc.magnitudes[..., None], "mag")) + "\n"
+    _write_text(args.out, text)
     _emit({"config": _echo(args, h.signature, pair, geo), "bins": int(desc.magnitudes.size)})
     return 0
 
@@ -288,7 +300,7 @@ def cmd_verify(args) -> int:
     report = {"config": _echo(args), "results": rows, "failures": failures}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
+        _write_text(args.out, text)
     sys.stdout.write(text)
     return 3 if failures else 0
 
@@ -297,7 +309,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_algebra(p, default: Signature | None) -> None:
-    p.add_argument("--algebra", type=Signature.parse, default=default,
+    p.add_argument("--algebra", type=_parse_algebra, default=default,
                    help="algebra name: Cl(2,0), Cl(1,1) or Cl(0,2) (default Cl(0,2))")
 
 
@@ -360,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair(p)
     _add_grid(p, 256)
     _add_seed(p)
-    p.add_argument("--full-direct", action="store_true",
-                   help="measure every direct bin instead of extrapolating")
     p.set_defaults(handler=cmd_fast_bench)
 
     p = sub.add_parser("verify", help="run the property suite and emit a JSON report")

@@ -230,8 +230,10 @@ def to_log_polar(
     r_max = float(np.exp(geometry.s_max))
     limit = min(image.width, image.height) / 2.0 - 1.0
     if r_max > limit:
+        fits = (f"; the largest s_max that fits is ln({limit:.2f}) ="
+                f" {np.floor(np.log(limit) * 1e4) / 1e4:.4f}" if limit > 0 else "")
         raise GeometryError(
-            f"outer radius exp(s_max) = {r_max:.2f} exceeds the usable radius {limit:.2f}"
+            f"outer radius exp(s_max) = {r_max:.2f} exceeds the usable radius {limit:.2f}{fits}"
         )
     radii = np.exp(geometry.s_values)[:, None]
     angles = geometry.theta_values[None, :]

@@ -183,11 +183,9 @@ def default_pair(sig: Signature) -> RootPair:
     blade-like root with its negative."""
     if sig.squares == (-1, -1):
         return make_pair(Multivector.blade(sig, 1), Multivector.blade(sig, 2))
-    if sig.squares == (1, 1):
-        blade = Multivector.blade(sig, 3)
-    else:
-        blade = Multivector.blade(sig, 2)
-    return make_pair(blade, -blade)
+    index = 3 if sig.squares == (1, 1) else 2
+    # blade(..., -1.0) rather than -blade, which would carry -0.0 coefficients
+    return make_pair(Multivector.blade(sig, index), Multivector.blade(sig, index, -1.0))
 
 
 def export_manifold(sig: Signature, resolution: int) -> list[tuple[float, float, float, int]]:

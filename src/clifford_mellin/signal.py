@@ -9,6 +9,12 @@ which keeps the discrete transform pair exactly invertible.
 Signals are immutable after construction.  Reductions (inner products,
 norms) run as single numpy sums over the fixed row-major layout, so results
 are deterministic run to run.
+
+The (n_s, n_theta, 4) grid array has one validator, _grid_array, shared with
+cfmt.Spectrum, and one file codec, _write_grid_file/_read_grid_file: a
+key=value header (algebra, grid, then any extra keys) followed by exactly
+n_s * n_theta * 4 little-endian float64 values.  CLMS stores a signal with
+no extra keys; cfmt's CLMF stores a spectrum with its roots as f= and g=.
 """
 
 from __future__ import annotations
@@ -93,20 +99,26 @@ def default_geometry(n: int = 64) -> GridGeometry:
     return GridGeometry(n, n, -np.pi, np.pi)
 
 
+def _grid_array(geometry: GridGeometry, values, what: str) -> np.ndarray:
+    """A read-only float copy of values, checked to be finite and shaped
+    (n_s, n_theta, 4) on the geometry; what names the array in errors."""
+    arr = np.array(values, dtype=float)
+    expected = (geometry.n_s, geometry.n_theta, 4)
+    if arr.shape != expected:
+        raise GeometryError(f"{what} shape {arr.shape} does not match grid {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 class LogPolarSignal:
     """Multivector samples on a GridGeometry, stored as an (n_s, n_theta, 4) array."""
 
     def __init__(self, geometry: GridGeometry, signature: Signature, samples: np.ndarray):
-        arr = np.array(samples, dtype=float)
-        expected = (geometry.n_s, geometry.n_theta, 4)
-        if arr.shape != expected:
-            raise GeometryError(f"samples shape {arr.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("signal samples must be finite")
-        arr.flags.writeable = False
         self.geometry = geometry
         self.signature = signature
-        self.samples = arr
+        self.samples = _grid_array(geometry, samples, "signal samples")
 
     @classmethod
     def from_channels(cls, geometry, signature, m0=0.0, m1=0.0, m2=0.0, m12=0.0):
@@ -195,68 +207,61 @@ def random_signal(
     return LogPolarSignal(geometry, signature, arr)
 
 
-# -- CLMS v1 file format ---------------------------------------------------------
+# -- grid files: CLMS v1 (signals) and CLMF v1 (spectra) -----------------------------
+
+_HEADER_KEYS = ("algebra", "ns", "ntheta", "smin", "smax")
 
 
-def _format_header(fields: list[tuple[str, str]]) -> bytes:
-    return "".join(f"{key}={value}\n" for key, value in fields).encode("ascii")
+def _write_grid_file(path, signature: Signature, geometry: GridGeometry, array: np.ndarray,
+                     extra: tuple[tuple[str, str], ...] = ()) -> None:
+    """Header lines key=value for the algebra, the grid and then extra, followed
+    by the array as little-endian float64 values in row-major order."""
+    values = (signature.name, str(geometry.n_s), str(geometry.n_theta),
+              repr(geometry.s_min), repr(geometry.s_max))
+    fields = [*zip(_HEADER_KEYS, values), *extra]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{key}={value}\n" for key, value in fields).encode("ascii"))
+        fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def _read_header(data: bytes, keys: list[str]) -> tuple[dict, int]:
-    """Parse newline-terminated key=value lines in the given order."""
-    values = {}
+def _read_grid_file(path, extra_keys: tuple[str, ...] = ()):
+    """(signature, geometry, array, extra values) of a file that
+    _write_grid_file wrote; a malformed header or a payload that is not
+    exactly n_s * n_theta * 4 float64 values raises FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fields = {}
     offset = 0
-    for key in keys:
+    for key in _HEADER_KEYS + tuple(extra_keys):
         end = data.find(b"\n", offset)
         if end < 0:
             raise FormatError(f"truncated header, missing {key}=")
-        line = data[offset:end].decode("ascii", errors="replace")
-        if "=" not in line:
-            raise FormatError(f"malformed header line {line!r}")
-        name, _, value = line.partition("=")
+        name, equals, value = data[offset:end].decode("ascii", errors="replace").partition("=")
+        if not equals:
+            raise FormatError(f"malformed header line {name!r}")
         if name != key:
             raise FormatError(f"expected header key {key!r}, found {name!r}")
-        values[key] = value
+        fields[key] = value
         offset = end + 1
-    return values, offset
+    try:
+        sig = Signature.parse(fields["algebra"])
+        geo = GridGeometry(int(fields["ns"]), int(fields["ntheta"]),
+                           float(fields["smin"]), float(fields["smax"]))
+    except (ValueError, DomainError) as exc:
+        raise FormatError(f"invalid header: {exc}") from exc
+    expected = geo.n_s * geo.n_theta * 4 * 8
+    if len(data) - offset != expected:
+        raise FormatError(f"payload holds {len(data) - offset} bytes, expected {expected}")
+    array = np.frombuffer(data, dtype="<f8", offset=offset).reshape(geo.n_s, geo.n_theta, 4)
+    return sig, geo, array, [fields[key] for key in extra_keys]
 
 
 def write_clms(path, signal: LogPolarSignal) -> None:
-    """CLMS v1: text header, then little-endian float64 samples, four blade
+    """CLMS v1: the grid-file header, then the samples, four blade
     coefficients per sample in row-major sample order."""
-    geo = signal.geometry
-    header = _format_header(
-        [
-            ("algebra", signal.signature.name),
-            ("ns", str(geo.n_s)),
-            ("ntheta", str(geo.n_theta)),
-            ("smin", repr(geo.s_min)),
-            ("smax", repr(geo.s_max)),
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(signal.samples, dtype="<f8").tobytes())
+    _write_grid_file(path, signal.signature, signal.geometry, signal.samples)
 
 
 def read_clms(path) -> LogPolarSignal:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields, offset = _read_header(data, ["algebra", "ns", "ntheta", "smin", "smax"])
-    try:
-        sig = Signature.parse(fields["algebra"])
-        geo = GridGeometry(
-            int(fields["ns"]),
-            int(fields["ntheta"]),
-            float(fields["smin"]),
-            float(fields["smax"]),
-        )
-    except (ValueError, DomainError) as exc:
-        raise FormatError(f"invalid CLMS header: {exc}") from exc
-    expected = geo.n_s * geo.n_theta * 4
-    payload = np.frombuffer(data, dtype="<f8", offset=offset)
-    if payload.size != expected:
-        raise FormatError(
-            f"CLMS payload holds {payload.size} floats, expected {expected}"
-        )
-    return LogPolarSignal(geo, sig, payload.reshape(geo.n_s, geo.n_theta, 4))
+    sig, geo, samples, _ = _read_grid_file(path)
+    return LogPolarSignal(geo, sig, samples)

@@ -733,6 +733,22 @@ def test_clmf_rejects_bad_header(tmp_path):
         cfmt.read_clmf(path)
 
 
+@pytest.mark.parametrize(
+    "f_line",
+    [b"0.0,1.0,0.0", b"0.0,1.0,0.0,x", b"0.0,2.0,0.0,0.0", b"0.0,nan,0.0,0.0", b"0.0,1e200,0.0,0.0"],
+)
+def test_clmf_rejects_bad_roots(tmp_path, f_line):
+    # roots that do not parse, are not finite, do not square to -1, or overflow when squared
+    path = tmp_path / "bad.clmf"
+    h = random_signal(GridGeometry(4, 4, -1.0, 1.0), CL02, seed=1)
+    cfmt.write_clmf(path, cfmt.cfmt_forward(h, default_pair(CL02)))
+    good = path.read_bytes()
+    assert b"\nf=0.0,1.0,0.0,0.0\n" in good
+    path.write_bytes(good.replace(b"\nf=0.0,1.0,0.0,0.0\n", b"\nf=" + f_line + b"\n"))
+    with pytest.raises(FormatError):
+        cfmt.read_clmf(path)
+
+
 def test_spectrum_csv_rows():
     pair = default_pair(CL02)
     h = random_signal(GridGeometry(4, 4, -1.0, 1.0), CL02, seed=60)

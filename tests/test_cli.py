@@ -68,7 +68,7 @@ ECHO_KEYS = {
     "transform": {"command", "inputs", "out", "algebra", "f", "g", "center", *GRID_KEYS},
     "descriptor": {"command", "inputs", "out", "algebra", "f", "g", "center", *GRID_KEYS},
     "invert": {"command", "inputs", "out", "algebra", "f", "g", *GRID_KEYS},
-    "fast-bench": {"command", "algebra", "f", "g", "seed", "full_direct", *GRID_KEYS},
+    "fast-bench": {"command", "algebra", "f", "g", "seed", *GRID_KEYS},
     "verify": {"command", "seed", "tol", "out", "pair_degenerate", *GRID_KEYS},
     "split": {"command", "algebra", "f", "g", "x"},
     "register": {"command", "inputs", "algebra", "center", *GRID_KEYS},
@@ -113,6 +113,34 @@ def test_exit_codes(tmp_path, capsys, signal_file):
     assert cli.main(["transform", str(broken)]) == 2
     # contract: --f does not square to -1
     assert cli.main(["transform", str(signal_file), "--f", "1,1,0,0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (["split", "--x", "1,2"], "4 comma-separated floats"),
+        (["split", "--x", "a,b,c,d"], "4 comma-separated floats"),
+        (["split", "--x", "1,0,0,0", "--f", "0,1,0,x"], "4 comma-separated floats"),
+        (["register", "a.pgm", "b.pgm", "--center", "1"], "x,y"),
+        (["register", "a.pgm", "b.pgm", "--center", "1,y"], "x,y"),
+        (["split", "--x", "1,0,0,0", "--algebra", "Cl(5,0)"], "Cl(2,0), Cl(1,1) or Cl(0,2)"),
+    ],
+)
+def test_argument_errors_name_the_expected_format(capsys, argv, form):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert form in err
+    assert "_parse_" not in err
+
+
+def test_register_on_a_small_image_names_the_largest_smax(tmp_path, capsys):
+    image = tmp_path / "blob.pgm"
+    write_pgm(image, blob_image(32, seed=1))
+    argv = ["register", str(image), str(image), "--ns", "16", "--ntheta", "16"]
+    assert cli.main(argv) == 3
+    # the usable radius of a 32x32 image is 15 pixels
+    assert "the largest s_max that fits is ln(15.00) = 2.7080" in capsys.readouterr().err
+    assert cli.main([*argv, "--smax", "2.7080"]) == 0
 
 
 def test_split_command(capsys):

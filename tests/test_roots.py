@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, inverse
@@ -125,6 +126,15 @@ def test_default_pairs():
     assert not default_pair(CL02).degenerate
     assert default_pair(CL20).degenerate
     assert default_pair(CL11).degenerate
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_default_pair_has_no_negative_zeros(sig):
+    # a -0.0 would show up as "-0.0" in the echoed roots and the CLMF g= line
+    pair = default_pair(sig)
+    for root in (pair.f, pair.g):
+        coeffs = root.value.coeffs
+        assert not np.any(np.signbit(coeffs[coeffs == 0.0]))
 
 
 def test_make_pair_validates():
