@@ -55,8 +55,7 @@ from .algebra import (
     left_matrix,
     right_matrix,
 )
-from .errors import (ContractError, DomainError, FormatError, GeometryError, NotARootError,
-                     SignatureMismatchError)
+from .errors import ContractError, DomainError, FormatError, GeometryError, NotARootError
 from .roots import RootOfMinusOne, RootPair, make_pair
 from .signal import (
     GridGeometry,
@@ -67,7 +66,6 @@ from .signal import (
     _write_grid_file,
     norm as signal_norm,
     scalar_inner_product,
-    split_signal,
 )
 from .split import sandwich_matrix, split_array
 
@@ -134,11 +132,7 @@ class Spectrum:
     def _check_mixable(self, other: "Spectrum") -> None:
         if self.geometry != other.geometry:
             raise GeometryError("spectra live on different grids")
-        if not (
-            np.array_equal(self.pair.f.value.coeffs, other.pair.f.value.coeffs)
-            and np.array_equal(self.pair.g.value.coeffs, other.pair.g.value.coeffs)
-            and self.signature == other.signature
-        ):
+        if self.pair != other.pair:
             raise ContractError("cannot mix spectra produced by different root pairs")
 
     def max_abs_diff(self, other: "Spectrum") -> float:
@@ -147,13 +141,6 @@ class Spectrum:
 
     def with_coeffs(self, coeffs: np.ndarray) -> "Spectrum":
         return Spectrum(self.geometry, self.pair, coeffs)
-
-
-def _check_signal_pair(h: LogPolarSignal, pair: RootPair) -> None:
-    if h.signature != pair.signature:
-        raise SignatureMismatchError(
-            f"signal in {h.signature.name}, roots in {pair.signature.name}"
-        )
 
 
 # -- shared FFT core ----------------------------------------------------------------
@@ -234,7 +221,7 @@ def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     structure R_g, the radial pass in the planes of the left-multiplication
     structure L_f; both are plain complex FFTs there.
     """
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     basis_f, basis_g = _pair_bases(pair)
 
@@ -274,7 +261,7 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     one.  The cost is that of cfmt_forward with one 4x4 map fewer and one
     row gather on a single plane more.
     """
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     basis = _split_basis(pair)
     scale = geo.ds * geo.dtheta / TWO_PI
@@ -296,6 +283,13 @@ def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_sandwich(sig: Signature, left: np.ndarray, arr: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """left[i] * arr[i, t] * right[t] on an (n_s, n_theta, 4) grid array, the
+    left product first."""
+    return gp(sig, gp(sig, left[:, None, :], arr), right[None, :, :])
+
+
 def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multivector:
     """Literal double sum at one real frequency point (v, k).
 
@@ -305,7 +299,7 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
     are four real-weighted grid sums; f and g enter through the geometric
     product, never through a plane basis or an FFT.
     """
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     sig = h.signature
     radial = -v * geo.s_values
@@ -407,11 +401,9 @@ def predicted_shift_spectrum(spectrum: Spectrum, a_steps: int, phi_steps: int) -
     sig = spectrum.signature
     s_a = a_steps * geo.ds
     phi = phi_steps * geo.dtheta
-    kernel_left = _kernel_values(pair.f, geo.v_values * s_a)
-    kernel_right = _kernel_values(pair.g, geo.k_values * phi)
-    out = gp(sig, kernel_left[:, None, :], spectrum.coeffs)
-    out = gp(sig, out, kernel_right[None, :, :])
-    return spectrum.with_coeffs(out)
+    return spectrum.with_coeffs(_kernel_sandwich(
+        sig, _kernel_values(pair.f, geo.v_values * s_a), spectrum.coeffs,
+        _kernel_values(pair.g, geo.k_values * phi)))
 
 
 def _require_symmetric(geometry: GridGeometry, operation: str) -> None:
@@ -449,18 +441,16 @@ def modulate(h: LogPolarSignal, pair: RootPair, v0: float, k0: int) -> LogPolarS
     the shift is cyclic only when c = n_s*s_min/span is an integer, as on
     every symmetric window.  Otherwise a row that wraps w times past the
     radial band edge is also multiplied on the left by exp(-2*pi*w*c f)."""
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     steps = v0 / geo.dv
     if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
         raise ContractError(f"v0 = {v0} is not a grid frequency (dv = {geo.dv})")
     if not isinstance(k0, (int, np.integer)):
         raise ContractError(f"k0 must be an integer, got {k0!r}")
-    kernel_left = _kernel_values(pair.f, v0 * geo.s_values)
-    kernel_right = _kernel_values(pair.g, k0 * geo.theta_values)
-    out = gp(h.signature, kernel_left[:, None, :], h.samples)
-    out = gp(h.signature, out, kernel_right[None, :, :])
-    return h.with_samples(out)
+    return h.with_samples(_kernel_sandwich(
+        h.signature, _kernel_values(pair.f, v0 * geo.s_values), h.samples,
+        _kernel_values(pair.g, k0 * geo.theta_values)))
 
 
 # -- derivative and power-scaling theorems ---------------------------------------------
@@ -526,7 +516,7 @@ def check_derivative_theorems(h: LogPolarSignal, pair: RootPair, n: int) -> Deri
     """
     if n < 0 or n > 2:
         raise DomainError(f"derivative order must be 0..2, got {n}")
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     sig = h.signature
     base = cfmt_forward(h, pair)
@@ -564,7 +554,6 @@ def check_power_scaling(
     pair: RootPair,
     m: int,
     n: int,
-    probes: tuple[tuple[float, float], ...] = POWER_SCALING_PROBES,
 ) -> float:
     """Relative residual of the power-scaling identity at real frequencies.
 
@@ -576,7 +565,7 @@ def check_power_scaling(
     """
     if not (0 <= m <= 2 and 0 <= n <= 2):
         raise DomainError(f"power-scaling orders must be 0..2, got ({m}, {n})")
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
 
     power = np.sum(h.samples * h.samples)
@@ -597,7 +586,7 @@ def check_power_scaling(
     g_pow = _root_power(pair.g, n)
 
     worst = 0.0
-    for v_units, k_value in probes:
+    for v_units, k_value in POWER_SCALING_PROBES:
         v_value = v_units * geo.dv
         lhs = cfmt_direct(scaled, pair, v_value, k_value)
         rhs = np.zeros(4)
@@ -619,7 +608,7 @@ def check_power_scaling(
 def plancherel_check(h: LogPolarSignal, m: LogPolarSignal, pair: RootPair) -> tuple[float, float]:
     """Both sides of <h, m> = <H, M> with the discrete measures
     (ds*dtheta on the signal side, dv per v-bin on the spectral side)."""
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     lhs = scalar_inner_product(h, m)
     hs = cfmt_forward(h, pair)
     ms = cfmt_forward(m, pair)
@@ -629,11 +618,7 @@ def plancherel_check(h: LogPolarSignal, m: LogPolarSignal, pair: RootPair) -> tu
 
 def parseval_check(h: LogPolarSignal, pair: RootPair) -> tuple[float, float, float, float]:
     """(||h||, ||H||, ||H_plus||^2, ||H_minus||^2) for a blade-like pair."""
-    if not pair.blade_like:
-        raise ContractError(
-            "parseval_check requires a pair with blade_like flag set"
-            " (principal reverse must negate both roots)"
-        )
+    pair.require_blade_like("parseval_check")
     spectrum = cfmt_forward(h, pair)
     plus, minus = spectrum.split()
     return signal_norm(h), spectrum.norm(), plus.norm() ** 2, minus.norm() ** 2
@@ -661,7 +646,7 @@ class SymmetryComponents:
 def symmetry_decompose(h: LogPolarSignal, pair: RootPair) -> SymmetryComponents:
     """Split a real signal into parity components and verify that each
     transforms into a single channel of the basis (1, f, g, fg)."""
-    _check_signal_pair(h, pair)
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     sig = h.signature
     _require_symmetric(geo, "symmetry_decompose")
@@ -740,12 +725,15 @@ def write_clmf(path, spectrum: Spectrum) -> None:
 
 
 def read_clmf(path) -> Spectrum:
-    sig, geo, coeffs, roots = _read_grid_file(path, ("f", "g"))
-    try:
-        pair = make_pair(*(Multivector(sig, [float(x) for x in text.split(",")]) for text in roots))
-    except (ValueError, NotARootError) as exc:  # DomainError is a ValueError
-        raise FormatError(f"invalid CLMF roots {roots}: {exc}") from exc
-    return Spectrum(geo, pair, coeffs)
+    def load(sig, geo, coeffs, roots):
+        try:
+            pair = make_pair(*(Multivector(sig, [float(x) for x in text.split(",")])
+                               for text in roots))
+        except (ValueError, NotARootError) as exc:  # DomainError is a ValueError
+            raise FormatError(f"invalid CLMF roots {roots}: {exc}") from exc
+        return Spectrum(geo, pair, coeffs)
+
+    return _read_grid_file(path, load, ("f", "g"))
 
 
 def frequency_csv_rows(geometry: GridGeometry, values: np.ndarray, columns: str):

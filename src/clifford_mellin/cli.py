@@ -196,24 +196,18 @@ def cmd_invert(args) -> int:
 
 
 def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
-    """Wall time of the per-bin direct sum; grids beyond 2048 bins measure
-    whole rows up to 2048 bins and scale by the bin count (per-bin work is
-    constant)."""
+    """Wall time of the per-bin direct sum over the whole grid, measured on
+    whole rows up to 2048 bins and scaled by the bin count (per-bin work is
+    constant); also whether it was scaled, and the bins measured."""
     geo = h.geometry
-    total_bins = geo.n_s * geo.n_theta
-    if total_bins <= 2048:
-        start = time.perf_counter()
-        cfmt.direct_spectrum(h, pair)
-        return time.perf_counter() - start, False, total_bins
-    rows = max(1, 2048 // geo.n_theta)
+    rows = min(geo.n_s, max(1, 2048 // geo.n_theta))
     start = time.perf_counter()
-    for i in range(rows):
-        v = float(geo.v_values[i])
+    for v in geo.v_values[:rows]:
         for k in geo.k_values:
-            cfmt.cfmt_direct(h, pair, v, float(k))
+            cfmt.cfmt_direct(h, pair, float(v), float(k))
     elapsed = time.perf_counter() - start
-    measured = rows * geo.n_theta
-    return elapsed * total_bins / measured, True, measured
+    measured, total = rows * geo.n_theta, geo.n_s * geo.n_theta
+    return elapsed * total / measured, measured < total, measured
 
 
 def cmd_fast_bench(args) -> int:
@@ -276,12 +270,13 @@ def cmd_descriptor(args) -> int:
 
 def cmd_register(args) -> int:
     geometry = _grid(args)
-    signals = [to_log_polar(ingest(path, args.algebra), geometry, center=args.center)
+    # the correlation sums over blade channels, so the algebra cannot change the result
+    signals = [to_log_polar(ingest(path, CL02), geometry, center=args.center)
                for path in args.inputs]
     result = register(*signals)
     _emit(
         {
-            "config": _echo(args, args.algebra),
+            "config": _echo(args),
             "scale": result.scale,
             "angle_rad": result.angle,
             "confidence": result.confidence,
@@ -392,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="estimate rotation/scale between two images")
     p.add_argument("inputs", nargs=2, metavar="IMAGE")
-    _add_algebra(p, CL02)
     _add_grid(p, 64)
     _add_center(p)
     p.set_defaults(handler=cmd_register)

@@ -19,18 +19,16 @@ import numpy as np
 
 from .algebra import Signature
 from .cfmt import cfmt_fast
-from .errors import (
-    ContractError,
-    DomainError,
-    FormatError,
-    GeometryError,
-    ImageParseError,
-)
+from .errors import DomainError, FormatError, GeometryError, ImageParseError
 from .roots import RootPair
-from .signal import GridGeometry, LogPolarSignal
+from .signal import GridGeometry, LogPolarSignal, _check_compatible
 
 GRAY_TO_SCALAR = (0,)
 RGB_TO_VECTOR_BLADES = (1, 2, 3)
+
+# register reports a match when the correlation peak is at least this many
+# times the highest value outside its main lobe
+MIN_CONFIDENCE = 1.05
 
 
 @dataclass(frozen=True)
@@ -133,22 +131,23 @@ def read_image(path) -> RasterImage:
     return RasterImage(pixels.reshape(shape))
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Write a (h, w) array of values in [0, 1] as binary PGM."""
-    arr = np.clip(np.asarray(gray, dtype=float), 0.0, 1.0)
+def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
+    """Values in [0, 1] as a binary PGM/PPM raster with maxval 255."""
+    arr = np.clip(np.asarray(pixels, dtype=float), 0.0, 1.0)
     raster = np.round(arr * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(raster.tobytes())
+
+
+def write_pgm(path, gray: np.ndarray) -> None:
+    """Write a (h, w) array of values in [0, 1] as binary PGM."""
+    _write_pnm(path, "P5", gray)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write a (h, w, 3) array of values in [0, 1] as binary PPM."""
-    arr = np.clip(np.asarray(rgb, dtype=float), 0.0, 1.0)
-    raster = np.round(arr * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
+    _write_pnm(path, "P6", rgb)
 
 
 # -- image to multivector field ----------------------------------------------------
@@ -263,11 +262,9 @@ class Descriptor:
 
 
 def descriptor(signal: LogPolarSignal, pair: RootPair) -> Descriptor:
-    if not pair.blade_like:
-        raise ContractError(
-            "descriptor requires a pair with blade_like flag set; the transform"
-            " magnitude is only shift-invariant then"
-        )
+    """Transform magnitude of the signal; the pair must be blade-like, since
+    only then is the magnitude shift-invariant."""
+    pair.require_blade_like("descriptor")
     spectrum = cfmt_fast(signal, pair)
     return Descriptor(spectrum.magnitude(), signal.geometry, pair)
 
@@ -282,10 +279,7 @@ class RegistrationResult:
 
 
 def register(
-    h1: LogPolarSignal,
-    h2: LogPolarSignal,
-    pair: RootPair | None = None,
-    min_confidence: float = 1.05,
+    h1: LogPolarSignal, h2: LogPolarSignal, pair: RootPair | None = None
 ) -> RegistrationResult:
     """Estimate (scale a, angle phi) with h2(s, theta) ~ h1(s + ln a, theta + phi).
 
@@ -293,12 +287,11 @@ def register(
     mean-removed signals (computed spectrally) locates the shift.
     Confidence is the ratio of the peak to the second peak, measured outside
     the main lobe (a cyclic neighborhood of one sixteenth of each axis);
-    below min_confidence the result reports no match.  The pair argument is
+    below MIN_CONFIDENCE the result reports no match.  The pair argument is
     accepted for interface symmetry with descriptor-based pipelines and does
     not enter the correlation.
     """
-    if h1.signature != h2.signature or h1.geometry != h2.geometry:
-        raise GeometryError("registration needs signals on a common grid and algebra")
+    _check_compatible(h1, h2)
     geo = h1.geometry
     a1 = h1.samples - h1.samples.mean(axis=(0, 1), keepdims=True)
     a2 = h2.samples - h2.samples.mean(axis=(0, 1), keepdims=True)
@@ -326,6 +319,6 @@ def register(
         scale=float(np.exp(p_centered * geo.ds)),
         angle=float(q_centered * geo.dtheta),
         confidence=float(confidence),
-        matched=bool(confidence >= min_confidence),
+        matched=bool(confidence >= MIN_CONFIDENCE),
         steps=(p_centered, q_centered),
     )

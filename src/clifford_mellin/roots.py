@@ -4,6 +4,12 @@ Roots are parameterized by the chart f = b1*e1 + b2*e2 + beta*e12 with zero
 scalar part and beta^2 = e2^2*b1^2 + e1^2*b2^2 + e1^2*e2^2, which traces a
 quadric surface in each algebra: a unit sphere in Cl(0,2), a two-sheet
 hyperboloid in Cl(2,0), and a signed quadric in Cl(1,1).
+
+One root rule serves validate_root and random_roots: |a|^2, the sum of the
+squared coefficients, is a finite float, |a*a + 1| <= ROOT_TOL * max(1, |a|^2)
+and |scalar part| <= ROOT_TOL.  The bound grows with |a|^2 because roundoff in
+a*a does, so every point the chart computes passes.  RootPair owns the pair
+rules: operands in its algebra, and a blade-like pair where an identity needs one.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CL11, Multivector, Signature, principal_reverse_signs
-from .errors import NotARootError, OffManifoldError, SignatureMismatchError
+from .algebra import CL11, Multivector, Signature, principal_reverse_signs, scalar_product_array
+from .errors import ContractError, NotARootError, OffManifoldError, SignatureMismatchError
 
 ROOT_TOL = 1e-12
 
@@ -23,8 +29,9 @@ ROOT_TOL = 1e-12
 SAMPLING_BOUND = 10.0
 
 
-def manifold_beta_squared(sig: Signature, b1: float, b2: float) -> float:
-    """beta^2 required by the root constraint for the given (b1, b2)."""
+def manifold_beta_squared(sig: Signature, b1, b2):
+    """beta^2 required by the root constraint for the given (b1, b2), floats
+    or arrays."""
     e1, e2 = sig.squares
     return e2 * b1 * b1 + e1 * b2 * b2 + e1 * e2
 
@@ -71,22 +78,39 @@ class RootOfMinusOne:
         return RootOfMinusOne(-self.value)
 
 
-def validate_root(a: Multivector) -> RootOfMinusOne:
-    """Accept a as a square root of -1, or raise NotARootError with the residual.
+def _check_roots(sig: Signature, coeffs: np.ndarray) -> None:
+    """The root rule on an (n, 4) array of candidates: the first row that breaks
+    it raises NotARootError with its residual |a*a + 1|.  |a|^2 is formed
+    first, so a row too large to square is refused without an overflow; e1,
+    e2 and e12 anticommute, so a*a = Sc(a*a) + 2*a0*(a - a0)."""
+    with np.errstate(over="ignore"):
+        size = np.sum(coeffs * coeffs, axis=-1)
+    fits = np.isfinite(size)
+    a = np.where(fits[:, None], coeffs, 0.0)
+    square = np.concatenate(
+        [scalar_product_array(sig, a, a)[:, None], 2.0 * a[:, :1] * a[:, 1:]], axis=-1
+    )
+    scale = np.maximum(1.0, np.where(fits, size, 1.0))
+    excess = (square + (1.0, 0.0, 0.0, 0.0)) / scale[:, None]
+    relative = np.sqrt(np.sum(excess * excess, axis=-1))
+    bad = ~fits | (relative > ROOT_TOL) | (np.abs(coeffs[:, 0]) > ROOT_TOL)
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    root = Multivector(sig, coeffs[i])
+    residual = float(relative[i] * scale[i]) if fits[i] else math.inf
+    if not fits[i]:
+        reason = "is too large to square: |a|^2 overflows"
+    elif relative[i] > ROOT_TOL:
+        reason = f"squares to {Multivector(sig, square[i])!r}, not -1 (residual {residual:.3e})"
+    else:
+        reason = f"has nonzero scalar part {root.scalar_part:.3e}"
+    raise NotARootError(f"{root!r} {reason}", residual)
 
-    The bound on |a*a + 1| is ROOT_TOL * max(1, |a|^2), with |a|^2 the sum of
-    the squared coefficients: roundoff in a*a grows with |a|^2, so a fixed
-    bound would reject roots that the chart itself computes far out."""
-    square = a * a
-    residual = (square + Multivector.scalar(a.signature, 1.0)).modulus()
-    if residual > ROOT_TOL * max(1.0, float(np.dot(a.coeffs, a.coeffs))):
-        raise NotARootError(
-            f"{a!r} squares to {square!r}, not -1 (residual {residual:.3e})", residual
-        )
-    if abs(a.scalar_part) > ROOT_TOL:
-        raise NotARootError(
-            f"{a!r} has nonzero scalar part {a.scalar_part:.3e}", residual
-        )
+
+def validate_root(a: Multivector) -> RootOfMinusOne:
+    """Accept a as a square root of -1 under the root rule, or raise NotARootError."""
+    _check_roots(a.signature, a.coeffs[None, :])
     return RootOfMinusOne(a)
 
 
@@ -115,8 +139,6 @@ def random_roots(sig: Signature, n: int, seed: int) -> list[RootOfMinusOne]:
     is unbounded, so b2 is drawn first with 1 <= |b2| <= 10 and b1 within the
     induced bound; Cl(2,0) uses the window [-10, 10]^2.
     """
-    from .algebra import gp
-
     if n < 1:
         raise OffManifoldError(f"need n >= 1 roots, got {n}")
     rng = np.random.default_rng(seed)
@@ -131,14 +153,9 @@ def random_roots(sig: Signature, n: int, seed: int) -> list[RootOfMinusOne]:
         b1 = rng.uniform(-SAMPLING_BOUND, SAMPLING_BOUND, size=n)
         b2 = rng.uniform(-SAMPLING_BOUND, SAMPLING_BOUND, size=n)
     branch = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    e1, e2 = sig.squares
-    beta_sq = e2 * b1 * b1 + e1 * b2 * b2 + e1 * e2
-    coeffs = np.stack([np.zeros(n), b1, b2, branch * np.sqrt(beta_sq)], axis=-1)
-    squares = gp(sig, coeffs, coeffs)
-    squares[:, 0] += 1.0
-    worst = float(np.max(np.abs(squares)))
-    if worst > ROOT_TOL:
-        raise OffManifoldError(f"sampled root fails f^2 = -1 by {worst:.3e}")
+    beta = branch * np.sqrt(manifold_beta_squared(sig, b1, b2))
+    coeffs = np.stack([np.zeros(n), b1, b2, beta], axis=-1)
+    _check_roots(sig, coeffs)
     return [RootOfMinusOne(Multivector(sig, c)) for c in coeffs]
 
 
@@ -171,6 +188,20 @@ class RootPair:
     def blade_like(self) -> bool:
         """True when the principal reverse negates both roots."""
         return self.f.blade_like and self.g.blade_like
+
+    def require_algebra(self, sig: Signature, what: str) -> None:
+        """Refuse an operand from another algebra; what names it in the error."""
+        if sig != self.signature:
+            raise SignatureMismatchError(f"{what} in {sig.name}, roots in {self.signature.name}")
+
+    def require_blade_like(self, operation: str) -> None:
+        """Refuse a pair that is not blade-like for an operation whose identity
+        holds only on blade-like pairs."""
+        if not self.blade_like:
+            raise ContractError(
+                f"{operation} requires a pair with blade_like flag set"
+                " (principal reverse must negate both roots)"
+            )
 
 
 def make_pair(f: Multivector, g: Multivector) -> RootPair:

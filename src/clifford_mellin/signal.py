@@ -13,8 +13,10 @@ are deterministic run to run.
 The (n_s, n_theta, 4) grid array has one validator, _grid_array, shared with
 cfmt.Spectrum, and one file codec, _write_grid_file/_read_grid_file: a
 key=value header (algebra, grid, then any extra keys) followed by exactly
-n_s * n_theta * 4 little-endian float64 values.  CLMS stores a signal with
-no extra keys; cfmt's CLMF stores a spectrum with its roots as f= and g=.
+n_s * n_theta * 4 little-endian float64 values.  The codec turns every
+error in a file, the validator's included, into a FormatError.  CLMS stores
+a signal with no extra keys; cfmt's CLMF stores a spectrum with its roots as
+f= and g=.
 """
 
 from __future__ import annotations
@@ -176,10 +178,7 @@ def norm(a: LogPolarSignal) -> float:
 
 def split_signal(a: LogPolarSignal, pair: RootPair) -> tuple[LogPolarSignal, LogPolarSignal]:
     """Pointwise split of every sample with respect to the pair."""
-    if a.signature != pair.signature:
-        raise SignatureMismatchError(
-            f"signal in {a.signature.name}, roots in {pair.signature.name}"
-        )
+    pair.require_algebra(a.signature, "signal")
     plus, minus = split_array(a.samples, pair)
     return a.with_samples(plus), a.with_samples(minus)
 
@@ -224,10 +223,11 @@ def _write_grid_file(path, signature: Signature, geometry: GridGeometry, array: 
         fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def _read_grid_file(path, extra_keys: tuple[str, ...] = ()):
-    """(signature, geometry, array, extra values) of a file that
-    _write_grid_file wrote; a malformed header or a payload that is not
-    exactly n_s * n_theta * 4 float64 values raises FormatError."""
+def _read_grid_file(path, load, extra_keys: tuple[str, ...] = ()):
+    """load(signature, geometry, array, extra values) for a file that
+    _write_grid_file wrote.  A malformed header, a payload that is not exactly
+    n_s * n_theta * 4 float64 values, or a payload that load refuses with a
+    DomainError (a non-finite value, say) raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields = {}
@@ -253,7 +253,10 @@ def _read_grid_file(path, extra_keys: tuple[str, ...] = ()):
     if len(data) - offset != expected:
         raise FormatError(f"payload holds {len(data) - offset} bytes, expected {expected}")
     array = np.frombuffer(data, dtype="<f8", offset=offset).reshape(geo.n_s, geo.n_theta, 4)
-    return sig, geo, array, [fields[key] for key in extra_keys]
+    try:
+        return load(sig, geo, array, [fields[key] for key in extra_keys])
+    except DomainError as exc:
+        raise FormatError(f"invalid payload: {exc}") from exc
 
 
 def write_clms(path, signal: LogPolarSignal) -> None:
@@ -263,5 +266,4 @@ def write_clms(path, signal: LogPolarSignal) -> None:
 
 
 def read_clms(path) -> LogPolarSignal:
-    sig, geo, samples, _ = _read_grid_file(path)
-    return LogPolarSignal(geo, sig, samples)
+    return _read_grid_file(path, lambda sig, geo, samples, _: LogPolarSignal(geo, sig, samples))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, Signature, left_matrix, right_matrix
-from .errors import ContractError, SignatureMismatchError
+from .algebra import Multivector, left_matrix, right_matrix
 from .roots import RootOfMinusOne, RootPair
 
 
@@ -27,16 +26,9 @@ class SplitPair:
     pair: RootPair
 
 
-def _check_signature(x: Multivector, sig: Signature) -> None:
-    if x.signature != sig:
-        raise SignatureMismatchError(
-            f"value in {x.signature.name} split against roots in {sig.name}"
-        )
-
-
 def split(x: Multivector, pair: RootPair) -> SplitPair:
     """x_pm = (x +- f x g)/2."""
-    _check_signature(x, pair.signature)
+    pair.require_algebra(x.signature, "value")
     sandwich = pair.f.value * x * pair.g.value
     return SplitPair(0.5 * (x + sandwich), 0.5 * (x - sandwich), pair)
 
@@ -64,8 +56,8 @@ def f_split(x: Multivector, f: RootOfMinusOne) -> tuple[Multivector, Multivector
     """Parts of x commuting and anticommuting with f.
 
     Uses the closed form f^-1 = -f, so the commuting part is (x - f x f)/2.
+    A value from another algebra raises SignatureMismatchError in the product.
     """
-    _check_signature(x, f.signature)
     sandwich = f.value * x * f.value
     return 0.5 * (x - sandwich), 0.5 * (x + sandwich)
 
@@ -76,13 +68,7 @@ def mixed_scalar(x: Multivector, y: Multivector, pair: RootPair) -> tuple[float,
     Both vanish for blade-like pairs; the blade_like flag is a precondition
     and violating it raises ContractError.
     """
-    if not pair.blade_like:
-        raise ContractError(
-            "mixed_scalar requires a pair with blade_like flag set"
-            " (principal reverse must negate both roots)"
-        )
-    _check_signature(x, pair.signature)
-    _check_signature(y, pair.signature)
+    pair.require_blade_like("mixed_scalar")
     xs = split(x, pair)
     ys = split(y, pair)
     first = (xs.plus * ys.minus.principal_reverse()).scalar_part
@@ -97,7 +83,6 @@ def exp_swap_check(alpha: float, beta: float, x: Multivector, pair: RootPair) ->
     exp(alpha f) x_pm exp(beta g), x_pm exp((beta -+ alpha) g) and
     exp((alpha -+ beta) f) x_pm must coincide.
     """
-    _check_signature(x, pair.signature)
     parts = split(x, pair)
     exp_f = pair.f.exp(alpha)
     exp_g = pair.g.exp(beta)

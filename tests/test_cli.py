@@ -71,7 +71,7 @@ ECHO_KEYS = {
     "fast-bench": {"command", "algebra", "f", "g", "seed", *GRID_KEYS},
     "verify": {"command", "seed", "tol", "out", "pair_degenerate", *GRID_KEYS},
     "split": {"command", "algebra", "f", "g", "x"},
-    "register": {"command", "inputs", "algebra", "center", *GRID_KEYS},
+    "register": {"command", "inputs", "center", *GRID_KEYS},
     "manifold": {"command", "algebra", "resolution", "out"},
 }
 
@@ -471,6 +471,8 @@ UNREAD_FLAGS = {
     "manifold": (["manifold", "--ns", "7"], "--ns"),
     "verify": (["verify", "--f", "0,1,0,0"], "--f"),
     "register": (["register", "{pgm}", "{pgm}", "--f", "0,1,0,0"], "--f"),
+    # the correlation sums over blade channels, so the algebra cannot change it
+    "register --algebra": (["register", "{pgm}", "{pgm}", "--algebra", "Cl(2,0)"], "--algebra"),
     "split": (["split", "--x", "1,0,0,0", "--out", "{tmp}/split.json"], "--out"),
     "fast-bench": (["fast-bench", "--tol", "1e-3"], "--tol"),
     "transform": (["transform", "{clms}", "--center", "1,1"], "--center"),

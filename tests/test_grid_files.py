@@ -1,6 +1,7 @@
 """The shared CLMS/CLMF grid-file codec on malformed files: a reader either
 loads the file or raises FormatError, and the CLI turns that into exit 2."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,3 +70,14 @@ def test_cli_exits_2_on_a_payload_one_byte_short(valid_files, tmp_path, capsys, 
     assert cli.main([command, str(path)]) == 2
     assert "format error: payload holds 511 bytes, expected 512" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command, kind", [("transform", "clms"), ("invert", "clmf")])
+def test_cli_exits_2_on_a_non_finite_payload(valid_files, tmp_path, capsys, command, kind, value):
+    # the payload has the right size, but its last float is not finite
+    data = valid_files[kind][0]
+    path = tmp_path / f"nonfinite.{kind}"
+    path.write_bytes(data[:-8] + np.array([value], dtype="<f8").tobytes())
+    assert cli.main([command, str(path)]) == 2
+    assert "format error: invalid payload" in capsys.readouterr().err

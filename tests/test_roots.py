@@ -1,6 +1,7 @@
 """Root manifolds: validation, chart sampling, random corpora, export."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ def test_validate_bound_scales_with_root_size():
     # unit-sized candidates still face the plain ROOT_TOL bound
     with pytest.raises(NotARootError):
         validate_root(Multivector(CL02, (0.0, 1.0 + 1e-9, 0.0, 0.0)))
+
+
+def test_validate_refuses_a_root_too_large_to_square():
+    # |a|^2 overflows; the rule refuses it before squaring, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotARootError, match="too large to square"):
+            validate_root(Multivector(CL20, (0, 1e200, 0, 0)))
 
 
 def test_sample_root_examples():

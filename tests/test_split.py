@@ -207,6 +207,8 @@ def test_split_signature_mismatch():
     pair = default_pair(CL02)
     with pytest.raises(SignatureMismatchError):
         split(Multivector.scalar(CL20, 1.0), pair)
+    with pytest.raises(SignatureMismatchError):
+        f_split(Multivector.scalar(CL20, 1.0), pair.f)
 
 
 @pytest.mark.parametrize("sig", SIGNATURES)
