@@ -28,9 +28,12 @@ routes are provided:
   reversed.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane
-basis, viewed as complex without a copy, are the two planes; one real 4x4 map
-links the passes, a (-1)^(i+t) sign pattern replaces fftshift (sizes are
-even), and the s_min phase and the scale form one per-row factor.
+basis, viewed as complex without a copy, are the two planes.  A route is its
+in-place FFT passes between real 4x4 plane maps, one stacked matmul each, and
+no other pass over the grid.  On an even grid fftshift is a swap of halves, so
+a map reads its source with halves swapped; the s_min phase and the scale are
+a per-row rotation of each plane in the map beside the radial pass.  The last
+map's fresh array becomes the result uncopied, through signal._Fresh.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -61,6 +64,7 @@ from .signal import (
     GridGeometry,
     LogPolarSignal,
     TWO_PI,
+    _Fresh,
     _grid_array,
     _read_grid_file,
     _write_grid_file,
@@ -151,11 +155,10 @@ def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
     planes, for J with J @ J = -I, so that J is multiplication by i in each.
     u1 is the scalar unit; u3 is the standard basis vector giving the largest
     determinant."""
-    unit = np.eye(4)
-    candidates = [
-        np.column_stack([unit[0], j_matrix @ unit[0], u3, j_matrix @ u3]) for u3 in unit[1:]
-    ]
-    return max(candidates, key=lambda basis: abs(np.linalg.det(basis)))
+    candidates = np.empty((3, 4, 4))  # one per u3 = e1, e2, e12
+    candidates[:, :, 0], candidates[:, :, 1] = np.eye(4)[0], j_matrix[:, 0]
+    candidates[:, :, 2], candidates[:, :, 3] = np.eye(4)[1:], j_matrix[:, 1:].T
+    return candidates[np.argmax(np.abs(np.linalg.det(candidates)))]
 
 
 def _pair_bases(pair: RootPair) -> tuple[np.ndarray, np.ndarray]:
@@ -180,35 +183,30 @@ def _split_basis(pair: RootPair) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _remap(arr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a real 4x4 matrix to each coefficient vector of arr, given as
-    (n_s, n_theta, 4) reals or as their (n_s, n_theta, 2) complex planes; the
-    fresh (n_s, n_theta, 4) result's .view(complex) is its planes, uncopied."""
-    coords = np.ascontiguousarray(arr).view(float)
-    return (coords.reshape(-1, 4) @ matrix.T).reshape(coords.shape)
+def _map(src: np.ndarray, matrices: np.ndarray, swap=(False, False)) -> np.ndarray:
+    """Apply a real 4x4 matrix, or one per row of src, to each coefficient
+    vector of src, given as (n_s, n_theta, 4) reals or their (n_s, n_theta, 2)
+    complex planes, reading each axis flagged in swap with its halves swapped.
+    One stacked matmul writes the fresh (n_s, n_theta, 4) result, whose
+    .view(complex) is its planes, uncopied."""
+    coords = src.view(float)
+    out = np.empty(coords.shape)
+    a, b = (1 + bool(flag) for flag in swap)
+    blocks = (a, coords.shape[0] // a, b, coords.shape[1] // b, 4)
+    acting = np.ascontiguousarray(np.swapaxes(matrices, -1, -2))  # vectors are rows
+    if acting.ndim == 3:  # one matrix per row of src, so swapped with its rows
+        acting = acting.reshape(a, -1, 1, 4, 4)[::-1]
+    np.matmul(coords.reshape(blocks)[::-1, :, ::-1], acting, out=out.reshape(blocks))
+    return out
 
 
-def _dft(z: np.ndarray, axis: int, sign: float) -> np.ndarray:
-    """Unnormalised sum_m z[m] exp(sign * 2*pi*i*j*m/n) along axis."""
-    if sign < 0:
-        return np.fft.fft(z, axis=axis)
-    return np.fft.ifft(z, axis=axis, norm="forward")
-
-
-def _alternate_signs(z: np.ndarray) -> np.ndarray:
-    """Multiply z in place by (-1)^(i+t) over its first two axes, return it.
-    On the input of an even-length DFT pass this rolls the output by half a
-    period: fftshift before a forward pass, ifftshift after an inverse one."""
-    z[1::2] *= -1
-    z[:, 1::2] *= -1
-    return z
-
-
-def _radial_factor(geometry: GridGeometry, sign: float, scale: float) -> np.ndarray:
-    """scale * exp(sign * i * v_j * s_min) per centred row j, shaped (n_s, 1, 1)."""
-    j = np.arange(geometry.n_s) - geometry.n_s // 2
-    phase = np.exp(sign * 2j * np.pi * j * geometry.s_min / geometry.span)
-    return (scale * phase)[:, None, None]
+def _radial_rotations(geometry: GridGeometry, j: np.ndarray, scale: float, signs) -> np.ndarray:
+    """Per-row (len(j), 4, 4) matrices multiplying plane p, as complex numbers,
+    by scale * exp(signs[p] * i * v_j * s_min) at radial frequency index j."""
+    angle = (j * geometry.dv * geometry.s_min)[:, None, None]
+    p0, p1 = signs  # signs[p] * i on plane p's (re, im)
+    turn = np.array([[0, -p0, 0, 0], [p0, 0, 0, 0], [0, 0, 0, -p1], [0, 0, p1, 0]])
+    return scale * (np.cos(angle) * np.eye(4) + np.sin(angle) * turn)
 
 
 # -- transform routes --------------------------------------------------------------
@@ -224,12 +222,14 @@ def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     basis_f, basis_g = _pair_bases(pair)
+    rows = basis_f @ _radial_rotations(geo, np.fft.fftfreq(geo.n_s, 1 / geo.n_s),
+                                       geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
 
-    z = _alternate_signs(_remap(h.samples, np.linalg.inv(basis_g)).view(complex))
-    z = _dft(z, 1, -1.0)
-    z = _dft(_remap(z, np.linalg.solve(basis_f, basis_g)).view(complex), 0, -1.0)
-    z *= _radial_factor(geo, -1.0, geo.ds * geo.dtheta / TWO_PI)
-    return Spectrum(geo, pair, _remap(z, basis_f))
+    z = _map(h.samples, np.linalg.inv(basis_g)).view(complex)
+    np.fft.fft(z, axis=1, out=z)
+    z = _map(z, np.linalg.solve(basis_f, basis_g), swap=(False, True)).view(complex)
+    np.fft.fft(z, axis=0, out=z)
+    return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, False))))
 
 
 def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
@@ -241,13 +241,14 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     2e-12, 4e-8 and 1e-4."""
     geo = spectrum.geometry
     basis_f, basis_g = _pair_bases(spectrum.pair)
+    centred = np.arange(geo.n_s) - geo.n_s // 2
+    rows = _radial_rotations(geo, centred, 1.0 / geo.span, (1.0, 1.0)) @ np.linalg.inv(basis_f)
 
-    z = _remap(spectrum.coeffs, np.linalg.inv(basis_f)).view(complex)
-    z *= _radial_factor(geo, +1.0, 1.0 / geo.span)
-    z = _dft(z, 0, +1.0)
-    z = _remap(z, np.linalg.solve(basis_g, basis_f)).view(complex)
-    z = _alternate_signs(_dft(z, 1, +1.0))
-    return LogPolarSignal(geo, spectrum.signature, _remap(z, basis_g))
+    z = _map(spectrum.coeffs, rows, swap=(True, True)).view(complex)
+    np.fft.ifft(z, axis=0, norm="forward", out=z)
+    z = _map(z, np.linalg.solve(basis_g, basis_f)).view(complex)
+    np.fft.ifft(z, axis=1, norm="forward", out=z)
+    return LogPolarSignal(geo, spectrum.signature, _Fresh(_map(z, basis_g)))
 
 
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
@@ -264,15 +265,13 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     basis = _split_basis(pair)
-    scale = geo.ds * geo.dtheta / TWO_PI
+    rows = basis @ _radial_rotations(geo, np.fft.fftfreq(geo.n_s, 1 / geo.n_s),
+                                     geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
 
-    z = _alternate_signs(_remap(h.samples, np.linalg.inv(basis)).view(complex))
-    z = np.fft.fft2(z, axes=(0, 1))
+    z = _map(h.samples, np.linalg.inv(basis)).view(complex)
+    np.fft.fft2(z, axes=(0, 1), out=z)
     z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
-    z *= np.concatenate(
-        [_radial_factor(geo, +1.0, scale), _radial_factor(geo, -1.0, scale)], axis=-1
-    )
-    return Spectrum(geo, pair, _remap(z, basis))
+    return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, True))))
 
 
 def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:

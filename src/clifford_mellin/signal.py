@@ -101,10 +101,19 @@ def default_geometry(n: int = 64) -> GridGeometry:
     return GridGeometry(n, n, -np.pi, np.pi)
 
 
+@dataclass(frozen=True)
+class _Fresh:
+    """A float array handed over by the code that made it and holds no other
+    reference to it, so _grid_array checks it in place instead of copying."""
+
+    array: np.ndarray
+
+
 def _grid_array(geometry: GridGeometry, values, what: str) -> np.ndarray:
-    """A read-only float copy of values, checked to be finite and shaped
-    (n_s, n_theta, 4) on the geometry; what names the array in errors."""
-    arr = np.array(values, dtype=float)
+    """A read-only float copy of values, or the array of a _Fresh, checked to
+    be finite and shaped (n_s, n_theta, 4) on the geometry; what names the
+    array in errors."""
+    arr = values.array if isinstance(values, _Fresh) else np.array(values, dtype=float)
     expected = (geometry.n_s, geometry.n_theta, 4)
     if arr.shape != expected:
         raise GeometryError(f"{what} shape {arr.shape} does not match grid {expected}")

@@ -6,7 +6,7 @@ from helpers import literal_direct_sum, moderate_pairs, wild_pairs
 
 from clifford_mellin import cfmt
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, gp
-from clifford_mellin.errors import ContractError, FormatError
+from clifford_mellin.errors import ContractError, DomainError, FormatError
 from clifford_mellin.properties import symmetry_pair
 from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, sample_root
 from clifford_mellin.signal import (
@@ -174,16 +174,32 @@ def test_routes_leave_inputs_untouched():
         (back.samples, spectrum.coeffs),
     ):
         assert not np.shares_memory(output, source)
+        assert not output.flags.writeable
 
 
-def test_remap_accepts_planes_with_swapped_strides():
-    # numpy < 2 returns an FFT along a middle axis with the planes axis strided
+def test_overflowing_routes_raise():
+    # each route hands its fresh result over uncopied, still through the finiteness check
+    geo = default_geometry(8)
+    pair = default_pair(CL20)
+    h = LogPolarSignal.constant(geo, Multivector(CL20, [1e308] * 4))
+    spectrum = cfmt.Spectrum(geo, pair, np.full((8, 8, 4), 1e308))
+    for route, args in ((cfmt.cfmt_forward, (h, pair)), (cfmt.cfmt_fast, (h, pair)),
+                        (cfmt.cfmt_inverse, (spectrum,))):
+        with pytest.raises(DomainError, match="must be finite"), pytest.warns(RuntimeWarning):
+            route(*args)
+
+
+def test_map_rolls_swapped_axes_by_half_a_period():
     rng = np.random.default_rng(12)
-    planes = rng.normal(size=(6, 4, 4)).view(complex)
-    swapped = np.swapaxes(np.swapaxes(planes, 1, 2).copy(), 1, 2)
-    assert not swapped.flags.c_contiguous
-    matrix = rng.normal(size=(4, 4))
-    assert np.array_equal(cfmt._remap(swapped, matrix), cfmt._remap(planes, matrix))
+    src = rng.normal(size=(6, 4, 4))
+    rows = rng.normal(size=(6, 4, 4))
+    for swap in ((False, False), (True, False), (False, True), (True, True)):
+        shift = tuple(n // 2 if flag else 0 for n, flag in zip(src.shape, swap))
+        expected = np.einsum("ilk,itk->itl", np.roll(rows, shift[0], axis=0),
+                             np.roll(src, shift, axis=(0, 1)))
+        assert np.allclose(cfmt._map(src, rows, swap), expected, rtol=0, atol=1e-14)
+        assert np.allclose(cfmt._map(src.view(complex), rows[0], swap),
+                           np.roll(src, shift, axis=(0, 1)) @ rows[0].T, rtol=0, atol=1e-14)
 
 
 def test_round_trip_error_follows_pair_size():
