@@ -12,7 +12,9 @@ routes are provided:
 * cfmt_direct: the literal double sum at one real (v, k); the oracle.  Each
   kernel is cos - root*sin, so the sum reduces to four real-weighted grid
   sums (cos/sin in s times cos/sin in theta) that f and g then multiply by
-  the geometric product; it uses no FFT and no plane basis.
+  the geometric product; it uses no FFT and no plane basis.  It is the
+  one-point case of the kernel _direct_sums, which takes P points at once
+  through one (2P, n_s) @ samples product, bit-identical to P single calls.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
@@ -33,7 +35,11 @@ in-place FFT passes between real 4x4 plane maps, one stacked matmul each, and
 no other pass over the grid.  On an even grid fftshift is a swap of halves, so
 a map reads its source with halves swapped; the s_min phase and the scale are
 a per-row rotation of each plane in the map beside the radial pass.  The last
-map's fresh array becomes the result uncopied, through signal._Fresh.
+map's fresh array becomes the result uncopied, through signal._Fresh.  The 4x4
+matrices a root pair fixes (the plane bases, their inverses and changes of
+basis, the split basis) are the pair's plan, _Plan, built once per pair value
+by _plan; the rotations are built once per grid and route.  A call only forms
+the product of a basis and the rotations.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -48,6 +54,7 @@ descriptor CSV are both rendered by frequency_csv_rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +78,7 @@ from .signal import (
     norm as signal_norm,
     scalar_inner_product,
 )
-from .split import sandwich_matrix, split_array
+from .split import split_array
 
 __all__ = [
     "Spectrum",
@@ -149,6 +156,10 @@ class Spectrum:
 
 # -- shared FFT core ----------------------------------------------------------------
 
+# entries kept by each plan cache: root pairs in _cached_plan, grid and route
+# arguments in _radial_rotations
+PLAN_CACHE_SIZE = 64
+
 
 def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
     """Column basis (u1, J u1, u3, J u3) splitting R^4 into two J-invariant
@@ -161,26 +172,56 @@ def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
     return candidates[np.argmax(np.abs(np.linalg.det(candidates)))]
 
 
-def _pair_bases(pair: RootPair) -> tuple[np.ndarray, np.ndarray]:
-    """Plane bases of the left structure L_f and the right structure R_g."""
-    sig, f, g = pair.signature, pair.f.value.coeffs, pair.g.value.coeffs
-    return _plane_basis(left_matrix(sig, f)), _plane_basis(right_matrix(sig, g))
-
-
-def _split_basis(pair: RootPair) -> np.ndarray:
+def _split_basis(sandwich: np.ndarray, j_matrix: np.ndarray) -> np.ndarray:
     """Column basis (u+, R_g u+, u-, R_g u-) of the +-1 eigenplanes of the
-    sandwich S = L_f R_g, with u+- the largest column of the projector
-    (I +- S)/2.  Each projector is nonzero and its range is one R_g-invariant
-    plane, on which R_g has no real eigenvector; so the basis is invertible
-    for every pair, g = +-f included."""
-    sandwich = sandwich_matrix(pair)
-    j_matrix = right_matrix(pair.signature, pair.g.value.coeffs)
+    sandwich S = L_f R_g, given S and j_matrix = R_g, with u+- the largest
+    column of the projector (I +- S)/2.  Each projector is nonzero and its
+    range is one R_g-invariant plane, on which R_g has no real eigenvector; so
+    the basis is invertible for every pair, g = +-f included."""
     columns = []
     for sign in (+1.0, -1.0):
         projector = 0.5 * (np.eye(4) + sign * sandwich)
         u = projector[:, np.argmax(np.sum(projector * projector, axis=0))]
         columns += [u, j_matrix @ u]
     return np.column_stack(columns)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The read-only 4x4 matrices a root pair fixes for the FFT routes: the
+    plane bases of L_f and R_g, their inverses and the changes of basis
+    between them (cfmt_forward, cfmt_inverse), and the split basis with its
+    inverse (cfmt_fast)."""
+
+    basis_f: np.ndarray
+    basis_g: np.ndarray
+    inv_f: np.ndarray
+    inv_g: np.ndarray
+    g_to_f: np.ndarray  # basis_f^-1 basis_g
+    f_to_g: np.ndarray  # basis_g^-1 basis_f
+    split: np.ndarray
+    inv_split: np.ndarray
+
+
+def _plan(pair: RootPair) -> _Plan:
+    """The pair's plan, cached on the exact bytes of its coefficients: pairs
+    equal in value share one entry, and a root one ulp or one zero sign away
+    gets its own."""
+    return _cached_plan(pair.signature, pair.f.value.coeffs.tobytes(),
+                        pair.g.value.coeffs.tobytes())
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(sig: Signature, f: bytes, g: bytes) -> _Plan:
+    left, right = left_matrix(sig, np.frombuffer(f)), right_matrix(sig, np.frombuffer(g))
+    basis_f, basis_g = _plane_basis(left), _plane_basis(right)
+    split = _split_basis(left @ right, right)
+    matrices = (basis_f, basis_g, np.linalg.inv(basis_f), np.linalg.inv(basis_g),
+                np.linalg.solve(basis_f, basis_g), np.linalg.solve(basis_g, basis_f),
+                split, np.linalg.inv(split))
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    return _Plan(*matrices)
 
 
 def _map(src: np.ndarray, matrices: np.ndarray, swap=(False, False)) -> np.ndarray:
@@ -200,13 +241,22 @@ def _map(src: np.ndarray, matrices: np.ndarray, swap=(False, False)) -> np.ndarr
     return out
 
 
-def _radial_rotations(geometry: GridGeometry, j: np.ndarray, scale: float, signs) -> np.ndarray:
-    """Per-row (len(j), 4, 4) matrices multiplying plane p, as complex numbers,
-    by scale * exp(signs[p] * i * v_j * s_min) at radial frequency index j."""
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _radial_rotations(geometry: GridGeometry, centred: bool, scale: float, signs) -> np.ndarray:
+    """Read-only per-row (n_s, 4, 4) matrices multiplying plane p, as complex
+    numbers, by scale * exp(signs[p] * i * v_j * s_min) at radial frequency
+    index j, which runs in FFT order or, if centred, up from -n_s/2.  Cached,
+    since each route passes the same arguments for a grid on every call."""
+    if centred:
+        j = np.arange(geometry.n_s) - geometry.n_s // 2
+    else:
+        j = np.fft.fftfreq(geometry.n_s, 1 / geometry.n_s)
     angle = (j * geometry.dv * geometry.s_min)[:, None, None]
     p0, p1 = signs  # signs[p] * i on plane p's (re, im)
     turn = np.array([[0, -p0, 0, 0], [p0, 0, 0, 0], [0, 0, 0, -p1], [0, 0, p1, 0]])
-    return scale * (np.cos(angle) * np.eye(4) + np.sin(angle) * turn)
+    rotations = scale * (np.cos(angle) * np.eye(4) + np.sin(angle) * turn)
+    rotations.flags.writeable = False
+    return rotations
 
 
 # -- transform routes --------------------------------------------------------------
@@ -221,13 +271,12 @@ def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
-    basis_f, basis_g = _pair_bases(pair)
-    rows = basis_f @ _radial_rotations(geo, np.fft.fftfreq(geo.n_s, 1 / geo.n_s),
-                                       geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
+    plan = _plan(pair)
+    rows = plan.basis_f @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
 
-    z = _map(h.samples, np.linalg.inv(basis_g)).view(complex)
+    z = _map(h.samples, plan.inv_g).view(complex)
     np.fft.fft(z, axis=1, out=z)
-    z = _map(z, np.linalg.solve(basis_f, basis_g), swap=(False, True)).view(complex)
+    z = _map(z, plan.g_to_f, swap=(False, True)).view(complex)
     np.fft.fft(z, axis=0, out=z)
     return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, False))))
 
@@ -240,21 +289,20 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     pairs at chart radius 10, 100 and 1000 give relative errors of about
     2e-12, 4e-8 and 1e-4."""
     geo = spectrum.geometry
-    basis_f, basis_g = _pair_bases(spectrum.pair)
-    centred = np.arange(geo.n_s) - geo.n_s // 2
-    rows = _radial_rotations(geo, centred, 1.0 / geo.span, (1.0, 1.0)) @ np.linalg.inv(basis_f)
+    plan = _plan(spectrum.pair)
+    rows = _radial_rotations(geo, True, 1.0 / geo.span, (1.0, 1.0)) @ plan.inv_f
 
     z = _map(spectrum.coeffs, rows, swap=(True, True)).view(complex)
     np.fft.ifft(z, axis=0, norm="forward", out=z)
-    z = _map(z, np.linalg.solve(basis_g, basis_f)).view(complex)
+    z = _map(z, plan.f_to_g).view(complex)
     np.fft.ifft(z, axis=1, norm="forward", out=z)
-    return LogPolarSignal(geo, spectrum.signature, _Fresh(_map(z, basis_g)))
+    return LogPolarSignal(geo, spectrum.signature, _Fresh(_map(z, plan.basis_g)))
 
 
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Quasi-complex route: the paper's split, as one FFT over two planes.
 
-    In the basis of _split_basis, plane 0 holds x_+ and plane 1 holds x_-,
+    In the plan's split basis, plane 0 holds x_+ and plane 1 holds x_-,
     each as a complex function with R_g acting as i.  Both get the angular
     kernel exp(-i k theta); the radial kernel is exp(+i v s) on plane 0 and
     exp(-i v s) on plane 1.  So one fft2 serves both, and plane 0 reads its
@@ -264,11 +312,10 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
-    basis = _split_basis(pair)
-    rows = basis @ _radial_rotations(geo, np.fft.fftfreq(geo.n_s, 1 / geo.n_s),
-                                     geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
+    plan = _plan(pair)
+    rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
 
-    z = _map(h.samples, np.linalg.inv(basis)).view(complex)
+    z = _map(h.samples, plan.inv_split).view(complex)
     np.fft.fft2(z, axes=(0, 1), out=z)
     z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
     return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, True))))
@@ -289,6 +336,28 @@ def _kernel_sandwich(sig: Signature, left: np.ndarray, arr: np.ndarray,
     return gp(sig, gp(sig, left[:, None, :], arr), right[None, :, :])
 
 
+def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The literal double sum at the P real frequency points (v[p], k[p]), as
+    a (P, 4) array, in the terms of cfmt_direct.  One (2P, n_s) @ samples
+    product makes every point's radial cosine and sine sums, one stacked
+    matmul their angular ones, and f and g enter through two geometric
+    products over all points."""
+    pair.require_algebra(h.signature, "signal")
+    geo = h.geometry
+    sig = h.signature
+    radial = -np.asarray(v, dtype=float)[:, None] * geo.s_values  # (P, n_s)
+    angular = -np.asarray(k, dtype=float)[:, None] * geo.theta_values  # (P, n_theta)
+    rows = np.stack([np.cos(radial), np.sin(radial)], axis=1).reshape(-1, geo.n_s)
+    cols = np.stack([np.cos(angular), np.sin(angular)], axis=1)  # (P, 2, n_theta)
+    partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(-1, 2, geo.n_theta, 4)
+    sums = cols[:, None] @ partial  # sums[p, a, b] = A_ab, a radial and b angular (cos, sin)
+    # (A_cS g, A_sS g) per point; gp takes (2P, 4) rows faster than (P, 2, 4)
+    times_g = gp(sig, sums[:, :, 1].reshape(-1, 4), pair.g.value.coeffs).reshape(-1, 2, 4)
+    total = sums[:, 0, 0] + times_g[:, 0] + gp(sig, pair.f.value.coeffs,
+                                               sums[:, 1, 0] + times_g[:, 1])
+    return total * (geo.ds * geo.dtheta / TWO_PI)
+
+
 def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multivector:
     """Literal double sum at one real frequency point (v, k).
 
@@ -296,20 +365,10 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
     (c, sn the cosine and sine of -v s; C, Sn those of -k theta) the sum is
     A_cC + f (A_sC + A_sS g) + A_cS g, where A_ab = sum a(s) b(theta) h(s, theta)
     are four real-weighted grid sums; f and g enter through the geometric
-    product, never through a plane basis or an FFT.
+    product, never through a plane basis or an FFT.  This is _direct_sums at
+    one point.
     """
-    pair.require_algebra(h.signature, "signal")
-    geo = h.geometry
-    sig = h.signature
-    radial = -v * geo.s_values
-    angular = -k * geo.theta_values
-    rows = np.stack([np.cos(radial), np.sin(radial)])  # (2, n_s)
-    cols = np.stack([np.cos(angular), np.sin(angular)])  # (2, n_theta)
-    partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(2, geo.n_theta, 4)
-    sums = cols @ partial  # sums[a, b] = A_ab, a radial and b angular (cos, sin)
-    times_g = gp(sig, sums[:, 1], pair.g.value.coeffs)  # (A_cS g, A_sS g)
-    total = sums[0, 0] + times_g[0] + gp(sig, pair.f.value.coeffs, sums[1, 0] + times_g[1])
-    return Multivector(sig, total * (geo.ds * geo.dtheta / TWO_PI))
+    return Multivector(h.signature, _direct_sums(h, pair, np.array([v]), np.array([k]))[0])
 
 
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
@@ -513,30 +572,40 @@ def check_derivative_theorems(h: LogPolarSignal, pair: RootPair, n: int) -> Deri
     The derivatives are taken spectrally on the grid, which is exact for
     band-limited input; non-band-limited input only sets the warning flag.
     """
-    if n < 0 or n > 2:
-        raise DomainError(f"derivative order must be 0..2, got {n}")
+    return _derivative_checks(h, pair, (n,))[n]
+
+
+def _derivative_checks(h: LogPolarSignal, pair: RootPair, orders) -> dict[int, DerivativeCheck]:
+    """check_derivative_theorems at each of orders, sharing one transform of h
+    and one band-limit test."""
+    for n in orders:
+        if n < 0 or n > 2:
+            raise DomainError(f"derivative order must be 0..2, got {n}")
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
     sig = h.signature
     base = cfmt_forward(h, pair)
+    band_limited = _band_limited(h)
 
-    radial = cfmt_forward(_spectral_derivative(h, 0, n), pair)
-    f_pow = _root_power(pair.f, n)
-    factor_left = (geo.v_values**n)[:, None, None] * np.broadcast_to(
-        f_pow.coeffs, base.coeffs.shape
-    )
-    expected_radial = gp(sig, factor_left, base.coeffs)
-    radial_residual = float(np.max(np.abs(radial.coeffs - expected_radial)))
+    checks = {}
+    for n in orders:
+        radial = cfmt_forward(_spectral_derivative(h, 0, n), pair)
+        f_pow = _root_power(pair.f, n)
+        factor_left = (geo.v_values**n)[:, None, None] * np.broadcast_to(
+            f_pow.coeffs, base.coeffs.shape
+        )
+        expected_radial = gp(sig, factor_left, base.coeffs)
+        radial_residual = float(np.max(np.abs(radial.coeffs - expected_radial)))
 
-    angular = cfmt_forward(_spectral_derivative(h, 1, n), pair)
-    g_pow = _root_power(pair.g, n)
-    factor_right = (geo.k_values**n)[None, :, None] * np.broadcast_to(
-        g_pow.coeffs, base.coeffs.shape
-    )
-    expected_angular = gp(sig, base.coeffs, factor_right)
-    angular_residual = float(np.max(np.abs(angular.coeffs - expected_angular)))
-
-    return DerivativeCheck(radial_residual, angular_residual, _band_limited(h))
+        angular = cfmt_forward(_spectral_derivative(h, 1, n), pair)
+        g_pow = _root_power(pair.g, n)
+        factor_right = (geo.k_values**n)[None, :, None] * np.broadcast_to(
+            g_pow.coeffs, base.coeffs.shape
+        )
+        expected_angular = gp(sig, base.coeffs, factor_right)
+        angular_residual = float(np.max(np.abs(angular.coeffs - expected_angular)))
+        checks[n] = DerivativeCheck(radial_residual, angular_residual, band_limited)
+    return checks
 
 
 _FD_WEIGHTS = {
@@ -584,20 +653,22 @@ def check_power_scaling(
     f_pow = _root_power(pair.f, m)
     g_pow = _root_power(pair.g, n)
 
+    probes = np.array([(v_units * geo.dv, k_value) for v_units, k_value in POWER_SCALING_PROBES])
+    steps = [(ov, ok, (wv / step_v**m) * (wk / step_k**n))
+             for ov, wv in _FD_WEIGHTS[m] for ok, wk in _FD_WEIGHTS[n]]
+    lhs = _direct_sums(scaled, pair, probes[:, 0], probes[:, 1])
+    points = np.array([(v_value + ov * step_v, k_value + ok * step_k)
+                       for v_value, k_value in probes.tolist() for ov, ok, _ in steps])
+    samples = _direct_sums(h, pair, points[:, 0], points[:, 1]).reshape(len(probes), len(steps), 4)
+
     worst = 0.0
-    for v_units, k_value in POWER_SCALING_PROBES:
-        v_value = v_units * geo.dv
-        lhs = cfmt_direct(scaled, pair, v_value, k_value)
+    for lhs_p, samples_p in zip(lhs, samples):
         rhs = np.zeros(4)
-        for ov, wv in _FD_WEIGHTS[m]:
-            for ok, wk in _FD_WEIGHTS[n]:
-                sample = cfmt_direct(h, pair, v_value + ov * step_v, k_value + ok * step_k)
-                rhs += (wv / step_v**m) * (wk / step_k**n) * sample.coeffs
+        for (_, _, weight), sample in zip(steps, samples_p):
+            rhs += weight * sample
         rhs_mv = f_pow * Multivector(h.signature, rhs) * g_pow
-        scale = max(
-            float(np.max(np.abs(lhs.coeffs))), float(np.max(np.abs(rhs_mv.coeffs))), 1e-30
-        )
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs_mv.coeffs))) / scale)
+        scale = max(float(np.max(np.abs(lhs_p))), float(np.max(np.abs(rhs_mv.coeffs))), 1e-30)
+        worst = max(worst, float(np.max(np.abs(lhs_p - rhs_mv.coeffs))) / scale)
     return worst
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Signature
 from .cfmt import cfmt_fast
-from .errors import DomainError, FormatError, GeometryError, ImageParseError
+from .errors import ContractError, DomainError, FormatError, GeometryError, ImageParseError
 from .roots import RootPair
 from .signal import GridGeometry, LogPolarSignal, _check_compatible
 
@@ -258,6 +258,8 @@ class Descriptor:
     def l2_distance(self, other: "Descriptor") -> float:
         if self.geometry != other.geometry:
             raise GeometryError("descriptors live on different grids")
+        if self.pair is not other.pair and self.pair != other.pair:
+            raise ContractError("cannot compare descriptors made with different root pairs")
         return float(np.sqrt(np.sum((self.magnitudes - other.magnitudes) ** 2)))
 
 

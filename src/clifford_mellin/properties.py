@@ -116,8 +116,7 @@ class Case:
 
     @cached_property
     def derivatives(self) -> dict:
-        smooth = self.signals.smooth
-        return {n: cfmt.check_derivative_theorems(smooth, self.pair, n) for n in (1, 2)}
+        return cfmt._derivative_checks(self.signals.smooth, self.pair, (1, 2))
 
 
 # -- rules: each gives the reason to skip a case, or None -------------------------------
@@ -209,12 +208,9 @@ def _split_orthogonality(case: Case) -> float:
 
 def _transform_direct_oracle(case: Case) -> float:
     geo, rng = case.geometry, case.rng
-    residual = 0.0
-    for _ in range(8):
-        i, t = int(rng.integers(geo.n_s)), int(rng.integers(geo.n_theta))
-        direct = cfmt.cfmt_direct(case.h, case.pair, float(geo.v_values[i]), float(geo.k_values[t]))
-        residual = max(residual, float(np.max(np.abs(direct.coeffs - case.spectrum.coeffs[i, t]))))
-    return residual
+    i, t = np.array([(rng.integers(geo.n_s), rng.integers(geo.n_theta)) for _ in range(8)]).T
+    direct = cfmt._direct_sums(case.h, case.pair, geo.v_values[i], geo.k_values[t])
+    return np.max(np.abs(direct - case.spectrum.coeffs[i, t]))
 
 
 def _split_transform_commutation(case: Case) -> float:

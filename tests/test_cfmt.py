@@ -6,9 +6,21 @@ from helpers import literal_direct_sum, moderate_pairs, wild_pairs
 
 from clifford_mellin import cfmt
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, gp
-from clifford_mellin.errors import ContractError, DomainError, FormatError
+from clifford_mellin.errors import (
+    ContractError,
+    DomainError,
+    FormatError,
+    SignatureMismatchError,
+)
 from clifford_mellin.properties import symmetry_pair
-from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, sample_root
+from clifford_mellin.roots import (
+    RootPair,
+    default_pair,
+    make_pair,
+    random_roots,
+    sample_root,
+    validate_root,
+)
 from clifford_mellin.signal import (
     GridGeometry,
     LogPolarSignal,
@@ -140,22 +152,50 @@ def test_uncommon_grids_agree_with_oracle(sig, grid):
     assert np.max(np.abs(back.samples - h.samples)) <= 1e-10 * np.max(np.abs(h.samples))
 
 
-@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)])
-@pytest.mark.parametrize("sig", SIGNATURES)
-def test_direct_matches_literal_grid_sum(sig, grid):
-    # the separable evaluation against the two-gp sum over every sample
+def direct_sum_cases(sig, grid):
+    """A signal on the grid, 15 real frequency points (three off the grid),
+    and the pairs the literal-sum tests use."""
     geo = GridGeometry(*grid)
-    h = random_signal(geo, sig, seed=13)
     rng = np.random.default_rng(14)
     wild = wild_pairs(sig, 2, seed=15)
     points = [(0.37 * geo.dv, -2.5), (-1.9 * geo.dv, 0.25), (3.3, 7.75)]
     for _ in range(12):
         i, t = int(rng.integers(geo.n_s)), int(rng.integers(geo.n_theta))
         points.append((float(geo.v_values[i]), float(geo.k_values[t])))
-    for pair in [default_pair(sig), *wild, RootPair(wild[0].f, -wild[0].f)]:
+    pairs = [default_pair(sig), *wild, RootPair(wild[0].f, -wild[0].f)]
+    return random_signal(geo, sig, seed=13), points, pairs
+
+
+@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)])
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_direct_matches_literal_grid_sum(sig, grid):
+    # the separable evaluation against the two-gp sum over every sample
+    h, points, pairs = direct_sum_cases(sig, grid)
+    for pair in pairs:
         want = np.array([literal_direct_sum(h, pair, v, k) for v, k in points])
         got = np.array([cfmt.cfmt_direct(h, pair, v, k).coeffs for v, k in points])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_batched_direct_sums_equal_one_point_calls(sig):
+    # one batched call is bit-identical to stacked one-point calls, for one
+    # point and for all fifteen
+    for grid in UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)]:
+        h, points, pairs = direct_sum_cases(sig, grid)
+        v, k = np.array(points).T
+        for pair in pairs:
+            for count in (1, len(points)):
+                want = [cfmt.cfmt_direct(h, pair, a, b).coeffs for a, b in points[:count]]
+                got = cfmt._direct_sums(h, pair, v[:count], k[:count])
+                assert got.shape == (count, 4)
+                assert np.array_equal(got, np.array(want))
+
+
+def test_direct_sums_refuse_a_signal_from_another_algebra():
+    h = random_signal(default_geometry(8), CL20, seed=1)
+    with pytest.raises(SignatureMismatchError):
+        cfmt._direct_sums(h, default_pair(CL02), np.zeros(3), np.zeros(3))
 
 
 def test_routes_leave_inputs_untouched():
@@ -200,6 +240,56 @@ def test_map_rolls_swapped_axes_by_half_a_period():
         assert np.allclose(cfmt._map(src, rows, swap), expected, rtol=0, atol=1e-14)
         assert np.allclose(cfmt._map(src.view(complex), rows[0], swap),
                            np.roll(src, shift, axis=(0, 1)) @ rows[0].T, rtol=0, atol=1e-14)
+
+
+def test_equal_pairs_share_one_plan():
+    coeffs = [root.value.coeffs.tolist() for root in random_roots(CL11, 2, seed=20)]
+    first, second = (make_pair(*(Multivector(CL11, c) for c in coeffs)) for _ in range(2))
+    assert first == second and first is not second
+    before = cfmt._cached_plan.cache_info()
+    plan = cfmt._plan(first)
+    assert cfmt._plan(second) is plan
+    after = cfmt._cached_plan.cache_info()
+    assert after.hits - before.hits >= 1
+    assert after.currsize - before.currsize <= 1
+
+
+def test_plans_key_on_exact_coefficients():
+    # a root one ulp away, or one whose zeros carry the other sign, is a
+    # pair of its own, and it gets the plan and the outputs of a fresh build
+    h = random_signal(default_geometry(16), CL20, seed=2)
+    base = RootPair(*random_roots(CL20, 2, seed=3))
+    nudged = base.g.value.coeffs.copy()
+    nudged[1] = np.nextafter(nudged[1], np.inf)
+    e12 = Multivector.blade(CL20, 3)
+    cases = [
+        (base, RootPair(base.f, validate_root(Multivector(CL20, nudged)))),
+        (default_pair(CL20), make_pair(e12, -e12)),  # -e12 has -0.0 coefficients
+    ]
+    for pair, other in cases:
+        assert cfmt._plan(pair) is not cfmt._plan(other)
+        spectra = [route(h, other).coeffs for route in (cfmt.cfmt_forward, cfmt.cfmt_fast)]
+        key = (other.signature, other.f.value.coeffs.tobytes(), other.g.value.coeffs.tobytes())
+        fresh = cfmt._cached_plan.__wrapped__(*key)
+        for name in vars(fresh):
+            assert getattr(cfmt._plan(other), name).tobytes() == getattr(fresh, name).tobytes()
+        cfmt._cached_plan.cache_clear()
+        for route, spectrum in zip((cfmt.cfmt_forward, cfmt.cfmt_fast), spectra):
+            assert route(h, other).coeffs.tobytes() == spectrum.tobytes()
+
+
+def test_plans_are_read_only():
+    geo = default_geometry(16)
+    plan = cfmt._plan(RootPair(*random_roots(CL02, 2, seed=4)))
+    for name, matrix in vars(plan).items():
+        assert matrix.shape == (4, 4) and not matrix.flags.writeable, name
+    assert not cfmt._radial_rotations(geo, True, 1.0, (1.0, 1.0)).flags.writeable
+
+
+def test_plan_cache_is_bounded():
+    for f in random_roots(CL20, cfmt.PLAN_CACHE_SIZE + 1, seed=5):
+        cfmt._plan(RootPair(f, -f))
+    assert cfmt._cached_plan.cache_info().currsize == cfmt.PLAN_CACHE_SIZE
 
 
 def test_round_trip_error_follows_pair_size():

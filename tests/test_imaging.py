@@ -5,7 +5,7 @@ import pytest
 from imagegen import blob_image, disk_image, warp_similarity
 
 from clifford_mellin import cfmt
-from clifford_mellin.algebra import CL02, CL20
+from clifford_mellin.algebra import CL02, CL20, Multivector
 from clifford_mellin.errors import (
     ContractError,
     DomainError,
@@ -25,7 +25,7 @@ from clifford_mellin.imaging import (
     write_pgm,
     write_ppm,
 )
-from clifford_mellin.roots import default_pair
+from clifford_mellin.roots import default_pair, make_pair
 from clifford_mellin.signal import GridGeometry, default_geometry, random_signal
 from helpers import (
     channelwise_correlation,
@@ -245,6 +245,19 @@ def test_descriptor_discriminates_shapes():
     close = d_shape.l2_distance(d_rot)
     far = d_shape.l2_distance(d_other)
     assert far > 10.0 * close
+
+
+def test_descriptor_distance_refuses_mixed_pairs():
+    # both pairs are blade-like, and their descriptors of one signal differ
+    h = random_signal(default_geometry(16), CL02, seed=4)
+    e1, e12 = (Multivector.blade(CL02, i) for i in (1, 3))
+    other = descriptor(h, make_pair(e12, e1))
+    mine = descriptor(h, default_pair(CL02))
+    assert not np.array_equal(mine.magnitudes, other.magnitudes)
+    with pytest.raises(ContractError, match="different root pairs"):
+        mine.l2_distance(other)
+    # an equal pair built separately is the same pair
+    assert mine.l2_distance(descriptor(h, default_pair(CL02))) == 0.0
 
 
 # -- registration ------------------------------------------------------------------------
