@@ -1,16 +1,18 @@
 """Arithmetic for the three 4-dimensional real Clifford algebras Cl(p,q), p+q=2.
 
 Elements carry four real coefficients over the blade basis (1, e1, e2, e12).
-The geometric product is generated from a per-signature structure-constant
-table; every involution reduces to a per-blade sign flip.  All values are
-immutable and every operation is a pure function, so the module is safe to
-use from any number of threads.
+An algebra is fixed by the squares (e1^2, e2^2), and the product is written
+out once, in _product, for any pair of squares: gp is _product at the
+signature's squares, the outer product is _product at squares (0, 0), and the
+left and right multiplication matrices are gp on the identity.  Every
+involution reduces to a per-blade sign flip, and a^-1 = conj(a) / (a conj(a))
+with a conj(a) a scalar.  All values are immutable and every operation is a
+pure function, so the module is safe to use from any number of threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +24,8 @@ BLADE_GRADES = (0, 1, 1, 2)
 
 _GRADE_INDICES = {0: (0,), 1: (1, 2), 2: (3,)}
 
-# inverse() declares an element singular when |det| <= this times modulus^4
+# inverse() declares an element singular when det L_a = (a conj(a))^2 is at
+# most this times modulus^4
 INVERSE_DET_RTOL = 1e-12
 
 
@@ -65,49 +68,10 @@ CL02 = Signature(0, 2)
 SIGNATURES = (CL20, CL11, CL02)
 
 
-def _blade_mul(a_bits: int, b_bits: int, eps: tuple[int, int]) -> tuple[int, int]:
-    """Multiply basis blades given as bitmasks (bit0 = e1, bit1 = e2).
-
-    Each generator of b moves left past the generators of a with a higher
-    index (one sign flip per transposition); repeated generators contract
-    to their square.  Returns (result bitmask, sign).
-    """
-    sign = 1
-    for k in (0, 1):
-        if b_bits & (1 << k):
-            above = a_bits & ~((1 << (k + 1)) - 1)
-            if bin(above).count("1") & 1:
-                sign = -sign
-            if a_bits & (1 << k):
-                sign *= eps[k]
-    return a_bits ^ b_bits, sign
-
-
-@lru_cache(maxsize=None)
-def structure_table(sig: Signature) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """4x4 table of (target blade index, sign) for the geometric product."""
-    eps = sig.squares
-    return tuple(
-        tuple(_blade_mul(i, j, eps) for j in range(4)) for i in range(4)
-    )
-
-
-@lru_cache(maxsize=None)
-def product_tensor(sig: Signature) -> np.ndarray:
-    """Dense (4,4,4) tensor C with (a b)_k = sum_ij a_i b_j C[i,j,k]."""
-    table = structure_table(sig)
-    tensor = np.zeros((4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            target, sign = table[i][j]
-            tensor[i, j, target] = sign
-    tensor.flags.writeable = False
-    return tensor
-
-
-def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric product on (...,4) coefficient arrays, broadcasting."""
-    e1, e2 = sig.squares
+def _product(squares: tuple[int, int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (...,4) coefficient arrays, broadcasting, for generators
+    with e1^2, e2^2 = squares (and e1 e2 = -e2 e1)."""
+    e1, e2 = squares
     a0, a1, a2, a3 = (a[..., i] for i in range(4))
     b0, b1, b2, b3 = (b[..., i] for i in range(4))
     return np.stack(
@@ -119,6 +83,11 @@ def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric product on (...,4) coefficient arrays, broadcasting."""
+    return _product(sig.squares, a, b)
 
 
 def reverse_signs(sig: Signature) -> np.ndarray:
@@ -144,13 +113,13 @@ def scalar_product_array(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def left_matrix(sig: Signature, a: np.ndarray) -> np.ndarray:
-    """Matrix L with L @ x = coefficients of a * x."""
-    return np.einsum("i,ijk->kj", a, product_tensor(sig))
+    """Matrix L with L @ x = coefficients of a * x: column j is a * e_j."""
+    return gp(sig, a, np.eye(4)).T
 
 
 def right_matrix(sig: Signature, a: np.ndarray) -> np.ndarray:
-    """Matrix R with R @ x = coefficients of x * a."""
-    return np.einsum("j,ijk->ki", a, product_tensor(sig))
+    """Matrix R with R @ x = coefficients of x * a: column j is e_j * a."""
+    return gp(sig, np.eye(4), a).T
 
 
 def _coerce_coeffs(values: Iterable[float]) -> np.ndarray:
@@ -289,26 +258,10 @@ def scalar_product(a: Multivector, b: Multivector) -> float:
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    """Grade-raising part of the product, extended bilinearly over grades."""
+    """Grade-raising part of the product, extended bilinearly over grades:
+    the product with both squares set to zero."""
     a._check_same(b)
-    sig = a.signature
-    out = np.zeros(4)
-    for k, ki in _GRADE_INDICES.items():
-        ak = np.zeros(4)
-        ak[list(ki)] = a.coeffs[list(ki)]
-        if not ak.any():
-            continue
-        for s, si in _GRADE_INDICES.items():
-            if k + s > 2:
-                continue
-            bs = np.zeros(4)
-            bs[list(si)] = b.coeffs[list(si)]
-            if not bs.any():
-                continue
-            prod = gp(sig, ak, bs)
-            target = list(_GRADE_INDICES[k + s])
-            out[target] += prod[target]
-    return Multivector(sig, out)
+    return Multivector(a.signature, _product((0, 0), a.coeffs, b.coeffs))
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -323,37 +276,19 @@ def modulus(a: Multivector) -> float:
     return a.modulus()
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _adjugate4(m: np.ndarray) -> np.ndarray:
-    """Closed-form adjugate so that m @ adj = det(m) * I."""
-    adj = np.empty((4, 4))
-    rows = np.arange(4)
-    for i in range(4):
-        for j in range(4):
-            minor = m[np.ix_(rows != j, rows != i)]
-            adj[i, j] = (-1) ** (i + j) * _det3(minor)
-    return adj
-
-
 def inverse(a: Multivector) -> Multivector:
-    """Inverse via the adjugate of the left-regular representation.
+    """a^-1 = conj(a) / (a conj(a)), with conj the Clifford conjugate
+    (1, -e1, -e2, -e12) and a conj(a) a scalar in all three algebras.
 
-    The determinant threshold INVERSE_DET_RTOL * modulus^4 keeps the
-    singularity decision deterministic; zero divisors exist in all three
-    algebras.
+    det L_a = (a conj(a))^2, so the threshold
+    (a conj(a))^2 <= INVERSE_DET_RTOL * modulus^4 is the determinant rule of
+    the left-regular representation; it keeps the singularity decision
+    deterministic, as zero divisors exist in all three algebras.
     """
     sig = a.signature
-    left = left_matrix(sig, a.coeffs)
-    adj = _adjugate4(left)
-    det = float(left[0] @ adj[:, 0])
+    conj = a.coeffs * np.array([1.0, -1.0, -1.0, -1.0])
+    norm = float(scalar_product_array(sig, a.coeffs, conj))
     scale = a.modulus() ** 4
-    if abs(det) <= INVERSE_DET_RTOL * scale or scale == 0.0:
-        raise SingularElementError(f"{a!r} is not invertible (det {det:.3e})")
-    return Multivector(sig, adj[:, 0] / det)
+    if norm * norm <= INVERSE_DET_RTOL * scale or scale == 0.0:
+        raise SingularElementError(f"{a!r} is not invertible (a conj(a) = {norm:.3e})")
+    return Multivector(sig, conj / norm)

@@ -150,9 +150,6 @@ class Spectrum:
         self._check_mixable(other)
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "Spectrum":
-        return Spectrum(self.geometry, self.pair, coeffs)
-
 
 # -- shared FFT core ----------------------------------------------------------------
 
@@ -336,6 +333,11 @@ def _kernel_sandwich(sig: Signature, left: np.ndarray, arr: np.ndarray,
     return gp(sig, gp(sig, left[:, None, :], arr), right[None, :, :])
 
 
+# bins x (n_s + n_theta) of one _direct_sums call in direct_spectrum, which
+# bounds the call's intermediates (about 30 MB at this size)
+DIRECT_CHUNK = 2**19
+
+
 def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The literal double sum at the P real frequency points (v[p], k[p]), as
     a (P, 4) array, in the terms of cfmt_direct.  One (2P, n_s) @ samples
@@ -374,16 +376,20 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Full spectrum by the literal sum at every grid frequency.
 
-    Each bin is evaluated independently by cfmt_direct, so the cost is
-    quadratic in the total sample count; this is the oracle the FFT routes
-    are checked against.
+    Each bin is the sum cfmt_direct evaluates, taken through _direct_sums over
+    whole radial rows at a time, so the cost is quadratic in the total sample
+    count; this is the oracle the FFT routes are checked against.  A call
+    takes as many rows as keep bins x (n_s + n_theta) within DIRECT_CHUNK,
+    so a 64x64 grid is one call.
     """
     geo = h.geometry
-    coeffs = np.empty((geo.n_s, geo.n_theta, 4))
-    for i, v in enumerate(geo.v_values):
-        for t, k in enumerate(geo.k_values):
-            coeffs[i, t] = cfmt_direct(h, pair, float(v), float(k)).coeffs
-    return Spectrum(geo, pair, coeffs)
+    rows = max(1, DIRECT_CHUNK // (geo.n_theta * (geo.n_s + geo.n_theta)))
+    v, k = np.meshgrid(geo.v_values, geo.k_values, indexing="ij")
+    coeffs = np.concatenate([
+        _direct_sums(h, pair, v[i:i + rows].ravel(), k[i:i + rows].ravel())
+        for i in range(0, geo.n_s, rows)
+    ])
+    return Spectrum(geo, pair, coeffs.reshape(geo.n_s, geo.n_theta, 4))
 
 
 # -- operator actions on signals and spectra ------------------------------------------
@@ -417,24 +423,17 @@ def check_linearity(
     for value in (alpha_right, beta_right):
         _span_coefficients(value, pair.g)
 
-    mixed = h1.with_samples(
-        gp(h1.signature, np.broadcast_to(alpha.coeffs, h1.samples.shape), h1.samples)
-        + gp(h1.signature, np.broadcast_to(beta.coeffs, h2.samples.shape), h2.samples)
-    )
+    sig = h1.signature
+    mixed = h1.with_samples(gp(sig, alpha.coeffs, h1.samples) + gp(sig, beta.coeffs, h2.samples))
     s1 = cfmt_forward(h1, pair)
     s2 = cfmt_forward(h2, pair)
-    left_expected = gp(
-        s1.signature, np.broadcast_to(alpha.coeffs, s1.coeffs.shape), s1.coeffs
-    ) + gp(s2.signature, np.broadcast_to(beta.coeffs, s2.coeffs.shape), s2.coeffs)
+    left_expected = gp(sig, alpha.coeffs, s1.coeffs) + gp(sig, beta.coeffs, s2.coeffs)
     left_residual = float(np.max(np.abs(cfmt_forward(mixed, pair).coeffs - left_expected)))
 
     mixed_r = h1.with_samples(
-        gp(h1.signature, h1.samples, np.broadcast_to(alpha_right.coeffs, h1.samples.shape))
-        + gp(h2.signature, h2.samples, np.broadcast_to(beta_right.coeffs, h2.samples.shape))
+        gp(sig, h1.samples, alpha_right.coeffs) + gp(sig, h2.samples, beta_right.coeffs)
     )
-    right_expected = gp(
-        s1.signature, s1.coeffs, np.broadcast_to(alpha_right.coeffs, s1.coeffs.shape)
-    ) + gp(s2.signature, s2.coeffs, np.broadcast_to(beta_right.coeffs, s2.coeffs.shape))
+    right_expected = gp(sig, s1.coeffs, alpha_right.coeffs) + gp(sig, s2.coeffs, beta_right.coeffs)
     right_residual = float(np.max(np.abs(cfmt_forward(mixed_r, pair).coeffs - right_expected)))
     return left_residual, right_residual
 
@@ -459,7 +458,7 @@ def predicted_shift_spectrum(spectrum: Spectrum, a_steps: int, phi_steps: int) -
     sig = spectrum.signature
     s_a = a_steps * geo.ds
     phi = phi_steps * geo.dtheta
-    return spectrum.with_coeffs(_kernel_sandwich(
+    return Spectrum(geo, pair, _kernel_sandwich(
         sig, _kernel_values(pair.f, geo.v_values * s_a), spectrum.coeffs,
         _kernel_values(pair.g, geo.k_values * phi)))
 
@@ -591,17 +590,13 @@ def _derivative_checks(h: LogPolarSignal, pair: RootPair, orders) -> dict[int, D
     for n in orders:
         radial = cfmt_forward(_spectral_derivative(h, 0, n), pair)
         f_pow = _root_power(pair.f, n)
-        factor_left = (geo.v_values**n)[:, None, None] * np.broadcast_to(
-            f_pow.coeffs, base.coeffs.shape
-        )
+        factor_left = (geo.v_values**n)[:, None, None] * f_pow.coeffs
         expected_radial = gp(sig, factor_left, base.coeffs)
         radial_residual = float(np.max(np.abs(radial.coeffs - expected_radial)))
 
         angular = cfmt_forward(_spectral_derivative(h, 1, n), pair)
         g_pow = _root_power(pair.g, n)
-        factor_right = (geo.k_values**n)[None, :, None] * np.broadcast_to(
-            g_pow.coeffs, base.coeffs.shape
-        )
+        factor_right = (geo.k_values**n)[None, :, None] * g_pow.coeffs
         expected_angular = gp(sig, base.coeffs, factor_right)
         angular_residual = float(np.max(np.abs(angular.coeffs - expected_angular)))
         checks[n] = DerivativeCheck(radial_residual, angular_residual, band_limited)

@@ -172,13 +172,6 @@ class ImageSignalSource:
         ):
             raise DomainError(f"mapping {self.mapping} must be distinct blade indices 0..3")
 
-    def multivector_field(self) -> np.ndarray:
-        """(h, w, 4) blade coefficients of the image."""
-        field = np.zeros((self.image.height, self.image.width, 4))
-        for channel, blade in enumerate(self.mapping):
-            field[..., blade] = self.image.pixels[..., channel]
-        return field
-
 
 def ingest(path, sig: Signature, mapping: tuple[int, ...] | None = None) -> ImageSignalSource:
     """Load an image and fix its channel-to-blade rule.

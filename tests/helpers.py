@@ -1,4 +1,5 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and independent reference implementations for the
+test suite."""
 
 import numpy as np
 
@@ -36,6 +37,34 @@ def wild_pairs(sig, n, seed):
     """Pairs drawn from the full documented sampling windows."""
     roots = random_roots(sig, 2 * n, seed=seed)
     return [RootPair(roots[2 * i], roots[2 * i + 1]) for i in range(n)]
+
+
+def blade_product(a_bits, b_bits, squares):
+    """Product of two basis blades given as bitmasks (bit0 = e1, bit1 = e2):
+    each generator of b moves left past the generators of a with a higher
+    index (one sign flip per transposition), and a repeated generator
+    contracts to its square.  Returns (result bitmask, sign)."""
+    sign = 1
+    for k in (0, 1):
+        if b_bits & (1 << k):
+            above = a_bits & ~((1 << (k + 1)) - 1)
+            if bin(above).count("1") & 1:
+                sign = -sign
+            if a_bits & (1 << k):
+                sign *= squares[k]
+    return a_bits ^ b_bits, sign
+
+
+def product_tensor(sig):
+    """Dense (4, 4, 4) tensor C with (a b)_k = sum_ij a_i b_j C[i, j, k], built
+    from blade_product alone: the multiplication-table oracle for gp.  Blade
+    index i is bitmask i, so (1, e1, e2, e12) are 0b00, 0b01, 0b10, 0b11."""
+    tensor = np.zeros((4, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            target, sign = blade_product(i, j, sig.squares)
+            tensor[i, j, target] = sign
+    return tensor
 
 
 def random_multivectors(sig, n, seed, scale=1.0):
@@ -99,10 +128,20 @@ def correlation_register(corr, geo, min_confidence=1.05):
     return steps, bool(confidence >= min_confidence), float(confidence)
 
 
+def multivector_field(source):
+    """(h, w, 4) blade coefficients of an ImageSignalSource's image, each
+    channel written into its mapped blade and the rest zero."""
+    image = source.image
+    field = np.zeros((image.height, image.width, 4))
+    for channel, blade in enumerate(source.mapping):
+        field[..., blade] = image.pixels[..., channel]
+    return field
+
+
 def field_log_polar_samples(source, geometry, center):
     """Log-polar samples read from the zero-padded four-channel field of the
     image, corner by corner with np.where: the reference for to_log_polar."""
-    field = source.multivector_field()
+    field = multivector_field(source)
     h, w = field.shape[:2]
     cx, cy = center
     radii = np.exp(geometry.s_values)[:, None]

@@ -28,6 +28,7 @@ from clifford_mellin.errors import (
     SignatureMismatchError,
     SingularElementError,
 )
+from helpers import product_tensor
 
 coeff = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 coeffs4 = st.tuples(coeff, coeff, coeff, coeff)
@@ -70,11 +71,11 @@ def test_structure_examples():
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_gp_matches_structure_table(sig):
-    # the unrolled product must agree with the table-driven contraction
+    # the written-out product must agree with the bitmask multiplication table
     rng = np.random.default_rng(3)
     a = rng.uniform(-2, 2, size=(50, 4))
     b = rng.uniform(-2, 2, size=(50, 4))
-    via_table = np.einsum("ni,nj,ijk->nk", a, b, algebra.product_tensor(sig))
+    via_table = np.einsum("ni,nj,ijk->nk", a, b, product_tensor(sig))
     assert np.allclose(algebra.gp(sig, a, b), via_table, atol=1e-12)
 
 
@@ -156,6 +157,16 @@ def test_outer_product_antisymmetric_on_vectors(sig):
         va, vb = a.grade(1), b.grade(1)
         half_comm = 0.5 * (va * vb - vb * va)
         assert outer_product(va, vb).allclose(half_comm, tol=1e-12)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_outer_product_matches_disjoint_blade_table(sig):
+    # grade-raising products are those of blades with no common generator
+    disjoint = np.array([[(i & j) == 0 for j in range(4)] for i in range(4)])
+    tensor = product_tensor(sig) * disjoint[:, :, None]
+    for a, b in zip(random_mvs(sig, 50, seed=9), random_mvs(sig, 50, seed=10)):
+        expected = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, tensor)
+        assert np.allclose(outer_product(a, b).coeffs, expected, atol=1e-15)
 
 
 # -- involutions ------------------------------------------------------------------
@@ -289,6 +300,34 @@ def test_inverse_matches_conjugation_formula(sig):
         assert inverse(a).allclose(conj / norm, tol=1e-10)
 
 
+@pytest.mark.parametrize("sig", (CL20, CL11))
+def test_inverse_near_zero_divisor_cone(sig):
+    # with |a conj(a)| down to 1e-5 |a|^2 the residual grows like the
+    # conditioning |a|^2 / |a conj(a)|, and stays within 4 eps of it
+    rng = np.random.default_rng(47)
+    one = np.array([1.0, 0.0, 0.0, 0.0])
+    e1, e2 = sig.squares
+    count = 0
+    while count < 300:
+        rest = rng.uniform(-1, 1, size=3)
+        # a0^2 - q is a conj(a), so a0 = sqrt(q + t) puts it at about t
+        q = e1 * rest[0] ** 2 + e2 * rest[1] ** 2 - e1 * e2 * rest[2] ** 2
+        t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5, -2) * (q + np.sum(rest**2))
+        if q + t <= 0.0:
+            continue
+        c = np.concatenate(([np.sqrt(q + t)], rest)) * 10.0 ** rng.uniform(-2, 2)
+        sq_mod = float(np.dot(c, c))
+        norm = abs(_clifford_norm(sig, c))
+        if not 1e-5 * sq_mod <= norm <= 1e-2 * sq_mod:
+            continue
+        count += 1
+        a = Multivector(sig, c)
+        inv = inverse(a).coeffs
+        bound = 4.0 * np.finfo(float).eps * sq_mod / norm
+        assert np.linalg.norm(algebra.gp(sig, c, inv) - one) <= bound
+        assert np.linalg.norm(algebra.gp(sig, inv, c) - one) <= bound
+
+
 # -- construction guards ------------------------------------------------------------
 
 
@@ -300,11 +339,16 @@ def test_nonfinite_coefficients_rejected():
 
 
 def test_left_right_matrices():
+    # each entry is +-a_i or zero, so the matrices equal the table's exactly
     rng = np.random.default_rng(51)
     for sig in SIGNATURES:
-        a, x = rng.uniform(-1, 1, size=(2, 4))
-        assert np.allclose(algebra.left_matrix(sig, a) @ x, algebra.gp(sig, a, x))
-        assert np.allclose(algebra.right_matrix(sig, a) @ x, algebra.gp(sig, x, a))
+        tensor = product_tensor(sig)
+        for a, x in rng.uniform(-1, 1, size=(20, 2, 4)):
+            left, right = algebra.left_matrix(sig, a), algebra.right_matrix(sig, a)
+            assert np.array_equal(left, np.einsum("i,ijk->kj", a, tensor))
+            assert np.array_equal(right, np.einsum("j,ijk->ki", a, tensor))
+            assert np.allclose(left @ x, algebra.gp(sig, a, x))
+            assert np.allclose(right @ x, algebra.gp(sig, x, a))
 
 
 @settings(max_examples=50)

@@ -31,6 +31,7 @@ from helpers import (
     channelwise_correlation,
     correlation_register,
     field_log_polar_samples,
+    multivector_field,
     wild_pairs,
 )
 
@@ -102,7 +103,7 @@ def test_ingest_gray_maps_to_scalar(tmp_path):
     path = tmp_path / "gray.pgm"
     write_pgm(path, np.full((8, 8), 128 / 255))
     source = ingest(path, CL02)
-    field = source.multivector_field()
+    field = multivector_field(source)
     assert field[0, 0, 0] == pytest.approx(128 / 255)
     assert np.max(np.abs(field[..., 1:])) == 0.0
 
@@ -113,7 +114,7 @@ def test_ingest_rgb_maps_to_vector_blades(tmp_path):
     rgb[..., 0] = 1.0  # pure red
     write_ppm(path, rgb)
     source = ingest(path, CL02)
-    field = source.multivector_field()
+    field = multivector_field(source)
     assert np.all(field[..., 1] == 1.0)
     assert np.max(np.abs(field[..., [0, 2, 3]])) == 0.0
 
@@ -122,7 +123,7 @@ def test_ingest_mapping_override(tmp_path):
     path = tmp_path / "gray.pgm"
     write_pgm(path, np.full((8, 8), 1.0))
     source = ingest(path, CL20, mapping=(3,))
-    assert np.all(source.multivector_field()[..., 3] == 1.0)
+    assert np.all(multivector_field(source)[..., 3] == 1.0)
     with pytest.raises(DomainError):
         ingest(path, CL20, mapping=(1, 2))
 
