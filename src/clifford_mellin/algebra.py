@@ -4,7 +4,9 @@ Elements carry four real coefficients over the blade basis (1, e1, e2, e12).
 An algebra is fixed by the squares (e1^2, e2^2), and the product is written
 out once, in _product, for any pair of squares: gp is _product at the
 signature's squares, the outer product is _product at squares (0, 0), and the
-left and right multiplication matrices are gp on the identity.  Every
+left and right multiplication matrices are gp on the identity.  The one
+formula is evaluated on Python floats for a Multivector (its product and
+outer product) and on array views for gp, with bit-identical results.  Every
 involution reduces to a per-blade sign flip, and a^-1 = conj(a) / (a conj(a))
 with a conj(a) a scalar.  All values are immutable and every operation is a
 pure function, so the module is safe to use from any number of threads.
@@ -68,26 +70,30 @@ CL02 = Signature(0, 2)
 SIGNATURES = (CL20, CL11, CL02)
 
 
-def _product(squares: tuple[int, int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (...,4) coefficient arrays, broadcasting, for generators
-    with e1^2, e2^2 = squares (and e1 e2 = -e2 e1)."""
+def _product(squares: tuple[int, int], a, b) -> tuple:
+    """Components of the product of a = (a0, a1, a2, a3) and b = (b0, ..., b3)
+    for generators with e1^2, e2^2 = squares (and e1 e2 = -e2 e1).
+
+    The components are Python floats or broadcasting arrays.  Both carriers
+    run the same multiplications and additions in the same order, each
+    rounded to double with no fused multiply-add, so their results are
+    bit-identical; a float-only rewrite of a term would break that.
+    """
     e1, e2 = squares
-    a0, a1, a2, a3 = (a[..., i] for i in range(4))
-    b0, b1, b2, b3 = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            a0 * b0 + e1 * a1 * b1 + e2 * a2 * b2 - e1 * e2 * a3 * b3,
-            a0 * b1 + a1 * b0 - e2 * a2 * b3 + e2 * a3 * b2,
-            a0 * b2 + a2 * b0 + e1 * a1 * b3 - e1 * a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-        ],
-        axis=-1,
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + e1 * a1 * b1 + e2 * a2 * b2 - e1 * e2 * a3 * b3,
+        a0 * b1 + a1 * b0 - e2 * a2 * b3 + e2 * a3 * b2,
+        a0 * b2 + a2 * b0 + e1 * a1 * b3 - e1 * a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
     )
 
 
 def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product on (...,4) coefficient arrays, broadcasting."""
-    return _product(sig.squares, a, b)
+    parts = _product(sig.squares, [a[..., i] for i in range(4)], [b[..., i] for i in range(4)])
+    return np.stack(parts, axis=-1)
 
 
 def reverse_signs(sig: Signature) -> np.ndarray:
@@ -126,7 +132,7 @@ def _coerce_coeffs(values: Iterable[float]) -> np.ndarray:
     arr = np.array(values, dtype=float).reshape(-1)
     if arr.shape != (4,):
         raise DomainError(f"expected 4 blade coefficients, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("coefficients must be finite")
     arr.flags.writeable = False
     return arr
@@ -176,7 +182,8 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_same(other)
-            return Multivector(self.signature, gp(self.signature, self.coeffs, other.coeffs))
+            return Multivector(self.signature, _product(
+                self.signature.squares, self.coeffs.tolist(), other.coeffs.tolist()))
         if isinstance(other, (int, float)):
             return Multivector(self.signature, self.coeffs * float(other))
         return NotImplemented
@@ -261,7 +268,7 @@ def outer_product(a: Multivector, b: Multivector) -> Multivector:
     """Grade-raising part of the product, extended bilinearly over grades:
     the product with both squares set to zero."""
     a._check_same(b)
-    return Multivector(a.signature, _product((0, 0), a.coeffs, b.coeffs))
+    return Multivector(a.signature, _product((0, 0), a.coeffs.tolist(), b.coeffs.tolist()))
 
 
 def reverse(a: Multivector) -> Multivector:

@@ -169,6 +169,24 @@ def test_outer_product_matches_disjoint_blade_table(sig):
         assert np.allclose(outer_product(a, b).coeffs, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_float_and_array_carriers_agree_bit_for_bit(sig):
+    # Multivector products run the product formula on Python floats, gp on
+    # array views; both must round identically, signed zeros included
+    rng = np.random.default_rng(29)
+    shape = (2, 2000, 4)
+    a, b = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    a[rng.random(a.shape) < 0.1] *= 0.0
+    b[rng.random(b.shape) < 0.1] *= 0.0
+    products = algebra.gp(sig, a, b)
+    outers = np.stack(algebra._product((0, 0), a.T, b.T), axis=-1)
+    assert np.signbit(outers[outers == 0.0]).any()
+    for i in range(len(a)):
+        x, y = Multivector(sig, a[i]), Multivector(sig, b[i])
+        assert (x * y).coeffs.tobytes() == products[i].tobytes()
+        assert outer_product(x, y).coeffs.tobytes() == outers[i].tobytes()
+
+
 # -- involutions ------------------------------------------------------------------
 
 

@@ -553,3 +553,28 @@ def test_readme_examples_parse():
         if getattr(args, "inputs", [""])[0].endswith(".clms"):
             assert all(getattr(args, name) is None for name in cli._IMAGE_ONLY), line
     assert commands == set(ECHO_KEYS)
+
+
+def test_the_reused_parser_runs_the_current_handler_and_echoes_each_call(capsys, monkeypatch,
+                                                                        signal_file):
+    # main() keeps one parser per process: a handler replaced after the first
+    # call still runs, and no call sees flags or errors left by an earlier one
+    cli._parser.cache_clear()
+    usage = ["invert", "a.clmf", "--ns", "8"]
+    assert cli.main(usage) == 1
+    first_error = capsys.readouterr().err
+    code, out = run(capsys, "transform", str(signal_file))
+    assert code == 0
+    first_config = json.loads(out)["config"]
+
+    assert run(capsys, "verify", "--ns", "8", "--ntheta", "8", "--tol", "1")[0] == 0
+    code, out = run(capsys, "transform", str(signal_file))
+    assert code == 0
+    assert json.loads(out)["config"] == first_config
+    assert cli.main(usage) == 1
+    assert capsys.readouterr().err == first_error
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_invert", lambda args: seen.append(args.inputs) or 0)
+    assert cli.main(["invert", "spy.clmf"]) == 0
+    assert seen == [["spy.clmf"]]
