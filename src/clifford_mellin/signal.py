@@ -117,7 +117,7 @@ def _grid_array(geometry: GridGeometry, values, what: str) -> np.ndarray:
     expected = (geometry.n_s, geometry.n_theta, 4)
     if arr.shape != expected:
         raise GeometryError(f"{what} shape {arr.shape} does not match grid {expected}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr

@@ -1,10 +1,13 @@
 """Image parsing, log-polar resampling, descriptors, and registration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from imagegen import blob_image, disk_image, warp_similarity
 
-from clifford_mellin import cfmt
+from clifford_mellin import cfmt, imaging
 from clifford_mellin.algebra import CL02, CL20, Multivector
 from clifford_mellin.errors import (
     ContractError,
@@ -181,19 +184,46 @@ def test_resampling_guards():
 
 
 def test_log_polar_matches_four_channel_field_resampling():
-    # only the image's channels are sampled; the result must be bit-identical
+    # only the image's channels are sampled, through cached sampling plans; two
+    # rounds over more (geometry, center, size) keys than the cache holds must
+    # stay bit-identical to the four-channel reference
     rng = np.random.default_rng(40)
     gray = blob_image(64, seed=41)
     rgb = np.stack([blob_image(64, seed=s) for s in (42, 43, 44)], axis=-1)
-    geo = GridGeometry(24, 20, -1.0, np.log(20.0))
-    cases = [(gray, (0,)), (gray, (2,)), (rgb, (1, 2, 3)), (rgb, (0, 2, 1))]
-    for pixels, mapping in cases:
-        source = ImageSignalSource(RasterImage(pixels), CL20, mapping)
-        # the centroid, and a center whose outer rings leave the raster
-        for center in (None, (3.0, 5.5), tuple(rng.uniform(20.0, 43.0, size=2))):
-            got = to_log_polar(source, geo, center=center)
-            want = field_log_polar_samples(source, geo, center or source.image.centroid())
-            assert np.array_equal(got.samples, want)
+    cases = [(gray, (0,)), (gray, (2,)), (rgb, (1, 2, 3)), (rgb, (0, 2, 1)),
+             (blob_image(48, seed=52), (0,))]
+    geometries = [GridGeometry(24, 20, -1.0, np.log(20.0)),
+                  GridGeometry(16, 32, np.log(2.0), np.log(22.0))]
+    # the centroid, and centers whose outer rings leave the raster
+    centers = [None, (3.0, 5.5), tuple(rng.uniform(20.0, 43.0, size=2)),
+               (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]
+    for _ in range(2):
+        for center in centers:
+            for geo in geometries:
+                for pixels, mapping in cases:
+                    source = ImageSignalSource(RasterImage(pixels), CL20, mapping)
+                    got = to_log_polar(source, geo, center=center)
+                    want = field_log_polar_samples(
+                        source, geo, center or source.image.centroid())
+                    assert got.samples.tobytes() == want.tobytes()
+    cache = imaging._cached_log_polar_plan.cache_info()
+    assert cache.hits > 0
+    assert cache.currsize <= imaging.SAMPLING_PLAN_CACHE_SIZE
+    # the identity warp, through the uncached sampler, reads every pixel exactly
+    assert np.array_equal(warp_similarity(rgb, 0.0, 1.0), rgb)
+
+
+def test_sampling_plan_is_cached_per_exact_center_and_read_only():
+    geo = GridGeometry(16, 16, -1.0, np.log(12.0))
+    plan = imaging._log_polar_plan(geo, (0.0, 0.0), 32, 32)
+    assert imaging._log_polar_plan(geo, (0.0, 0.0), 32, 32) is plan
+    assert imaging._log_polar_plan(geo, (-0.0, 0.0), 32, 32) is not plan
+    assert imaging._log_polar_plan(geo, (0.0, 0.0), 32, 33) is not plan
+    assert len(plan) == 4
+    for index, factor in plan:
+        assert not index.flags.writeable and not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
 
 
 # -- descriptors -------------------------------------------------------------------------
@@ -259,6 +289,22 @@ def test_descriptor_distance_refuses_mixed_pairs():
         mine.l2_distance(other)
     # an equal pair built separately is the same pair
     assert mine.l2_distance(descriptor(h, default_pair(CL02))) == 0.0
+
+
+def test_l2_distance_is_bitwise_the_sum_of_squares_formula():
+    rng = np.random.default_rng(57)
+    pair = default_pair(CL02)
+    for k in range(1000):
+        n = 2 * int(rng.integers(1, 17))
+        geo = default_geometry(n)
+        scale = 10.0 ** rng.uniform(-8, 8)
+        a, b = (scale * rng.random((n, n)) for _ in range(2))
+        if k % 10 == 0:
+            b = a.copy()
+        got = Descriptor(a, geo, pair).l2_distance(Descriptor(b, geo, pair))
+        want = float(np.sqrt(np.sum((a - b) ** 2)))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # -- registration ------------------------------------------------------------------------
@@ -354,3 +400,45 @@ def test_register_geometry_mismatch():
     h2 = random_signal(default_geometry(32), CL02, seed=13)
     with pytest.raises(GeometryError):
         register(h1, h2)
+
+
+def test_register_cache_gives_cold_results_and_dies_with_the_signal():
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    center = (63.5, 63.5)
+    rgb = np.stack([blob_image(128, seed=s) for s in (58, 59, 60)], axis=-1)
+
+    def signal_of(p):
+        return to_log_polar(ImageSignalSource(RasterImage(p), CL02, (1, 2, 3)), image_geo,
+                            center=center)
+
+    base = signal_of(rgb)
+    queries = [signal_of(warp_similarity(rgb, angle, scale, center=center))
+               for angle, scale in ((0.3, 1.1), (-2.0, 0.9), (1.0, 1.0))]
+    queries.append(random_signal(image_geo, CL02, seed=61))
+    for query in queries:
+        imaging._CENTRED_SPECTRA.clear()
+        cold = register(base, query)
+        warm = register(base, query)
+        assert base in imaging._CENTRED_SPECTRA and query in imaging._CENTRED_SPECTRA
+        assert warm == cold
+        steps, matched, confidence = correlation_register(
+            channelwise_correlation(base, query), image_geo
+        )
+        assert cold.steps == steps
+        assert cold.matched == matched
+        assert cold.confidence == pytest.approx(confidence, rel=1e-12)
+
+    spectrum = imaging._centred_spectrum(base)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0, 0, 0] = 0.0
+
+    imaging._CENTRED_SPECTRA.clear()
+    h = random_signal(image_geo, CL02, seed=62)
+    register(h, h)
+    assert len(imaging._CENTRED_SPECTRA) == 1
+    alive = weakref.ref(h)
+    del h
+    gc.collect()
+    assert alive() is None
+    assert len(imaging._CENTRED_SPECTRA) == 0
