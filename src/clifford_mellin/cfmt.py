@@ -130,8 +130,10 @@ class Spectrum:
         return float(np.sqrt(np.sum(self.coeffs * self.coeffs) * self.geometry.dv))
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise modulus |H(v,k)| as an (n_s, n_theta) array."""
-        return np.sqrt(np.sum(self.coeffs * self.coeffs, axis=-1))
+        """Pointwise modulus |H(v,k)| as an (n_s, n_theta) array; the channel
+        sum runs left to right, as np.sum's does over four channels."""
+        sq = self.coeffs * self.coeffs
+        return np.sqrt(((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
 
     def split(self) -> tuple["Spectrum", "Spectrum"]:
         plus, minus = split_array(self.coeffs, self.pair)
@@ -290,6 +292,7 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     rows = _radial_rotations(geo, True, 1.0 / geo.span, (1.0, 1.0)) @ plan.inv_f
 
     z = _map(spectrum.coeffs, rows, swap=(True, True)).view(complex)
+    # 1-D passes: np.fft.ifft2 ignores its out argument in numpy 2.4.6
     np.fft.ifft(z, axis=0, norm="forward", out=z)
     z = _map(z, plan.f_to_g).view(complex)
     np.fft.ifft(z, axis=1, norm="forward", out=z)

@@ -272,12 +272,15 @@ def cmd_descriptor(args) -> int:
 def cmd_register(args) -> int:
     geometry = _grid(args)
     # the correlation sums over blade channels, so the algebra cannot change the result
-    signals = [to_log_polar(ingest(path, CL02), geometry, center=args.center)
-               for path in args.inputs]
+    signals, centers = [], []
+    for path in args.inputs:
+        source = ingest(path, CL02)
+        centers.append(args.center or source.image.centroid())
+        signals.append(to_log_polar(source, geometry, center=centers[-1]))
     result = register(*signals)
     _emit(
         {
-            "config": _echo(args),
+            "config": {**_echo(args, CL02), "centers": [list(c) for c in centers]},
             "scale": result.scale,
             "angle_rad": result.angle,
             "confidence": result.confidence,

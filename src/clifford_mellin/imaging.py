@@ -19,8 +19,10 @@ last SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that many times
 64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  register keeps
 the spectrum of each mean-removed signal it reads for as long as the signal
 lives (a 64x64 signal's takes 135 KB), since signals are immutable and a
-corpus entry is registered against many queries.  Both caches hand out
-read-only arrays, and every output is what the uncached computation gives.
+corpus entry is registered against many queries.  It transforms only the
+channels an image populates (one for gray, three for RGB); the others stay
+zero planes of the same entry.  Both caches hand out read-only arrays, and
+every output is what the uncached, all-channel computation gives.
 """
 
 from __future__ import annotations
@@ -51,19 +53,22 @@ SAMPLING_PLAN_CACHE_SIZE = 4
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Pixel raster with values clamped to [0, 1]; gray (h, w) or RGB (h, w, 3)."""
+    """Pixel raster with values clamped to [0, 1]; gray (h, w) or RGB (h, w, 3).
+    The pixels are copied, unless they come as a _Fresh array, which is
+    clamped in place."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=float)
+        pixels = self.pixels
+        arr = pixels.array if isinstance(pixels, _Fresh) else np.array(pixels, dtype=float)
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise DomainError(f"expected (h, w) or (h, w, 3) pixels, got {arr.shape}")
         if arr.shape[0] < 8 or arr.shape[1] < 8:
             raise DomainError(f"image must be at least 8x8, got {arr.shape[:2]}")
-        arr = np.clip(arr, 0.0, 1.0)
+        np.clip(arr, 0.0, 1.0, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
@@ -144,9 +149,9 @@ def read_image(path) -> RasterImage:
         raise ImageParseError(
             f"raster truncated: {len(raster)} of {expected} bytes", pos + len(raster)
         )
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(float) / 255.0
+    pixels = np.frombuffer(raster, np.uint8) / 255.0
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return RasterImage(pixels.reshape(shape))
+    return RasterImage(_Fresh(pixels.reshape(shape)))
 
 
 def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
@@ -296,12 +301,13 @@ class Descriptor:
     pair: RootPair
 
     def l2_distance(self, other: "Descriptor") -> float:
-        if self.geometry != other.geometry:
+        if self.geometry is not other.geometry and self.geometry != other.geometry:
             raise GeometryError("descriptors live on different grids")
         if self.pair is not other.pair and self.pair != other.pair:
             raise ContractError("cannot compare descriptors made with different root pairs")
-        diff = self.magnitudes - other.magnitudes
-        return math.sqrt(np.add.reduce(diff * diff, axis=None))
+        diff = np.subtract(self.magnitudes, other.magnitudes)
+        np.multiply(diff, diff, out=diff)
+        return math.sqrt(np.add.reduce(diff, axis=None))
 
 
 def descriptor(signal: LogPolarSignal, pair: RootPair) -> Descriptor:
@@ -318,14 +324,30 @@ _CENTRED_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _centred_spectrum(h: LogPolarSignal) -> np.ndarray:
     """Read-only rfft2 over the grid axes of h's samples less their channel
-    means, computed once per signal object."""
+    means, computed once per signal object.  Only channels with a nonzero
+    sample are transformed; the others stay exact zeros."""
     spectrum = _CENTRED_SPECTRA.get(h)
     if spectrum is None:
-        centred = h.samples - h.samples.mean(axis=(0, 1), keepdims=True)
-        spectrum = np.fft.rfft2(centred, axes=(0, 1))
+        samples = h.samples
+        # the mean over all four channels at once: its bits depend on the
+        # shape and layout of the array it reduces
+        means = samples.mean(axis=(0, 1))
+        spectrum = np.zeros((samples.shape[0], samples.shape[1] // 2 + 1, 4), dtype=complex)
+        for c in range(4):
+            channel = samples[..., c]
+            if channel.any():
+                spectrum[..., c] = np.fft.rfft2(channel - means[c])
         spectrum.flags.writeable = False
         _CENTRED_SPECTRA[h] = spectrum
     return spectrum
+
+
+def _correlation(h1: LogPolarSignal, h2: LogPolarSignal) -> np.ndarray:
+    """Fresh (n_s, n_theta) channel-summed cyclic cross-correlation of the
+    mean-removed signals."""
+    geo = h1.geometry
+    cross = _centred_spectrum(h1) * np.conj(_centred_spectrum(h2))
+    return np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
 
 
 @dataclass(frozen=True)
@@ -352,19 +374,16 @@ def register(
     """
     _check_compatible(h1, h2)
     geo = h1.geometry
-    cross = _centred_spectrum(h1) * np.conj(_centred_spectrum(h2))
-    corr = np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
-
-    peak_flat = int(np.argmax(corr))
-    pi, pt = np.unravel_index(peak_flat, corr.shape)
+    corr = _correlation(h1, h2)
+    pi, pt = np.unravel_index(int(np.argmax(corr)), corr.shape)
+    peak = float(corr[pi, pt])
+    # corr is a fresh array, so the main lobe is masked in place
     excl_s = max(1, geo.n_s // 16)
     excl_t = max(1, geo.n_theta // 16)
-    masked = corr.copy()
     rows = (pi + np.arange(-excl_s, excl_s + 1)) % geo.n_s
     cols = (pt + np.arange(-excl_t, excl_t + 1)) % geo.n_theta
-    masked[np.ix_(rows, cols)] = -np.inf
-    second = float(np.max(masked))
-    peak = float(corr[pi, pt])
+    corr[np.ix_(rows, cols)] = -np.inf
+    second = float(np.max(corr))
     if second <= 0.0:
         confidence = np.inf if peak > 0.0 else 1.0
     else:

@@ -104,7 +104,8 @@ def default_geometry(n: int = 64) -> GridGeometry:
 @dataclass(frozen=True)
 class _Fresh:
     """A float array handed over by the code that made it and holds no other
-    reference to it, so _grid_array checks it in place instead of copying."""
+    reference to it, so _grid_array (or RasterImage) takes it in place
+    instead of copying."""
 
     array: np.ndarray
 

@@ -105,6 +105,18 @@ def channelwise_correlation(h1, h2):
     return corr
 
 
+def four_channel_correlation(h1, h2):
+    """register's correlation as one rfft2 over all four mean-removed
+    channels of each signal, zero channels included: the reference for the
+    bits of its correlation."""
+    def spectrum(h):
+        return np.fft.rfft2(h.samples - h.samples.mean(axis=(0, 1), keepdims=True), axes=(0, 1))
+
+    geo = h1.geometry
+    cross = spectrum(h1) * np.conj(spectrum(h2))
+    return np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
+
+
 def correlation_register(corr, geo, min_confidence=1.05):
     """(steps, matched, confidence) from a correlation surface, masking the
     main lobe one cell at a time: the reference for register's peak search."""

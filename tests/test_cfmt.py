@@ -453,6 +453,41 @@ def test_magnitude_invariance_blade_like(sig):
         assert np.max(np.abs(mags - reference)) <= 1e-10
 
 
+def test_magnitude_is_bitwise_the_four_channel_sum():
+    rng = np.random.default_rng(71)
+    pair = default_pair(CL02)
+    for _ in range(300):
+        n = 2 * int(rng.integers(1, 17))
+        # each channel at its own scale, so the order of the sum shows in its bits
+        scales = 10.0 ** rng.uniform(-150, 150, size=4)
+        coeffs = scales * rng.standard_normal((n, n, 4))
+        coeffs[rng.random((n, n, 4)) < 0.2] = 0.0
+        coeffs[rng.random((n, n, 4)) < 0.1] = -0.0
+        got = cfmt.Spectrum(default_geometry(n), pair, coeffs).magnitude()
+        want = np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("fft", {"axis": 0}),
+        ("fft", {"axis": 1}),
+        ("fft2", {"axes": (0, 1)}),
+        ("ifft", {"axis": 0, "norm": "forward"}),
+        ("ifft", {"axis": 1, "norm": "forward"}),
+    ],
+)
+def test_in_place_fft_call_forms_fill_their_out(name, kwargs):
+    # the routes run these forms on their own (n_s, n_theta, 2) planes and
+    # read the result from the array they passed as out
+    planes = np.random.default_rng(72).standard_normal((6, 10, 4)).view(complex)
+    want = getattr(np.fft, name)(planes.copy(), **kwargs)
+    got = getattr(np.fft, name)(planes, out=planes, **kwargs)
+    assert got is planes
+    assert np.array_equal(planes, want)
+
+
 def test_half_turn_rotation_alternates_sign():
     pair = default_pair(CL02)
     h = random_signal(GEO, CL02, seed=26)

@@ -12,7 +12,7 @@ from imagegen import blob_image, warp_similarity
 from clifford_mellin import cfmt, cli, properties, signal
 from clifford_mellin.algebra import CL02, CL11, CL20, Signature
 from clifford_mellin.cfmt import read_clmf
-from clifford_mellin.imaging import descriptor, write_pgm
+from clifford_mellin.imaging import descriptor, read_image, write_pgm
 from clifford_mellin.roots import RootPair, default_pair, random_roots
 from clifford_mellin.signal import (
     GridGeometry,
@@ -71,7 +71,7 @@ ECHO_KEYS = {
     "fast-bench": {"command", "algebra", "f", "g", "seed", *GRID_KEYS},
     "verify": {"command", "seed", "tol", "out", "pair_degenerate", *GRID_KEYS},
     "split": {"command", "algebra", "f", "g", "x"},
-    "register": {"command", "inputs", "center", *GRID_KEYS},
+    "register": {"command", "inputs", "algebra", "center", "centers", *GRID_KEYS},
     "manifold": {"command", "algebra", "resolution", "out"},
 }
 
@@ -204,6 +204,27 @@ def test_register_command(tmp_path, capsys):
     assert summary["matched"] is True
     dtheta = 2 * np.pi / 64
     assert abs(summary["angle_rad"] - np.pi / 8) <= dtheta
+
+
+def test_register_echoes_its_algebra_and_the_centers_it_used(tmp_path, capsys):
+    a = tmp_path / "a.pgm"
+    b = tmp_path / "b.pgm"
+    write_pgm(a, blob_image(64, seed=11))
+    write_pgm(b, blob_image(64, seed=12))
+    grid = ["--ns", "16", "--ntheta", "16", "--smax", "3"]
+    _, out = run(capsys, "register", str(a), str(b), *grid)
+    config = json.loads(out)["config"]
+    assert config["algebra"] == "Cl(0,2)"
+    assert config["center"] is None
+    # without --center, each image is resampled about its own centroid
+    centroids = [list(read_image(path).centroid()) for path in (a, b)]
+    assert centroids[0] != centroids[1]
+    assert config["centers"] == centroids
+
+    _, out = run(capsys, "register", str(a), str(b), *grid, "--center", "30.5,31.25")
+    config = json.loads(out)["config"]
+    assert config["center"] == [30.5, 31.25]
+    assert config["centers"] == [[30.5, 31.25], [30.5, 31.25]]
 
 
 def test_register_no_match_exit_code(tmp_path, capsys):

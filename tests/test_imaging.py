@@ -20,6 +20,7 @@ from clifford_mellin.imaging import (
     Descriptor,
     ImageSignalSource,
     RasterImage,
+    RegistrationResult,
     descriptor,
     ingest,
     read_image,
@@ -34,6 +35,7 @@ from helpers import (
     channelwise_correlation,
     correlation_register,
     field_log_polar_samples,
+    four_channel_correlation,
     multivector_field,
     wild_pairs,
 )
@@ -92,11 +94,25 @@ def test_image_parse_errors(tmp_path):
         read_image(path)
 
 
+def test_pixel_decode_is_bitwise_the_float_division_for_all_levels(tmp_path):
+    levels = np.arange(256, dtype=np.uint8)
+    want = levels.astype(float) / 255.0
+    gray = tmp_path / "levels.pgm"
+    gray.write_bytes(b"P5\n16 16\n255\n" + levels.tobytes())
+    rgb = tmp_path / "levels.ppm"
+    rgb.write_bytes(b"P6\n16 16\n255\n" + np.repeat(levels, 3).tobytes())
+    assert read_image(gray).pixels.tobytes() == want.tobytes()
+    assert read_image(rgb).pixels.tobytes() == np.repeat(want, 3).tobytes()
+
+
 def test_raster_image_validation():
     with pytest.raises(DomainError):
         RasterImage(np.zeros((4, 4)))
-    image = RasterImage(np.full((8, 8), 2.0))
+    raw = np.full((8, 8), 2.0)
+    image = RasterImage(raw)
     assert float(image.pixels.max()) == 1.0
+    # the caller's array is copied before it is clamped
+    assert float(raw.max()) == 2.0 and raw.flags.writeable
 
 
 # -- channel mapping ----------------------------------------------------------------
@@ -289,6 +305,11 @@ def test_descriptor_distance_refuses_mixed_pairs():
         mine.l2_distance(other)
     # an equal pair built separately is the same pair
     assert mine.l2_distance(descriptor(h, default_pair(CL02))) == 0.0
+    # and likewise for grids; a different grid is refused
+    assert mine.l2_distance(Descriptor(mine.magnitudes, default_geometry(16), mine.pair)) == 0.0
+    other_grid = GridGeometry(16, 16, 0.0, 1.0)
+    with pytest.raises(GeometryError, match="different grids"):
+        mine.l2_distance(Descriptor(mine.magnitudes, other_grid, mine.pair))
 
 
 def test_l2_distance_is_bitwise_the_sum_of_squares_formula():
@@ -385,6 +406,67 @@ def test_register_matches_channelwise_correlation():
         assert result.steps == steps
         assert result.matched == matched
         assert result.confidence == pytest.approx(confidence, rel=1e-12)
+
+
+def test_register_is_bitwise_the_four_channel_correlation():
+    # the query spectrum transforms only populated channels; every result
+    # and correlation value is what one rfft2 over all four channels gives
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    center = (63.5, 63.5)
+    gray = blob_image(128, seed=63)
+    rgb = np.stack([blob_image(128, seed=s) for s in (64, 65, 66)], axis=-1)
+
+    def signal_of(pixels, mapping, angle, scale):
+        source = ImageSignalSource(
+            RasterImage(warp_similarity(pixels, angle, scale, center=center)), CL02, mapping)
+        return to_log_polar(source, image_geo, center=center)
+
+    warps = ((0.0, 1.0), (0.4, 1.1), (-2.5, 0.9))
+    grays = [signal_of(gray, (0,), *w) for w in warps]
+    rgbs = [signal_of(rgb, (1, 2, 3), *w) for w in warps]
+    cases = [(a, b) for group in (grays, rgbs) for a in group for b in group]
+    # a constant channel beside a zero one, and random four-channel signals
+    for n in (8, 16, 32):
+        geo = default_geometry(n)
+        h = random_signal(geo, CL02, seed=67 + n)
+        moved = cfmt.apply_scale_rotate(h, 1, -2).samples
+        noise = random_signal(geo, CL02, seed=n).samples
+        cases.append((h, h.with_samples(moved + 0.5 * noise)))
+        cases.append((h, random_signal(geo, CL02, seed=68 + n)))
+        constant = random_signal(geo, CL02, seed=69 + n, channels=(0, 2)).samples.copy()
+        constant[..., 1] = 0.37
+        constant = h.with_samples(constant)
+        cases += [(constant, cfmt.apply_scale_rotate(constant, 2, 3)), (h, constant)]
+    for h1, h2 in cases:
+        imaging._CENTRED_SPECTRA.clear()
+        corr = four_channel_correlation(h1, h2)
+        steps, matched, confidence = correlation_register(corr, h1.geometry)
+        want = RegistrationResult(float(np.exp(steps[0] * h1.geometry.ds)),
+                                  float(steps[1] * h1.geometry.dtheta), confidence, matched, steps)
+        assert register(h1, h2) == want
+        assert np.array_equal(imaging._correlation(h1, h2), corr)
+
+    # gray against RGB: no channel in common, so the correlation is exactly zero
+    for a in grays:
+        for b in rgbs:
+            for h1, h2 in ((a, b), (b, a)):
+                assert np.array_equal(four_channel_correlation(h1, h2), np.zeros((32, 32)))
+                assert np.array_equal(imaging._correlation(h1, h2), np.zeros((32, 32)))
+                assert register(h1, h2) == RegistrationResult(1.0, 0.0, 1.0, False, (0, 0))
+
+
+def test_centred_spectrum_keeps_zero_channels_as_exact_zeros():
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    source = ImageSignalSource(RasterImage(blob_image(128, seed=70)), CL02, (2,))
+    h = to_log_polar(source, image_geo, center=(63.5, 63.5))
+    imaging._CENTRED_SPECTRA.clear()
+    spectrum = imaging._centred_spectrum(h)
+    assert spectrum.shape == (32, 17, 4) and spectrum.dtype == complex
+    assert not spectrum.flags.writeable
+    assert not spectrum[..., [0, 1, 3]].any()
+    centred = h.samples - h.samples.mean(axis=(0, 1), keepdims=True)
+    want = np.fft.rfft2(centred, axes=(0, 1))
+    assert spectrum[..., 2].tobytes() == want[..., 2].tobytes()
 
 
 def test_register_reports_no_match_on_flat_correlation():

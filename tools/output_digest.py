@@ -1,0 +1,194 @@
+"""Print one SHA-256 digest per output family of the library.
+
+A change that claims byte-identical outputs shows it by running this script
+on the parent commit's checkout and on the change, and comparing the two
+listings:
+
+    python tools/output_digest.py > change.txt
+    python tools/output_digest.py --root PARENT_CHECKOUT > parent.txt
+    cmp parent.txt change.txt
+
+The families:
+
+* ``verify``: the ``clifford-mellin verify`` stdout for seeds 0 and 7 on the
+  default grid, and for seed 7 with ``--pair-degenerate``.
+* ``forward``, ``inverse``, ``fast``: the bytes of ``cfmt_forward``,
+  ``cfmt_inverse`` (of that forward spectrum) and ``cfmt_fast`` on 8x8 to
+  512x512 grids, with a symmetric and an asymmetric radial window, in all
+  three algebras, under the default pair and one random pair.
+* ``descriptors``, ``distances``, ``registrations``: gray and RGB images from
+  ``tests/imagegen.py``, warped, written as PGM/PPM, read back and resampled
+  on a 64x64 grid about a fixed center and about their centroids; every
+  descriptor, every pairwise distance and every ordered pairwise
+  ``register`` result, wrong and gray-vs-RGB pairs included.
+* ``cli-descriptor``, ``cli-register``: the CSV that ``descriptor`` writes
+  and the ``register`` summary without its config, with the exit codes.
+
+Each line reads ``family digest count``, where count is the number of items
+hashed.  The run takes a few seconds and well under 100 MB.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+GRID_SIZES = (8, 16, 32, 64, 128, 256, 512)
+IMAGE_SIZE = 128
+CENTER = (63.5, 63.5)
+WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
+
+
+class Digest:
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.count = 0
+
+    def add(self, data: bytes) -> None:
+        self.hash.update(struct.pack("<Q", len(data)))
+        self.hash.update(data)
+        self.count += 1
+
+    def add_array(self, arr) -> None:
+        self.add(repr((arr.shape, arr.dtype.str)).encode() + arr.tobytes())
+
+
+def _cli(cli, argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def verify_digests(cli) -> dict:
+    digests = {}
+    for name, argv in (
+        ("verify-seed0", ["verify", "--seed", "0"]),
+        ("verify-seed7", ["verify", "--seed", "7"]),
+        ("verify-seed7-pair-degenerate", ["verify", "--seed", "7", "--pair-degenerate"]),
+    ):
+        digest = digests[name] = Digest()
+        code, out = _cli(cli, argv)
+        digest.add(f"{code}\n{out}".encode())
+    return digests
+
+
+def transform_digests() -> dict:
+    from clifford_mellin import cfmt
+    from clifford_mellin.algebra import SIGNATURES
+    from clifford_mellin.roots import RootPair, default_pair, random_roots
+    from clifford_mellin.signal import GridGeometry, random_signal
+
+    digests = {name: Digest() for name in ("forward", "inverse", "fast")}
+    for n in GRID_SIZES:
+        for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
+            geo = GridGeometry(n, n, *window)
+            for k, sig in enumerate(SIGNATURES):
+                h = random_signal(geo, sig, seed=1000 * n + k)
+                f, g = random_roots(sig, 2, seed=n + k)
+                for pair in (default_pair(sig), RootPair(f, g)):
+                    spectrum = cfmt.cfmt_forward(h, pair)
+                    digests["forward"].add_array(spectrum.coeffs)
+                    digests["inverse"].add_array(cfmt.cfmt_inverse(spectrum).samples)
+                    digests["fast"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
+    return digests
+
+
+def _images():
+    """(name, pixels) of gray and RGB images and their warps."""
+    import numpy as np
+    from imagegen import blob_image, ring_blob_image, warp_similarity
+
+    bases = []
+    for k in range(4):
+        bases.append((f"gray{k}", ring_blob_image(IMAGE_SIZE, seed=k)))
+        rgb = [blob_image(IMAGE_SIZE, seed=10 + 3 * k + c) for c in range(3)]
+        bases.append((f"rgb{k}", np.stack(rgb, axis=-1)))
+    for name, pixels in bases:
+        for w, (angle, scale) in enumerate(WARPS):
+            yield f"{name}-w{w}", warp_similarity(pixels, angle, scale, center=CENTER)
+
+
+def image_digests(workdir: str) -> dict:
+    import numpy as np
+
+    from clifford_mellin import imaging
+    from clifford_mellin.algebra import CL02
+    from clifford_mellin.roots import default_pair
+    from clifford_mellin.signal import GridGeometry
+
+    geo = GridGeometry(64, 64, math.log(2.0), math.log(55.0))
+    pair = default_pair(CL02)
+    paths, signals = [], []
+    for name, pixels in _images():
+        path = os.path.join(workdir, name + (".pgm" if pixels.ndim == 2 else ".ppm"))
+        (imaging.write_pgm if pixels.ndim == 2 else imaging.write_ppm)(path, pixels)
+        paths.append(path)
+        source = imaging.ingest(path, CL02)
+        for center in (CENTER, None):
+            signals.append(imaging.to_log_polar(source, geo, center=center))
+
+    digests = {name: Digest() for name in ("descriptors", "distances", "registrations")}
+    descs = [imaging.descriptor(h, pair) for h in signals]
+    for desc in descs:
+        digests["descriptors"].add_array(desc.magnitudes)
+    for a in descs:
+        digests["distances"].add_array(np.array([a.l2_distance(b) for b in descs]))
+    for h1 in signals:
+        for h2 in signals:
+            r = imaging.register(h1, h2, pair)
+            digests["registrations"].add(
+                struct.pack("<ddd?ii", r.scale, r.angle, r.confidence, r.matched, *r.steps)
+            )
+    return digests, paths
+
+
+def cli_digests(cli, workdir: str, paths: list) -> dict:
+    digests = {name: Digest() for name in ("cli-descriptor", "cli-register")}
+    csv = os.path.join(workdir, "descriptor.csv")
+    for path in paths[::3]:
+        code, _ = _cli(cli, ["descriptor", path, "--out", csv,
+                             "--smin", "0.7", "--smax", "4.0", "--center", "63.5,63.5"])
+        with open(csv, "rb") as fh:
+            digests["cli-descriptor"].add(f"{code}\n".encode() + fh.read())
+    for a in paths[::3]:
+        for b in paths[1::6]:
+            code, out = _cli(cli, ["register", a, b, "--smin", "0.7", "--smax", "4.0"])
+            summary = json.loads(out)
+            del summary["config"]
+            digests["cli-register"].add(f"{code}\n{json.dumps(summary, sort_keys=True)}".encode())
+    return digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/ and tests/ are digested (default: this one)")
+    args = parser.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+
+    from clifford_mellin import cli
+
+    digests = verify_digests(cli)
+    digests.update(transform_digests())
+    with tempfile.TemporaryDirectory() as workdir:
+        images, paths = image_digests(workdir)
+        digests.update(images)
+        digests.update(cli_digests(cli, workdir, paths))
+    for name, digest in digests.items():
+        print(f"{name} {digest.hash.hexdigest()} {digest.count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
