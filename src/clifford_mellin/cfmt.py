@@ -23,10 +23,9 @@ routes are provided:
   eigenparts of the sandwich S: x -> f x g; on x_+ the left radial kernel
   exp(-f v s) equals the right kernel exp(+g v s), on x_- it equals
   exp(-g v s), so both kernels act in the commutative subalgebra generated
-  by g.  S is an involution commuting with R_g and S != +-I (no root of -1
-  is central), so each eigenspace is exactly one R_g-complex plane; in the
-  basis (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and
-  one 2-D FFT over both planes does the work, the + plane read with its rows
+  by g.  Each eigenspace is one R_g-complex plane (see split); in the basis
+  (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and one
+  2-D FFT over both planes does the work, the + plane read with its rows
   reversed.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane
@@ -35,11 +34,9 @@ in-place FFT passes between real 4x4 plane maps, one stacked matmul each, and
 no other pass over the grid.  On an even grid fftshift is a swap of halves, so
 a map reads its source with halves swapped; the s_min phase and the scale are
 a per-row rotation of each plane in the map beside the radial pass.  The last
-map's fresh array becomes the result uncopied, through signal._Fresh.  The 4x4
-matrices a root pair fixes (the plane bases, their inverses and changes of
-basis, the split basis) are the pair's plan, _Plan, built once per pair value
-by _plan; the rotations are built once per grid and route.  A call only forms
-the product of a basis and the rotations.
+map's fresh array becomes the result uncopied, through signal._Fresh.  The bases
+come from the pair's plan (split._plan), the rotations are built once per grid
+and route, and a call only forms the product of a basis and the rotations.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -58,13 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    Multivector,
-    Signature,
-    gp,
-    left_matrix,
-    right_matrix,
-)
+from .algebra import Multivector, Signature, gp
 from .errors import ContractError, DomainError, FormatError, GeometryError, NotARootError
 from .roots import RootOfMinusOne, RootPair, make_pair
 from .signal import (
@@ -78,7 +69,7 @@ from .signal import (
     norm as signal_norm,
     scalar_inner_product,
 )
-from .split import split_array
+from .split import PLAN_CACHE_SIZE, _plan, split_array
 
 __all__ = [
     "Spectrum",
@@ -154,73 +145,6 @@ class Spectrum:
 
 
 # -- shared FFT core ----------------------------------------------------------------
-
-# entries kept by each plan cache: root pairs in _cached_plan, grid and route
-# arguments in _radial_rotations
-PLAN_CACHE_SIZE = 64
-
-
-def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
-    """Column basis (u1, J u1, u3, J u3) splitting R^4 into two J-invariant
-    planes, for J with J @ J = -I, so that J is multiplication by i in each.
-    u1 is the scalar unit; u3 is the standard basis vector giving the largest
-    determinant."""
-    candidates = np.empty((3, 4, 4))  # one per u3 = e1, e2, e12
-    candidates[:, :, 0], candidates[:, :, 1] = np.eye(4)[0], j_matrix[:, 0]
-    candidates[:, :, 2], candidates[:, :, 3] = np.eye(4)[1:], j_matrix[:, 1:].T
-    return candidates[np.argmax(np.abs(np.linalg.det(candidates)))]
-
-
-def _split_basis(sandwich: np.ndarray, j_matrix: np.ndarray) -> np.ndarray:
-    """Column basis (u+, R_g u+, u-, R_g u-) of the +-1 eigenplanes of the
-    sandwich S = L_f R_g, given S and j_matrix = R_g, with u+- the largest
-    column of the projector (I +- S)/2.  Each projector is nonzero and its
-    range is one R_g-invariant plane, on which R_g has no real eigenvector; so
-    the basis is invertible for every pair, g = +-f included."""
-    columns = []
-    for sign in (+1.0, -1.0):
-        projector = 0.5 * (np.eye(4) + sign * sandwich)
-        u = projector[:, np.argmax(np.sum(projector * projector, axis=0))]
-        columns += [u, j_matrix @ u]
-    return np.column_stack(columns)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """The read-only 4x4 matrices a root pair fixes for the FFT routes: the
-    plane bases of L_f and R_g, their inverses and the changes of basis
-    between them (cfmt_forward, cfmt_inverse), and the split basis with its
-    inverse (cfmt_fast)."""
-
-    basis_f: np.ndarray
-    basis_g: np.ndarray
-    inv_f: np.ndarray
-    inv_g: np.ndarray
-    g_to_f: np.ndarray  # basis_f^-1 basis_g
-    f_to_g: np.ndarray  # basis_g^-1 basis_f
-    split: np.ndarray
-    inv_split: np.ndarray
-
-
-def _plan(pair: RootPair) -> _Plan:
-    """The pair's plan, cached on the exact bytes of its coefficients: pairs
-    equal in value share one entry, and a root one ulp or one zero sign away
-    gets its own."""
-    return _cached_plan(pair.signature, pair.f.value.coeffs.tobytes(),
-                        pair.g.value.coeffs.tobytes())
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cached_plan(sig: Signature, f: bytes, g: bytes) -> _Plan:
-    left, right = left_matrix(sig, np.frombuffer(f)), right_matrix(sig, np.frombuffer(g))
-    basis_f, basis_g = _plane_basis(left), _plane_basis(right)
-    split = _split_basis(left @ right, right)
-    matrices = (basis_f, basis_g, np.linalg.inv(basis_f), np.linalg.inv(basis_g),
-                np.linalg.solve(basis_f, basis_g), np.linalg.solve(basis_g, basis_f),
-                split, np.linalg.inv(split))
-    for matrix in matrices:
-        matrix.flags.writeable = False
-    return _Plan(*matrices)
 
 
 def _map(src: np.ndarray, matrices: np.ndarray, swap=(False, False)) -> np.ndarray:

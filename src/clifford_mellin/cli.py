@@ -87,8 +87,8 @@ def _grid(args) -> GridGeometry:
     return GridGeometry(args.ns, args.ntheta, args.smin, args.smax)
 
 
-def _echo(args, sig=None, pair=None, geo=None) -> dict:
-    """The command's own flags, with the algebra, roots and grid it resolved in their place."""
+def _echo(args, sig=None, pair=None, geo=None, center=None) -> dict:
+    """The command's own flags, with the algebra, roots, grid and center it resolved in their place."""
     config = dict(vars(args))
     if sig is not None:
         config["algebra"] = sig.name
@@ -96,6 +96,8 @@ def _echo(args, sig=None, pair=None, geo=None) -> dict:
         config.update(f=pair.f.value.coeffs.tolist(), g=pair.g.value.coeffs.tolist())
     if geo is not None:
         config.update(ns=geo.n_s, ntheta=geo.n_theta, smin=geo.s_min, smax=geo.s_max)
+    if center is not None:
+        config["center"] = list(center)
     return config
 
 
@@ -133,27 +135,37 @@ def _emit(payload: dict) -> None:
 _IMAGE_ONLY = ("algebra", "ns", "ntheta", "smin", "smax", "center")  # a CLMS input fixes these
 
 
-def _load_signal(args) -> LogPolarSignal:
-    """A CLMS input as its header says, or a PGM/PPM image resampled on the flags' grid."""
+def _image_signal(path, sig: Signature, geometry: GridGeometry, center):
+    """The image at path resampled on geometry about center, or about its
+    intensity centroid when center is None; also the center used."""
+    source = ingest(path, sig)
+    if center is None:
+        center = source.image.centroid()
+    return to_log_polar(source, geometry, center=center), center
+
+
+def _load_signal(args) -> tuple[LogPolarSignal, tuple[float, float] | None]:
+    """A CLMS input as its header says, or a PGM/PPM image resampled on the
+    flags' grid; also the resampling center, None for a CLMS input."""
     path = args.inputs[0]
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic in (b"P5", b"P6"):
         grid = {"n_s": args.ns, "n_theta": args.ntheta, "s_min": args.smin, "s_max": args.smax}
         geometry = replace(default_geometry(), **{k: v for k, v in grid.items() if v is not None})
-        return to_log_polar(ingest(path, args.algebra or CL02), geometry, center=args.center)
+        return _image_signal(path, args.algebra or CL02, geometry, args.center)
     flags = [f"--{name}" for name in _IMAGE_ONLY if getattr(args, name) is not None]
     if flags:
         raise UsageError(f"{' '.join(flags)}: for image inputs only; "
                          f"the CLMS header of {path} fixes the algebra and grid")
-    return read_clms(path)
+    return read_clms(path), None
 
 
 # -- transform / invert ------------------------------------------------------------
 
 
 def cmd_transform(args) -> int:
-    h = _load_signal(args)
+    h, center = _load_signal(args)
     pair = _pair(h.signature, args.f, args.g)
 
     start = time.perf_counter()
@@ -171,7 +183,7 @@ def cmd_transform(args) -> int:
         parseval = {"blade_like": False}
     _emit(
         {
-            "config": _echo(args, h.signature, pair, h.geometry),
+            "config": _echo(args, h.signature, pair, h.geometry, center),
             "norm_signal": n_sig,
             "norm_spectrum": n_spec,
             **parseval,
@@ -259,24 +271,22 @@ def cmd_manifold(args) -> int:
 
 
 def cmd_descriptor(args) -> int:
-    h = _load_signal(args)
+    h, center = _load_signal(args)
     pair = _pair(h.signature, args.f, args.g)
     desc = descriptor(h, pair)
     geo = h.geometry
     text = "\n".join(cfmt.frequency_csv_rows(geo, desc.magnitudes[..., None], "mag")) + "\n"
     _write_text(args.out, text)
-    _emit({"config": _echo(args, h.signature, pair, geo), "bins": int(desc.magnitudes.size)})
+    _emit({"config": _echo(args, h.signature, pair, geo, center),
+           "bins": int(desc.magnitudes.size)})
     return 0
 
 
 def cmd_register(args) -> int:
     geometry = _grid(args)
     # the correlation sums over blade channels, so the algebra cannot change the result
-    signals, centers = [], []
-    for path in args.inputs:
-        source = ingest(path, CL02)
-        centers.append(args.center or source.image.centroid())
-        signals.append(to_log_polar(source, geometry, center=centers[-1]))
+    signals, centers = zip(*(_image_signal(path, CL02, geometry, args.center)
+                             for path in args.inputs))
     result = register(*signals)
     _emit(
         {

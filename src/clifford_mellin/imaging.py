@@ -240,12 +240,6 @@ def _gather(field: np.ndarray, plan: tuple) -> np.ndarray:
     return out
 
 
-def _bilinear_sample(field: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of an (h, w, c) field at float (x, y) positions;
-    reads outside the raster return 0."""
-    return _gather(field, _corner_plan(xs, ys, *field.shape[:2]))
-
-
 def _log_polar_plan(geometry: GridGeometry, center, h: int, w: int) -> tuple:
     """The corner plan of the geometry's nodes about center on an h x w
     raster, cached on the exact center floats: a center one ulp or one zero

@@ -8,8 +8,10 @@ hyperboloid in Cl(2,0), and a signed quadric in Cl(1,1).
 One root rule serves validate_root and random_roots: |a|^2, the sum of the
 squared coefficients, is a finite float, |a*a + 1| <= ROOT_TOL * max(1, |a|^2)
 and |scalar part| <= ROOT_TOL.  The bound grows with |a|^2 because roundoff in
-a*a does, so every point the chart computes passes.  RootPair owns the pair
-rules: operands in its algebra, and a blade-like pair where an identity needs one.
+a*a does, so every point the chart computes with |a|^2 < 5e11 passes.  From
+there on the bound reaches 1/2 and could not tell -1 from 0, so a larger a is
+refused as too large to validate.  RootPair owns the pair rules: operands in
+its algebra, and a blade-like pair where an identity needs one.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def _check_roots(sig: Signature, coeffs: np.ndarray) -> None:
     scale = np.maximum(1.0, np.where(fits, size, 1.0))
     excess = (square + (1.0, 0.0, 0.0, 0.0)) / scale[:, None]
     relative = np.sqrt(np.sum(excess * excess, axis=-1))
-    bad = ~fits | (relative > ROOT_TOL) | (np.abs(coeffs[:, 0]) > ROOT_TOL)
+    decidable = ROOT_TOL * scale < 0.5
+    bad = ~fits | ~decidable | (relative > ROOT_TOL) | (np.abs(coeffs[:, 0]) > ROOT_TOL)
     if not np.any(bad):
         return
     i = int(np.argmax(bad))
@@ -101,6 +104,8 @@ def _check_roots(sig: Signature, coeffs: np.ndarray) -> None:
     residual = float(relative[i] * scale[i]) if fits[i] else math.inf
     if not fits[i]:
         reason = "is too large to square: |a|^2 overflows"
+    elif not decidable[i]:
+        reason = f"is too large to validate: ROOT_TOL * |a|^2 = {ROOT_TOL * size[i]:.3e} >= 1/2"
     elif relative[i] > ROOT_TOL:
         reason = f"squares to {Multivector(sig, square[i])!r}, not -1 (residual {residual:.3e})"
     else:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from clifford_mellin.imaging import _bilinear_sample
+from clifford_mellin.imaging import _corner_plan, _gather
 
 
 def blob_image(size=128, seed=0, n_blobs=4):
@@ -41,6 +41,12 @@ def disk_image(size=128, radius=20.0):
     ys, xs = np.mgrid[0:size, 0:size].astype(float)
     c = (size - 1) / 2.0
     return (np.hypot(xs - c, ys - c) <= radius).astype(float)
+
+
+def _bilinear_sample(field, xs, ys):
+    """Bilinear interpolation of an (h, w, c) field at float (x, y) positions,
+    through the resampler's corner plan; reads outside the raster return 0."""
+    return _gather(field, _corner_plan(xs, ys, *field.shape[:2]))
 
 
 def warp_similarity(pixels, angle, scale, center=None):

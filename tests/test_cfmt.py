@@ -30,6 +30,7 @@ from clifford_mellin.signal import (
     scalar_inner_product,
     split_signal,
 )
+from clifford_mellin.split import PLAN_CACHE_SIZE, _cached_plan, _plan
 
 GEO = default_geometry(32)
 
@@ -246,10 +247,10 @@ def test_equal_pairs_share_one_plan():
     coeffs = [root.value.coeffs.tolist() for root in random_roots(CL11, 2, seed=20)]
     first, second = (make_pair(*(Multivector(CL11, c) for c in coeffs)) for _ in range(2))
     assert first == second and first is not second
-    before = cfmt._cached_plan.cache_info()
-    plan = cfmt._plan(first)
-    assert cfmt._plan(second) is plan
-    after = cfmt._cached_plan.cache_info()
+    before = _cached_plan.cache_info()
+    plan = _plan(first)
+    assert _plan(second) is plan
+    after = _cached_plan.cache_info()
     assert after.hits - before.hits >= 1
     assert after.currsize - before.currsize <= 1
 
@@ -267,29 +268,29 @@ def test_plans_key_on_exact_coefficients():
         (default_pair(CL20), make_pair(e12, -e12)),  # -e12 has -0.0 coefficients
     ]
     for pair, other in cases:
-        assert cfmt._plan(pair) is not cfmt._plan(other)
+        assert _plan(pair) is not _plan(other)
         spectra = [route(h, other).coeffs for route in (cfmt.cfmt_forward, cfmt.cfmt_fast)]
         key = (other.signature, other.f.value.coeffs.tobytes(), other.g.value.coeffs.tobytes())
-        fresh = cfmt._cached_plan.__wrapped__(*key)
+        fresh = _cached_plan.__wrapped__(*key)
         for name in vars(fresh):
-            assert getattr(cfmt._plan(other), name).tobytes() == getattr(fresh, name).tobytes()
-        cfmt._cached_plan.cache_clear()
+            assert getattr(_plan(other), name).tobytes() == getattr(fresh, name).tobytes()
+        _cached_plan.cache_clear()
         for route, spectrum in zip((cfmt.cfmt_forward, cfmt.cfmt_fast), spectra):
             assert route(h, other).coeffs.tobytes() == spectrum.tobytes()
 
 
 def test_plans_are_read_only():
     geo = default_geometry(16)
-    plan = cfmt._plan(RootPair(*random_roots(CL02, 2, seed=4)))
+    plan = _plan(RootPair(*random_roots(CL02, 2, seed=4)))
     for name, matrix in vars(plan).items():
         assert matrix.shape == (4, 4) and not matrix.flags.writeable, name
     assert not cfmt._radial_rotations(geo, True, 1.0, (1.0, 1.0)).flags.writeable
 
 
 def test_plan_cache_is_bounded():
-    for f in random_roots(CL20, cfmt.PLAN_CACHE_SIZE + 1, seed=5):
-        cfmt._plan(RootPair(f, -f))
-    assert cfmt._cached_plan.cache_info().currsize == cfmt.PLAN_CACHE_SIZE
+    for f in random_roots(CL20, PLAN_CACHE_SIZE + 1, seed=5):
+        _plan(RootPair(f, -f))
+    assert _cached_plan.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 def test_round_trip_error_follows_pair_size():

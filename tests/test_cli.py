@@ -143,6 +143,35 @@ def test_register_on_a_small_image_names_the_largest_smax(tmp_path, capsys):
     assert cli.main([*argv, "--smax", "2.7080"]) == 0
 
 
+def test_split_refuses_a_nilpotent_root(capsys):
+    # s*(e1 + e12) squares to 0 in Cl(2,0), however small its residual looks beside |a|^2
+    code = cli.main(["split", "--algebra", "Cl(2,0)", "--x", "1,0,0,0",
+                     "--f", "0,1e7,0,1e7", "--g", "0,0,0,1"])
+    assert code == 3
+    assert "too large to validate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transform", "descriptor"])
+def test_image_commands_echo_the_center_they_used(tmp_path, capsys, signal_file, command):
+    image = tmp_path / "blob.pgm"
+    write_pgm(image, blob_image(64, seed=11))
+    grid = ["--ns", "16", "--ntheta", "16", "--smax", "3", "--out", str(tmp_path / "out")]
+    # without --center, the image is resampled about its centroid
+    code, out = run(capsys, command, str(image), *grid)
+    assert code == 0
+    centroid = read_image(image).centroid()
+    assert json.loads(out)["config"]["center"] == list(centroid)
+    assert centroid != (31.5, 31.5)
+
+    code, out = run(capsys, command, str(image), *grid, "--center", "30.5,31.25")
+    assert code == 0
+    assert json.loads(out)["config"]["center"] == [30.5, 31.25]
+    # a CLMS input is not resampled
+    code, out = run(capsys, command, str(signal_file), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads(out)["config"]["center"] is None
+
+
 def test_split_command(capsys):
     code, out = run(capsys, "split", "--x", "1,0,0,0")
     assert code == 0

@@ -55,6 +55,34 @@ def test_validate_refuses_a_root_too_large_to_square():
             validate_root(Multivector(CL20, (0, 1e200, 0, 0)))
 
 
+def test_validate_refuses_a_candidate_too_large_to_validate():
+    # s*(e1 + e12) squares to exactly 0 in Cl(2,0): at s = 4e5 its residual 1
+    # exceeds the bound, and from |a|^2 = 5e11 on, where the bound reaches 1/2,
+    # the size alone is refused
+    for s in (4e5, 1e6, 1e7):
+        nilpotent = Multivector(CL20, (0.0, s, 0.0, s))
+        assert (nilpotent * nilpotent).coeffs.tolist() == [0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(NotARootError):
+            validate_root(nilpotent)
+    with pytest.raises(NotARootError, match="too large to validate"):
+        validate_root(Multivector(CL20, (0.0, 1e7, 0.0, 1e7)))
+    # the limit is |a|^2 < 5e11: chart points just inside pass, just outside do not
+    sample_root(CL20, 4.99e5, 0.0, 1)
+    with pytest.raises(NotARootError, match="too large to validate"):
+        sample_root(CL20, 5e5, 0.0, 1)
+
+
+@pytest.mark.parametrize("sig, radius", [(CL20, 1e4), (CL11, 1e4), (CL02, 1.0)])
+def test_sample_root_passes_up_to_chart_radius_1e4(sig, radius):
+    # Cl(0,2)'s chart is the unit disk, so its edge stands in for 1e4
+    for angle in np.linspace(0.3, 0.3 + 2 * np.pi, 8, endpoint=False):
+        b1, b2 = radius * np.sin(angle), radius * np.cos(angle)
+        if sig == CL11 and abs(b2) < abs(b1) + 1.0:
+            b1, b2 = b2, b1  # keep |b2| > |b1| inside the Cl(1,1) region
+        for branch in (1, -1):
+            assert sample_root(sig, b1, b2, branch).parameters[:2] == (b1, b2)
+
+
 def test_sample_root_examples():
     assert sample_root(CL20, 0.0, 0.0, 1).value == basis(CL20)[3]
     root = sample_root(CL02, 1.0, 0.0, 1)

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from helpers import gp_split_array, moderate_pairs, random_multivectors, wild_pairs
 
-from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis
+from clifford_mellin.algebra import (
+    CL02,
+    CL11,
+    CL20,
+    SIGNATURES,
+    Multivector,
+    basis,
+    left_matrix,
+    right_matrix,
+)
 from clifford_mellin.errors import ContractError, SignatureMismatchError
 from clifford_mellin.roots import RootPair, default_pair, make_pair, random_roots, validate_root
 from clifford_mellin.split import exp_swap_check, f_split, mixed_scalar, recombine, split, split_array
@@ -222,3 +231,34 @@ def test_split_array_matches_gp_sandwich(sig):
         peak = max(float(np.max(np.abs(part))) for part in want)
         for g_part, w_part in zip(got, want):
             assert np.max(np.abs(g_part - w_part)) <= 1e-13 * peak
+
+
+def _zero_sign_variants(root):
+    """The root, and the root with the sign of each of its zero coefficients
+    flipped: equal in value, different in bytes."""
+    coeffs = root.value.coeffs
+    flipped = np.where(coeffs == 0.0, np.copysign(0.0, -np.copysign(1.0, coeffs)), coeffs)
+    return [root, validate_root(Multivector(root.signature, flipped))]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_split_array_is_bitwise_the_sandwich_product(sig):
+    # the plan's cached S is the product L_f R_g formed afresh from the same bytes
+    rng = np.random.default_rng(31)
+    samples = rng.uniform(-1, 1, size=(5, 6, 4))
+    samples[0] = 0.0
+    samples[1] = -0.0
+    samples[2, :, 1:] = 0.0
+    pairs = wild_pairs(sig, 6, seed=32) + [default_pair(sig)]
+    f = random_roots(sig, 1, seed=33)[0]
+    pairs += [RootPair(f, f), RootPair(f, -f)]
+    variants = [RootPair(vf, vg) for pair in pairs
+                for vf in _zero_sign_variants(pair.f) for vg in _zero_sign_variants(pair.g)]
+    assert any(a == b and a.f.value.coeffs.tobytes() != b.f.value.coeffs.tobytes()
+               for a, b in zip(variants, variants[2:]))
+    for pair in variants + variants[::-1]:  # the second pass reads the cached plans
+        s = left_matrix(sig, pair.f.value.coeffs) @ right_matrix(sig, pair.g.value.coeffs)
+        sandwich = samples @ s.T
+        plus, minus = split_array(samples, pair)
+        assert plus.tobytes() == (0.5 * (samples + sandwich)).tobytes()
+        assert minus.tobytes() == (0.5 * (samples - sandwich)).tobytes()

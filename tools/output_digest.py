@@ -16,6 +16,9 @@ The families:
   ``cfmt_inverse`` (of that forward spectrum) and ``cfmt_fast`` on 8x8 to
   512x512 grids, with a symmetric and an asymmetric radial window, in all
   three algebras, under the default pair and one random pair.
+* ``split``: on the same grids, signals and pairs, the plus and minus parts
+  of ``Spectrum.split()`` of each forward spectrum and of ``split_signal``
+  of each signal.
 * ``descriptors``, ``distances``, ``registrations``: gray and RGB images from
   ``tests/imagegen.py``, warped, written as PGM/PPM, read back and resampled
   on a 64x64 grid about a fixed center and about their centroids; every
@@ -86,9 +89,9 @@ def transform_digests() -> dict:
     from clifford_mellin import cfmt
     from clifford_mellin.algebra import SIGNATURES
     from clifford_mellin.roots import RootPair, default_pair, random_roots
-    from clifford_mellin.signal import GridGeometry, random_signal
+    from clifford_mellin.signal import GridGeometry, random_signal, split_signal
 
-    digests = {name: Digest() for name in ("forward", "inverse", "fast")}
+    digests = {name: Digest() for name in ("forward", "inverse", "fast", "split")}
     for n in GRID_SIZES:
         for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
             geo = GridGeometry(n, n, *window)
@@ -100,6 +103,10 @@ def transform_digests() -> dict:
                     digests["forward"].add_array(spectrum.coeffs)
                     digests["inverse"].add_array(cfmt.cfmt_inverse(spectrum).samples)
                     digests["fast"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
+                    for part in spectrum.split():
+                        digests["split"].add_array(part.coeffs)
+                    for part in split_signal(h, pair):
+                        digests["split"].add_array(part.samples)
     return digests
 
 
