@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DomainError, SignatureMismatchError, SingularElementError
 
 BLADE_NAMES = ("1", "e1", "e2", "e12")
-BLADE_GRADES = (0, 1, 1, 2)
 
 _GRADE_INDICES = {0: (0,), 1: (1, 2), 2: (3,)}
 

@@ -133,15 +133,17 @@ class Spectrum:
             Spectrum(self.geometry, self.pair, minus),
         )
 
-    def _check_mixable(self, other: "Spectrum") -> None:
-        if self.geometry != other.geometry:
-            raise GeometryError("spectra live on different grids")
-        if self.pair != other.pair:
-            raise ContractError("cannot mix spectra produced by different root pairs")
-
     def max_abs_diff(self, other: "Spectrum") -> float:
-        self._check_mixable(other)
+        _check_mixable(self, other, "spectra")
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
+
+
+def _check_mixable(a, b, what: str) -> None:
+    """Spectra, or descriptors, mix only on one grid and under one root pair."""
+    if a.geometry is not b.geometry and a.geometry != b.geometry:
+        raise GeometryError(f"{what} live on different grids")
+    if a.pair is not b.pair and a.pair != b.pair:
+        raise ContractError(f"cannot mix {what} made with different root pairs")
 
 
 # -- shared FFT core ----------------------------------------------------------------
@@ -474,14 +476,9 @@ def _spectral_derivative(h: LogPolarSignal, axis: int, order: int) -> LogPolarSi
 
 def _root_power(root: RootOfMinusOne, n: int) -> Multivector:
     """root^n for n = 0, 1, 2 using root^2 = -1."""
-    sig = root.signature
-    if n % 4 == 0:
-        return Multivector.scalar(sig, 1.0)
-    if n % 4 == 1:
+    if n == 1:
         return root.value
-    if n % 4 == 2:
-        return Multivector.scalar(sig, -1.0)
-    return -root.value
+    return Multivector.scalar(root.signature, 1.0 if n == 0 else -1.0)
 
 
 @dataclass(frozen=True)
@@ -539,12 +536,14 @@ _FD_WEIGHTS = {
 POWER_SCALING_PROBES = ((0.75, 1.25), (1.5, -2.25), (-0.5, 0.5))
 
 
-def check_power_scaling(
-    h: LogPolarSignal,
-    pair: RootPair,
-    m: int,
-    n: int,
-) -> float:
+def _seam_fraction(h: LogPolarSignal) -> float | None:
+    """h's energy share on the theta seam if above 1e-12, which power scaling refuses."""
+    power = np.sum(h.samples * h.samples)
+    seam = np.sum(h.samples[:, [0, -1], :] ** 2)
+    return seam / power if power > 0 and seam / power > 1e-12 else None
+
+
+def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> float:
     """Relative residual of the power-scaling identity at real frequencies.
 
     The transform of (ln r)^m theta^n h must equal f^m times the m-th
@@ -558,11 +557,9 @@ def check_power_scaling(
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
 
-    power = np.sum(h.samples * h.samples)
-    seam = np.sum(h.samples[:, [0, -1], :] ** 2)
-    if power > 0 and seam / power > 1e-12:
+    if (fraction := _seam_fraction(h)) is not None:
         raise ContractError(
-            f"signal carries energy on the theta seam (fraction {seam / power:.3e});"
+            f"signal carries energy on the theta seam (fraction {fraction:.3e});"
             " power scaling in theta needs it to vanish there"
         )
 

@@ -128,8 +128,10 @@ def _write_text(path: str | None, text: str) -> None:
     _atomic_write(path, write)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(payload: dict, file=None) -> None:
+    """Print the JSON summary to file, stdout by default; a command whose CSV
+    went to stdout passes stderr, so each stream parses."""
+    print(json.dumps(payload, sort_keys=True, indent=2), file=file)
 
 
 _IMAGE_ONLY = ("algebra", "ns", "ntheta", "smin", "smax", "center")  # a CLMS input fixes these
@@ -266,7 +268,8 @@ def cmd_manifold(args) -> int:
     lines += [f"{b1!r},{b2!r},{beta!r},{branch}" for b1, b2, beta, branch in rows]
     text = "\n".join(lines) + "\n"
     _write_text(args.out, text)
-    _emit({"config": _echo(args, args.algebra), "points": len(rows)})
+    _emit({"config": _echo(args, args.algebra), "points": len(rows)},
+          None if args.out else sys.stderr)
     return 0
 
 
@@ -278,7 +281,7 @@ def cmd_descriptor(args) -> int:
     text = "\n".join(cfmt.frequency_csv_rows(geo, desc.magnitudes[..., None], "mag")) + "\n"
     _write_text(args.out, text)
     _emit({"config": _echo(args, h.signature, pair, geo, center),
-           "bins": int(desc.magnitudes.size)})
+           "bins": int(desc.magnitudes.size)}, None if args.out else sys.stderr)
     return 0
 
 

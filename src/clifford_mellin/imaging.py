@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Signature
-from .cfmt import cfmt_fast
-from .errors import ContractError, DomainError, FormatError, GeometryError, ImageParseError
+from .cfmt import _check_mixable, cfmt_fast
+from .errors import DomainError, FormatError, GeometryError, ImageParseError
 from .roots import RootPair
 from .signal import GridGeometry, LogPolarSignal, _check_compatible, _Fresh
 
@@ -295,10 +295,7 @@ class Descriptor:
     pair: RootPair
 
     def l2_distance(self, other: "Descriptor") -> float:
-        if self.geometry is not other.geometry and self.geometry != other.geometry:
-            raise GeometryError("descriptors live on different grids")
-        if self.pair is not other.pair and self.pair != other.pair:
-            raise ContractError("cannot compare descriptors made with different root pairs")
+        _check_mixable(self, other, "descriptors")
         diff = np.subtract(self.magnitudes, other.magnitudes)
         np.multiply(diff, diff, out=diff)
         return math.sqrt(np.add.reduce(diff, axis=None))

@@ -1,12 +1,13 @@
 """The paper's properties as one table, and the loop that checks them.
 
 Each ``Property`` holds a name, a default tolerance, the pairs it runs on,
-the rules that decide where it applies, and a check that returns the
-residual.  ``verify_rows`` runs the table over the three algebras; it is
-what ``clifford-mellin verify`` prints.  Every random draw comes from one
-PCG64 generator in table order; the test signals seed their own generators
-and are built once per algebra, and each result that several properties
-share is built once per pair.
+the rules it needs and a check that returns the residual.  Each rule gives
+a reason the case is out of scope, or None; the first reason is the one way
+a row reads ``skipped``.  ``verify_rows`` runs the table over the three
+algebras; it is what ``clifford-mellin verify`` prints.  Every random draw
+comes from one PCG64 generator in table order; the test signals seed their
+own generators and are built once per algebra, and each result that several
+properties share is built once per pair.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ class Case:
 # -- rules: each gives the reason to skip a case, or None -------------------------------
 
 
+def _blade_like(case: Case) -> str | None:
+    return None if case.pair.blade_like else "non-blade-like pair"
+
+
 def _distinct(case: Case) -> str | None:
     return "g=±f" if case.pair.degenerate else None
 
@@ -140,6 +145,11 @@ def _cyclic_modulation(case: Case) -> str | None:
 def _band_limited(case: Case) -> str | None:
     """The spectral derivatives are exact only for a band-limited signal."""
     return None if case.derivatives[1].band_limited else "test signal not band-limited on this grid"
+
+
+def _seam_free(case: Case) -> str | None:
+    seam = cfmt._seam_fraction(case.signals.bump)
+    return None if seam is None else "test bump carries energy on the theta seam"
 
 
 # -- checks: each returns the residual of one property ----------------------------------
@@ -262,17 +272,16 @@ def _parseval(case: Case) -> float:
 
 @dataclass(frozen=True)
 class Property:
-    """One row kind of the report.
-
-    ``blade_like`` says what happens on other pairs: "skip" the row, or
-    "record" its residual ungated.  Each rule in ``needs`` may skip it too."""
+    """One row kind of the report, present on ``pairs`` and skipped by the
+    first rule in ``needs`` that gives a reason.  ``record_off_blade`` keeps
+    the residual but no verdict on pairs that are not blade-like."""
 
     name: str
     tolerance: float
     check: Callable[[Case], float]
     pairs: tuple[str, ...] = ON_PAIRS
-    blade_like: str | None = None
     needs: tuple[Callable[[Case], str | None], ...] = ()
+    record_off_blade: bool = False
 
 
 _ALGEBRA, _SPLIT, _TRANSFORM = (TOLERANCES[k] for k in ("algebra", "split", "transform"))
@@ -288,7 +297,7 @@ TABLE = (
     Property("split_linear_combination", _SPLIT, _split_linear_combination),
     Property("split_exp_swap", _SPLIT,
              lambda c: exp_swap_check(*map(float, c.rng.uniform(-5, 5, size=2)), c.x, c.pair)),
-    Property("split_orthogonality", _SPLIT, _split_orthogonality, blade_like="skip"),
+    Property("split_orthogonality", _SPLIT, _split_orthogonality, needs=(_blade_like,)),
     Property("transform_round_trip", _TRANSFORM,
              lambda c: cfmt.cfmt_inverse(c.spectrum).max_abs_diff(c.h)),
     Property("transform_fast_vs_forward", _TRANSFORM,
@@ -299,8 +308,9 @@ TABLE = (
              lambda c: c.shifted[0].max_abs_diff(c.shifted[1])),
     Property("magnitude_invariance", _TRANSFORM,
              lambda c: float(np.max(np.abs(c.shifted[0].magnitude() - c.spectrum.magnitude()))),
-             blade_like="record"),
-    Property("spectral_modulus_pythagoras", 1e-12, _spectral_modulus_pythagoras, blade_like="skip"),
+             record_off_blade=True),
+    Property("spectral_modulus_pythagoras", 1e-12, _spectral_modulus_pythagoras,
+             needs=(_blade_like,)),
     Property("left_linearity", _TRANSFORM, lambda c: c.linearity[0]),
     Property("right_linearity", _TRANSFORM, lambda c: c.linearity[1]),
     Property("reflection_radial", _TRANSFORM, lambda c: _reflection(c, 0),
@@ -312,10 +322,11 @@ TABLE = (
                needs=(_band_limited,))
       for n in (1, 2) for axis in ("radial", "angular")),
     *(Property(f"power_scaling_{m}{n}", TOLERANCES["power_scaling"],
-               lambda c, m=m, n=n: cfmt.check_power_scaling(c.signals.bump, c.pair, m, n))
+               lambda c, m=m, n=n: cfmt.check_power_scaling(c.signals.bump, c.pair, m, n),
+               needs=(_seam_free,))
       for m, n in ((1, 0), (0, 1), (1, 1))),
-    Property("plancherel", _TRANSFORM, _plancherel, blade_like="skip"),
-    Property("parseval", _TRANSFORM, _parseval, blade_like="skip"),
+    Property("plancherel", _TRANSFORM, _plancherel, needs=(_blade_like,)),
+    Property("parseval", _TRANSFORM, _parseval, needs=(_blade_like,)),
     Property("symmetry_separation", _TRANSFORM,
              lambda c: max(cfmt.symmetry_decompose(c.signals.real, c.pair).off_span.values()),
              ("degenerate", "symmetry"), needs=(_distinct, _symmetric_window)),
@@ -325,16 +336,10 @@ TABLE = (
 _UNMEASURED = {"residual": None, "tolerance": None}
 
 
-def _skip_reason(prop: Property, case: Case) -> str | None:
-    if prop.blade_like == "skip" and not case.pair.blade_like:
-        return "non-blade-like pair"
-    return next((reason for rule in prop.needs if (reason := rule(case))), None)
-
-
 def _row(prop: Property, case: Case, tol: float | None) -> dict:
     row = {"property": prop.name, "algebra": case.sig.name, "pair": case.name}
     try:
-        reason = _skip_reason(prop, case)
+        reason = next((reason for rule in prop.needs if (reason := rule(case))), None)
         if reason:
             return {**row, **_UNMEASURED, "pass": None, "status": f"skipped ({reason})"}
         residual = float(prop.check(case))
@@ -342,7 +347,7 @@ def _row(prop: Property, case: Case, tol: float | None) -> dict:
         return {**row, **_UNMEASURED, "pass": False, "status": str(exc)}
     tolerance = tol if tol is not None else prop.tolerance
     row.update({"residual": residual, "tolerance": tolerance, "pass": residual <= tolerance})
-    if prop.blade_like == "record" and not case.pair.blade_like:
+    if prop.record_off_blade and not case.pair.blade_like:
         row.update({"pass": None, "note": "recorded only; identity asserted for blade-like pairs"})
     return row
 

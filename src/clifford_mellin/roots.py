@@ -251,8 +251,6 @@ def export_manifold(sig: Signature, resolution: int) -> list[tuple[float, float,
                 b1 = float(radius * math.cos(angle))
                 b2 = float(radius * math.sin(angle))
                 beta_sq = manifold_beta_squared(sig, b1, b2)
-                if beta_sq < -1e-12:
-                    continue
                 points.append((b1, b2, math.sqrt(max(beta_sq, 0.0))))
     rows: list[tuple[float, float, float, int]] = []
     seen = set()

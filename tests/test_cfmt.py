@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from helpers import literal_direct_sum, moderate_pairs, wild_pairs
 
-from clifford_mellin import cfmt
+from clifford_mellin import cfmt, properties
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, gp
 from clifford_mellin.errors import (
     ContractError,
     DomainError,
     FormatError,
+    GeometryError,
     SignatureMismatchError,
 )
 from clifford_mellin.properties import symmetry_pair
@@ -707,6 +708,22 @@ def test_power_scaling_rejects_seam_energy():
         cfmt.check_power_scaling(h, pair, 0, 1)
 
 
+@pytest.mark.parametrize("n_theta", [2, 4, 6, 32])
+def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
+    # the verify rule and check_power_scaling read one seam predicate: on
+    # 2 and 4 angles the test bump reaches the seam, from 6 on it does not
+    geo = GridGeometry(8, n_theta, -np.pi, np.pi)
+    signals = properties.algebra_signals(geo, CL02, seed=0)
+    case = properties.Case(signals, "blade", default_pair(CL02), np.random.default_rng(0))
+    if n_theta <= 4:
+        with pytest.raises(ContractError, match="energy on the theta seam"):
+            cfmt.check_power_scaling(signals.bump, case.pair, 0, 1)
+        assert properties._seam_free(case) == "test bump carries energy on the theta seam"
+    else:
+        cfmt.check_power_scaling(signals.bump, case.pair, 0, 1)
+        assert properties._seam_free(case) is None
+
+
 # -- Plancherel and Parseval --------------------------------------------------------------
 
 
@@ -850,6 +867,14 @@ def test_spectrum_pair_mixing_guard():
     s1 = cfmt.cfmt_forward(h, default_pair(CL02))
     s2 = cfmt.cfmt_forward(h, wild_pairs(CL02, 1, seed=58)[0])
     with pytest.raises(ContractError):
+        s1.max_abs_diff(s2)
+
+
+def test_spectrum_grid_mixing_guard():
+    pair = default_pair(CL02)
+    s1 = cfmt.cfmt_forward(random_signal(GEO, CL02, seed=57), pair)
+    s2 = cfmt.cfmt_forward(random_signal(default_geometry(16), CL02, seed=57), pair)
+    with pytest.raises(GeometryError, match="different grids"):
         s1.max_abs_diff(s2)
 
 

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import collections
+import csv
+import io
 import json
 import pathlib
 import shlex
@@ -12,6 +14,7 @@ from imagegen import blob_image, warp_similarity
 from clifford_mellin import cfmt, cli, properties, signal
 from clifford_mellin.algebra import CL02, CL11, CL20, Signature
 from clifford_mellin.cfmt import read_clmf
+from clifford_mellin.errors import ContractError
 from clifford_mellin.imaging import descriptor, read_image, write_pgm
 from clifford_mellin.roots import RootPair, default_pair, random_roots
 from clifford_mellin.signal import (
@@ -203,6 +206,29 @@ def test_manifold_hyperboloid(tmp_path, capsys):
     for line in path.read_text().strip().splitlines()[1:]:
         b1, b2, beta, _ = map(float, line.split(","))
         assert abs(beta**2 - b1**2 - b2**2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["manifold", "--resolution", "2"], ["descriptor", "SIGNAL"]])
+def test_a_csv_on_stdout_leaves_the_summary_to_stderr(capsys, signal_file, argv):
+    code = cli.main([str(signal_file) if arg == "SIGNAL" else arg for arg in argv])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] in (["b1", "b2", "beta", "branch"], ["j", "k", "v", "mag"])
+    assert {len(row) for row in rows} == {4}
+    summary = json.loads(captured.err)
+    assert summary.get("points", summary.get("bins")) == len(rows) - 1
+
+
+def test_an_output_that_cannot_be_renamed_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    target = tmp_path / "cloud.csv"
+    assert cli.main(["manifold", "--resolution", "2", "--out", str(target)]) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_descriptor_command(tmp_path, capsys, signal_file):
@@ -589,6 +615,33 @@ def test_verify_skips_derivatives_of_a_signal_that_is_not_band_limited(capsys):
     rows = [r for r in json.loads(out)["results"] if r["property"].startswith("derivative_")]
     assert len(rows) == 4 * 3 * 2
     assert {r["status"] for r in rows} == {"skipped (test signal not band-limited on this grid)"}
+
+
+@pytest.mark.parametrize("grid", [["--ntheta", "4"], ["--ntheta", "2"], ["--ns", "8", "--ntheta", "4"]])
+def test_verify_skips_power_scaling_when_the_bump_reaches_the_theta_seam(capsys, grid):
+    # on 2 or 4 angles the test bump has energy on the seam, which the
+    # power-scaling check refuses; the rows are skipped, not failed
+    code, out = run(capsys, "verify", *grid)
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == 0
+    rows = [r for r in report["results"] if r["property"].startswith("power_scaling_")]
+    assert len(rows) == 3 * 3 * 2
+    assert {(r["status"], r["pass"]) for r in rows} == {
+        ("skipped (test bump carries energy on the theta seam)", None)
+    }
+
+
+def test_a_check_that_raises_a_contract_error_is_a_failing_row(monkeypatch):
+    def refuse(case):
+        raise ContractError("precondition refused")
+
+    monkeypatch.setattr(properties, "TABLE", (properties.Property("refusing", 1.0, refuse),))
+    rows = properties.verify_rows(default_geometry(8), seed=0)
+    assert len(rows) == 3 * 2  # blade and random pairs of each algebra
+    assert {(r["status"], r["pass"], r["residual"], r["tolerance"]) for r in rows} == {
+        ("precondition refused", False, None, None)
+    }
 
 
 def test_readme_examples_parse():

@@ -11,7 +11,9 @@ listings:
 The families:
 
 * ``verify``: the ``clifford-mellin verify`` stdout for seeds 0 and 7 on the
-  default grid, and for seed 7 with ``--pair-degenerate``.
+  default grid, and for seed 7 with ``--pair-degenerate``; ``verify-small``
+  is the seed-0 report on an 8x4 grid, where rules skip rows that run on the
+  default grid.
 * ``forward``, ``inverse``, ``fast``: the bytes of ``cfmt_forward``,
   ``cfmt_inverse`` (of that forward spectrum) and ``cfmt_fast`` on 8x8 to
   512x512 grids, with a symmetric and an asymmetric radial window, in all
@@ -78,6 +80,7 @@ def verify_digests(cli) -> dict:
         ("verify-seed0", ["verify", "--seed", "0"]),
         ("verify-seed7", ["verify", "--seed", "7"]),
         ("verify-seed7-pair-degenerate", ["verify", "--seed", "7", "--pair-degenerate"]),
+        ("verify-small", ["verify", "--ns", "8", "--ntheta", "4"]),
     ):
         digest = digests[name] = Digest()
         code, out = _cli(cli, argv)
