@@ -351,11 +351,23 @@ def check_linearity(
         _span_coefficients(value, pair.f)
     for value in (alpha_right, beta_right):
         _span_coefficients(value, pair.g)
+    return _linearity(h1, h2, cfmt_forward(h1, pair), cfmt_forward(h2, pair),
+                      alpha, beta, alpha_right, beta_right)
 
-    sig = h1.signature
+
+def _linearity(
+    h1: LogPolarSignal,
+    h2: LogPolarSignal,
+    s1: Spectrum,
+    s2: Spectrum,
+    alpha: Multivector,
+    beta: Multivector,
+    alpha_right: Multivector,
+    beta_right: Multivector,
+) -> tuple[float, float]:
+    """check_linearity given the spectra s1, s2 of h1, h2 under its pair."""
+    sig, pair = h1.signature, s1.pair
     mixed = h1.with_samples(gp(sig, alpha.coeffs, h1.samples) + gp(sig, beta.coeffs, h2.samples))
-    s1 = cfmt_forward(h1, pair)
-    s2 = cfmt_forward(h2, pair)
     left_expected = gp(sig, alpha.coeffs, s1.coeffs) + gp(sig, beta.coeffs, s2.coeffs)
     left_residual = float(np.max(np.abs(cfmt_forward(mixed, pair).coeffs - left_expected)))
 
@@ -495,30 +507,32 @@ def check_derivative_theorems(h: LogPolarSignal, pair: RootPair, n: int) -> Deri
     The derivatives are taken spectrally on the grid, which is exact for
     band-limited input; non-band-limited input only sets the warning flag.
     """
-    return _derivative_checks(h, pair, (n,))[n]
-
-
-def _derivative_checks(h: LogPolarSignal, pair: RootPair, orders) -> dict[int, DerivativeCheck]:
-    """check_derivative_theorems at each of orders, sharing one transform of h
-    and one band-limit test."""
-    for n in orders:
-        if n < 0 or n > 2:
-            raise DomainError(f"derivative order must be 0..2, got {n}")
+    if n < 0 or n > 2:
+        raise DomainError(f"derivative order must be 0..2, got {n}")
     pair.require_algebra(h.signature, "signal")
-    geo = h.geometry
-    sig = h.signature
-    base = cfmt_forward(h, pair)
-    band_limited = _band_limited(h)
+    derivatives = {n: _spectral_derivatives(h, n)}
+    return _derivative_checks(cfmt_forward(h, pair), derivatives, _band_limited(h))[n]
 
+
+def _spectral_derivatives(h: LogPolarSignal, n: int) -> tuple[LogPolarSignal, LogPolarSignal]:
+    """(r d/dr)^n h and (d/dtheta)^n h, taken spectrally."""
+    return _spectral_derivative(h, 0, n), _spectral_derivative(h, 1, n)
+
+
+def _derivative_checks(base: Spectrum, derivatives: dict, band_limited: bool
+                       ) -> dict[int, DerivativeCheck]:
+    """check_derivative_theorems at each order n of derivatives, which maps n
+    to _spectral_derivatives(h, n), given h's spectrum base and band-limit flag."""
+    pair, geo, sig = base.pair, base.geometry, base.signature
     checks = {}
-    for n in orders:
-        radial = cfmt_forward(_spectral_derivative(h, 0, n), pair)
+    for n, (radial_signal, angular_signal) in derivatives.items():
+        radial = cfmt_forward(radial_signal, pair)
         f_pow = _root_power(pair.f, n)
         factor_left = (geo.v_values**n)[:, None, None] * f_pow.coeffs
         expected_radial = gp(sig, factor_left, base.coeffs)
         radial_residual = float(np.max(np.abs(radial.coeffs - expected_radial)))
 
-        angular = cfmt_forward(_spectral_derivative(h, 1, n), pair)
+        angular = cfmt_forward(angular_signal, pair)
         g_pow = _root_power(pair.g, n)
         factor_right = (geo.k_values**n)[None, :, None] * g_pow.coeffs
         expected_angular = gp(sig, base.coeffs, factor_right)
@@ -549,46 +563,48 @@ def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> fl
     The transform of (ln r)^m theta^n h must equal f^m times the m-th
     v-derivative and n-th k-derivative of H, times g^n.  Derivatives are
     approximated by central differences of the literal sum (step 1e-3*dv in
-    v and 1e-3 in k); the theta multiplication is not periodic, so signals
-    carrying energy on the theta seam are rejected.
+    v and 1e-3 in k); the theta multiplication is not periodic, so for n > 0
+    signals carrying energy on the theta seam are rejected.
     """
     if not (0 <= m <= 2 and 0 <= n <= 2):
         raise DomainError(f"power-scaling orders must be 0..2, got ({m}, {n})")
     pair.require_algebra(h.signature, "signal")
-    geo = h.geometry
-
-    if (fraction := _seam_fraction(h)) is not None:
+    if n > 0 and (fraction := _seam_fraction(h)) is not None:
         raise ContractError(
             f"signal carries energy on the theta seam (fraction {fraction:.3e});"
             " power scaling in theta needs it to vanish there"
         )
+    return _power_scaling(h, pair, ((m, n),))[m, n]
 
-    s_grid = geo.s_values[:, None, None]
-    theta_grid = geo.theta_values[None, :, None]
-    scaled = h.with_samples(h.samples * s_grid**m * theta_grid**n)
 
+def _power_scaling(h: LogPolarSignal, pair: RootPair, orders) -> dict[tuple[int, int], float]:
+    """check_power_scaling at each (m, n) of orders.  One _direct_sums call
+    takes the difference points of every order, each once."""
+    geo = h.geometry
     step_v = 1e-3 * geo.dv
     step_k = 1e-3
-    f_pow = _root_power(pair.f, m)
-    g_pow = _root_power(pair.g, n)
-
     probes = np.array([(v_units * geo.dv, k_value) for v_units, k_value in POWER_SCALING_PROBES])
-    steps = [(ov, ok, (wv / step_v**m) * (wk / step_k**n))
-             for ov, wv in _FD_WEIGHTS[m] for ok, wk in _FD_WEIGHTS[n]]
-    lhs = _direct_sums(scaled, pair, probes[:, 0], probes[:, 1])
+    stencils = {(m, n): [(ov, ok, (wv / step_v**m) * (wk / step_k**n))
+                         for ov, wv in _FD_WEIGHTS[m] for ok, wk in _FD_WEIGHTS[n]]
+                for m, n in orders}
+    offsets = list(dict.fromkeys((ov, ok) for steps in stencils.values() for ov, ok, _ in steps))
     points = np.array([(v_value + ov * step_v, k_value + ok * step_k)
-                       for v_value, k_value in probes.tolist() for ov, ok, _ in steps])
-    samples = _direct_sums(h, pair, points[:, 0], points[:, 1]).reshape(len(probes), len(steps), 4)
+                       for v_value, k_value in probes.tolist() for ov, ok in offsets])
+    samples = _direct_sums(h, pair, points[:, 0], points[:, 1]).reshape(len(probes), -1, 4)
+    column = {offset: i for i, offset in enumerate(offsets)}
 
-    worst = 0.0
-    for lhs_p, samples_p in zip(lhs, samples):
-        rhs = np.zeros(4)
-        for (_, _, weight), sample in zip(steps, samples_p):
-            rhs += weight * sample
-        rhs_mv = f_pow * Multivector(h.signature, rhs) * g_pow
-        scale = max(float(np.max(np.abs(lhs_p))), float(np.max(np.abs(rhs_mv.coeffs))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(lhs_p - rhs_mv.coeffs))) / scale)
-    return worst
+    residuals = {}
+    for m, n in orders:
+        scaled = h.samples * geo.s_values[:, None, None]**m * geo.theta_values[None, :, None]**n
+        lhs = _direct_sums(h.with_samples(scaled), pair, probes[:, 0], probes[:, 1])
+        rhs = np.zeros((len(probes), 4))
+        for ov, ok, weight in stencils[m, n]:
+            rhs += weight * samples[:, column[ov, ok]]
+        rhs = gp(h.signature, gp(h.signature, _root_power(pair.f, m).coeffs, rhs),
+                 _root_power(pair.g, n).coeffs)
+        scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-30)
+        residuals[m, n] = float(np.max(np.abs(lhs - rhs).max(axis=1) / scale))
+    return residuals
 
 
 # -- Plancherel, Parseval, symmetry ---------------------------------------------------
@@ -598,9 +614,13 @@ def plancherel_check(h: LogPolarSignal, m: LogPolarSignal, pair: RootPair) -> tu
     """Both sides of <h, m> = <H, M> with the discrete measures
     (ds*dtheta on the signal side, dv per v-bin on the spectral side)."""
     pair.require_algebra(h.signature, "signal")
+    return _plancherel(h, m, cfmt_forward(h, pair), cfmt_forward(m, pair))
+
+
+def _plancherel(h: LogPolarSignal, m: LogPolarSignal, hs: Spectrum, ms: Spectrum
+                ) -> tuple[float, float]:
+    """plancherel_check given the spectra hs, ms of h, m."""
     lhs = scalar_inner_product(h, m)
-    hs = cfmt_forward(h, pair)
-    ms = cfmt_forward(m, pair)
     rhs = float(np.sum(hs.coeffs * ms.coeffs) * h.geometry.dv)
     return lhs, rhs
 
@@ -609,7 +629,12 @@ def parseval_check(h: LogPolarSignal, pair: RootPair) -> tuple[float, float, flo
     """(||h||, ||H||, ||H_plus||^2, ||H_minus||^2) for a blade-like pair."""
     pair.require_blade_like("parseval_check")
     spectrum = cfmt_forward(h, pair)
-    plus, minus = spectrum.split()
+    return _parseval(h, spectrum, spectrum.split())
+
+
+def _parseval(h: LogPolarSignal, spectrum: Spectrum, parts) -> tuple[float, float, float, float]:
+    """parseval_check given h's spectrum and its split parts."""
+    plus, minus = parts
     return signal_norm(h), spectrum.norm(), plus.norm() ** 2, minus.norm() ** 2
 
 
@@ -728,13 +753,16 @@ def read_clmf(path) -> Spectrum:
 def frequency_csv_rows(geometry: GridGeometry, values: np.ndarray, columns: str):
     """CSV rows with header j,k,v,<columns>, then one row per bin of the
     (n_s, n_theta, m) values in centered order: j, k, v = dv*j and the bin's
-    m values, each float as its repr."""
+    m values, each float as its repr.  The ",k," fields are made once per
+    call and v's repr once per radial row."""
     yield f"j,k,v,{columns}"
-    k_values = range(-geometry.n_theta // 2, geometry.n_theta // 2)
-    for j, row in zip(range(-geometry.n_s // 2, geometry.n_s // 2), values.tolist()):
+    k_fields = [f",{k}," for k in range(-geometry.n_theta // 2, geometry.n_theta // 2)]
+    m = values.shape[-1]
+    rows = values.reshape(geometry.n_s, -1).tolist()
+    for j, row in zip(range(-geometry.n_s // 2, geometry.n_s // 2), rows):
         v = repr(float(geometry.dv * j))
-        for k, cell in zip(k_values, row):
-            yield f"{j},{k},{v}," + ",".join(map(repr, cell))
+        cells = map(",".join, zip(*[map(repr, row)] * m))  # m reprs per bin, in order
+        yield from map(str.__add__, [f"{j}{k_field}{v}," for k_field in k_fields], cells)
 
 
 def spectrum_csv_rows(spectrum: Spectrum):

@@ -6,8 +6,12 @@ a reason the case is out of scope, or None; the first reason is the one way
 a row reads ``skipped``.  ``verify_rows`` runs the table over the three
 algebras; it is what ``clifford-mellin verify`` prints.  Every random draw
 comes from one PCG64 generator in table order; the test signals seed their
-own generators and are built once per algebra, and each result that several
-properties share is built once per pair.
+own generators.  Each result that several rows share is built once: what
+depends only on the test signals (the smooth signal's spectral derivatives
+and band-limit flag, the bump's seam fraction) once per algebra, and what
+also depends on the pair (the spectra of h and h2, the split of h's, the
+three power-scaling residuals) once per ``Case``, which hands it to the
+private kernels behind cfmt's public checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ TOLERANCES = {
 
 ON_ALGEBRA = ("-",)  # properties of the algebra itself, pair "-"
 ON_PAIRS = ("blade", "random", "degenerate")
+POWER_ORDERS = ((1, 0), (0, 1), (1, 1))
 
 
 def symmetry_pair(sig: Signature) -> RootPair:
@@ -60,17 +65,22 @@ def verify_pairs(sig: Signature, seed: int, include_degenerate: bool):
 
 
 def algebra_signals(geometry: GridGeometry, sig: Signature, seed: int) -> SimpleNamespace:
-    """The pair-independent signals of one algebra; each seeds its own generator."""
+    """The pair-independent signals of one algebra, each seeding its own
+    generator, and what the rows derive from them alone."""
 
     def draw(offset: int, **options) -> LogPolarSignal:
         return signal.random_signal(geometry, sig, seed=seed + offset, **options)
 
     s_col, t_row = geometry.s_values[:, None], geometry.theta_values[None, :]
     radial = np.exp(-((s_col / (0.25 * geometry.span)) ** 2))
-    bump = radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2))
+    bump = LogPolarSignal.from_channels(
+        geometry, sig, m0=radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2)))
+    smooth = draw(4, band_limit=4)
     return SimpleNamespace(
-        sig=sig, geometry=geometry, bump=LogPolarSignal.from_channels(geometry, sig, m0=bump),
-        h=draw(2), h2=draw(3), smooth=draw(4, band_limit=4), real=draw(5, channels=(0,)),
+        sig=sig, geometry=geometry, bump=bump, h=draw(2), h2=draw(3), smooth=smooth,
+        real=draw(5, channels=(0,)), bump_seam=cfmt._seam_fraction(bump),
+        derivatives={n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)},
+        band_limited=cfmt._band_limited(smooth),
     )
 
 
@@ -95,6 +105,10 @@ class Case:
         return cfmt.cfmt_forward(self.h, self.pair)
 
     @cached_property
+    def spectrum2(self) -> cfmt.Spectrum:
+        return cfmt.cfmt_forward(self.signals.h2, self.pair)
+
+    @cached_property
     def split_spectra(self):
         return self.spectrum.split()
 
@@ -105,19 +119,26 @@ class Case:
         shifted = cfmt.cfmt_forward(cfmt.apply_scale_rotate(self.h, p, q), self.pair)
         return shifted, cfmt.predicted_shift_spectrum(self.spectrum, p, q)
 
+    @property
+    def coefficients(self) -> tuple[Multivector, ...]:
+        """(alpha, beta) in span{1, f} and (alpha_right, beta_right) in span{1, g}."""
+        sig, f, g = self.sig, self.pair.f.value, self.pair.g.value
+        return (Multivector.scalar(sig, 0.7) + 0.4 * f, Multivector.scalar(sig, 1.5),
+                Multivector.scalar(sig, 0.3), Multivector.scalar(sig, -1.1) + 0.8 * g)
+
     @cached_property
     def linearity(self) -> tuple[float, float]:
-        sig, f, g = self.sig, self.pair.f.value, self.pair.g.value
-        alpha = Multivector.scalar(sig, 0.7) + 0.4 * f
-        beta_r = Multivector.scalar(sig, -1.1) + 0.8 * g
-        return cfmt.check_linearity(
-            self.h, self.signals.h2, self.pair, alpha,
-            Multivector.scalar(sig, 1.5), Multivector.scalar(sig, 0.3), beta_r,
-        )
+        return cfmt._linearity(self.h, self.signals.h2, self.spectrum, self.spectrum2,
+                               *self.coefficients)
 
     @cached_property
     def derivatives(self) -> dict:
-        return cfmt._derivative_checks(self.signals.smooth, self.pair, (1, 2))
+        base = cfmt.cfmt_forward(self.signals.smooth, self.pair)
+        return cfmt._derivative_checks(base, self.signals.derivatives, self.signals.band_limited)
+
+    @cached_property
+    def power_scaling(self) -> dict:
+        return cfmt._power_scaling(self.signals.bump, self.pair, POWER_ORDERS)
 
 
 # -- rules: each gives the reason to skip a case, or None -------------------------------
@@ -144,12 +165,12 @@ def _cyclic_modulation(case: Case) -> str | None:
 
 def _band_limited(case: Case) -> str | None:
     """The spectral derivatives are exact only for a band-limited signal."""
-    return None if case.derivatives[1].band_limited else "test signal not band-limited on this grid"
+    return None if case.signals.band_limited else "test signal not band-limited on this grid"
 
 
 def _seam_free(case: Case) -> str | None:
-    seam = cfmt._seam_fraction(case.signals.bump)
-    return None if seam is None else "test bump carries energy on the theta seam"
+    """Power scaling in theta needs a bump with no energy on the theta seam."""
+    return None if case.signals.bump_seam is None else "test bump carries energy on the theta seam"
 
 
 # -- checks: each returns the residual of one property ----------------------------------
@@ -255,12 +276,12 @@ def _modulation_shift(case: Case) -> float:
 
 
 def _plancherel(case: Case) -> float:
-    lhs, rhs = cfmt.plancherel_check(case.h, case.signals.h2, case.pair)
+    lhs, rhs = cfmt._plancherel(case.h, case.signals.h2, case.spectrum, case.spectrum2)
     return abs(lhs - rhs) / max(abs(lhs), 1e-30)
 
 
 def _parseval(case: Case) -> float:
-    n_sig, n_spec, plus_sq, minus_sq = cfmt.parseval_check(case.h, case.pair)
+    n_sig, n_spec, plus_sq, minus_sq = cfmt._parseval(case.h, case.spectrum, case.split_spectra)
     return max(
         abs(n_sig - n_spec) / max(n_sig, 1e-30),
         abs(n_spec**2 - plus_sq - minus_sq) / max(n_spec**2, 1e-30),
@@ -322,9 +343,8 @@ TABLE = (
                needs=(_band_limited,))
       for n in (1, 2) for axis in ("radial", "angular")),
     *(Property(f"power_scaling_{m}{n}", TOLERANCES["power_scaling"],
-               lambda c, m=m, n=n: cfmt.check_power_scaling(c.signals.bump, c.pair, m, n),
-               needs=(_seam_free,))
-      for m, n in ((1, 0), (0, 1), (1, 1))),
+               lambda c, m=m, n=n: c.power_scaling[m, n], needs=(_seam_free,) if n else ())
+      for m, n in POWER_ORDERS),
     Property("plancherel", _TRANSFORM, _plancherel, needs=(_blade_like,)),
     Property("parseval", _TRANSFORM, _parseval, needs=(_blade_like,)),
     Property("symmetry_separation", _TRANSFORM,

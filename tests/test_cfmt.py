@@ -724,6 +724,48 @@ def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
         assert properties._seam_free(case) is None
 
 
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_power_scaling_in_s_alone_ignores_seam_energy(sig):
+    # with n = 0 nothing multiplies by theta, so the identity needs no seam
+    # condition: the 8x4 verify bump reaches the seam and still passes
+    bump = properties.algebra_signals(GridGeometry(8, 4, -np.pi, np.pi), sig, seed=0).bump
+    assert cfmt._seam_fraction(bump) is not None
+    for pair in (default_pair(sig), moderate_pairs(sig, 1, seed=44)[0]):
+        assert cfmt.check_power_scaling(bump, pair, 1, 0) <= 1e-5
+
+
+def _plancherel_residual(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(lhs), 1e-30)
+
+
+def _parseval_residual(n_sig, n_spec, plus_sq, minus_sq):
+    return max(abs(n_sig - n_spec) / max(n_sig, 1e-30),
+               abs(n_spec**2 - plus_sq - minus_sq) / max(n_spec**2, 1e-30))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_verify_shared_results_equal_the_public_checks_bit_for_bit(sig):
+    # verify hands precomputed spectra and signals to the kernels behind the
+    # public checks; on every pair it runs, the degenerate one included, the
+    # results must be the ones the public checks compute from scratch
+    geo = default_geometry(16)
+    signals = properties.algebra_signals(geo, sig, seed=5)
+    h, h2 = signals.h, signals.h2
+    for name, pair in properties.verify_pairs(sig, 5, include_degenerate=True)[1:]:
+        case = properties.Case(signals, name, pair, np.random.default_rng(5))
+        assert case.linearity == cfmt.check_linearity(h, h2, pair, *case.coefficients)
+        assert set(case.power_scaling) == set(properties.POWER_ORDERS)
+        for (m, n), residual in case.power_scaling.items():
+            assert residual == cfmt.check_power_scaling(signals.bump, pair, m, n)
+        assert set(case.derivatives) == {1, 2}
+        for n, check in case.derivatives.items():
+            assert check == cfmt.check_derivative_theorems(signals.smooth, pair, n)
+        assert properties._plancherel(case) == _plancherel_residual(
+            *cfmt.plancherel_check(h, h2, pair))
+        if pair.blade_like:
+            assert properties._parseval(case) == _parseval_residual(*cfmt.parseval_check(h, pair))
+
+
 # -- Plancherel and Parseval --------------------------------------------------------------
 
 

@@ -518,6 +518,23 @@ def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
     assert calls["cfmt_inverse"] <= 6
 
 
+def test_verify_transforms_each_signal_once_per_pair(monkeypatch):
+    # a spectrum that several rows read is made once per case, so no
+    # (samples, pair) is transformed twice in one report
+    seen = collections.Counter()
+    original = cfmt.cfmt_forward
+
+    def counted(h, pair):
+        seen[h.signature.name, h.samples.tobytes(), pair.f.value.coeffs.tobytes(),
+             pair.g.value.coeffs.tobytes()] += 1
+        return original(h, pair)
+
+    monkeypatch.setattr(cfmt, "cfmt_forward", counted)
+    properties.verify_rows(default_geometry(32), seed=0)
+    assert max(seen.values()) == 1
+    assert sum(seen.values()) == 102
+
+
 def test_verify_skips_what_an_asymmetric_window_cannot_check(capsys):
     # r -> 1/r and the parity split need s_min = -s_max; the cyclic
     # modulation shift needs n_s*s_min/span to be an integer (4 on [-1, 3))
@@ -620,15 +637,18 @@ def test_verify_skips_derivatives_of_a_signal_that_is_not_band_limited(capsys):
 @pytest.mark.parametrize("grid", [["--ntheta", "4"], ["--ntheta", "2"], ["--ns", "8", "--ntheta", "4"]])
 def test_verify_skips_power_scaling_when_the_bump_reaches_the_theta_seam(capsys, grid):
     # on 2 or 4 angles the test bump has energy on the seam, which the
-    # power-scaling check refuses; the rows are skipped, not failed
+    # power-scaling check refuses for a theta order n > 0; those rows are
+    # skipped, not failed, and the n = 0 rows, which need no seam rule, pass
     code, out = run(capsys, "verify", *grid)
     assert code == 0
     report = json.loads(out)
     assert report["failures"] == 0
     rows = [r for r in report["results"] if r["property"].startswith("power_scaling_")]
     assert len(rows) == 3 * 3 * 2
-    assert {(r["status"], r["pass"]) for r in rows} == {
-        ("skipped (test bump carries energy on the theta seam)", None)
+    assert {(r["property"], r.get("status"), r["pass"]) for r in rows} == {
+        ("power_scaling_10", None, True),
+        ("power_scaling_01", "skipped (test bump carries energy on the theta seam)", None),
+        ("power_scaling_11", "skipped (test bump carries energy on the theta seam)", None),
     }
 
 

@@ -21,6 +21,14 @@ The families:
 * ``split``: on the same grids, signals and pairs, the plus and minus parts
   of ``Spectrum.split()`` of each forward spectrum and of ``split_signal``
   of each signal.
+* ``spectrum-csv``: the text of ``spectrum_csv_rows`` of each of those
+  forward spectra.
+* ``checks``: the residuals of the public theorem checks on 16x16 and 32x32
+  grids in all three algebras, under the default pair and one random pair:
+  ``check_linearity``, ``check_derivative_theorems`` at orders 0 to 2,
+  ``check_power_scaling`` at every order pair (m, n) in 0..2 on a seam-free
+  bump, ``plancherel_check``, ``parseval_check`` on the blade-like pair, and
+  the ``off_span`` of ``symmetry_decompose`` on a real signal.
 * ``descriptors``, ``distances``, ``registrations``: gray and RGB images from
   ``tests/imagegen.py``, warped, written as PGM/PPM, read back and resampled
   on a 64x64 grid about a fixed center and about their centroids; every
@@ -30,7 +38,7 @@ The families:
   and the ``register`` summary without its config, with the exit codes.
 
 Each line reads ``family digest count``, where count is the number of items
-hashed.  The run takes a few seconds and well under 100 MB.
+hashed.  The run takes about half a minute and peaks near 140 MB.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ def transform_digests() -> dict:
     from clifford_mellin.roots import RootPair, default_pair, random_roots
     from clifford_mellin.signal import GridGeometry, random_signal, split_signal
 
-    digests = {name: Digest() for name in ("forward", "inverse", "fast", "split")}
+    digests = {name: Digest() for name in ("forward", "inverse", "fast", "split", "spectrum-csv")}
     for n in GRID_SIZES:
         for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
             geo = GridGeometry(n, n, *window)
@@ -110,7 +118,50 @@ def transform_digests() -> dict:
                         digests["split"].add_array(part.coeffs)
                     for part in split_signal(h, pair):
                         digests["split"].add_array(part.samples)
+                    csv = hashlib.sha256()  # line by line: a 512x512 CSV is ~25 MB
+                    for row in cfmt.spectrum_csv_rows(spectrum):
+                        csv.update(row.encode() + b"\n")
+                    digests["spectrum-csv"].add(csv.digest())
     return digests
+
+
+def check_digests() -> dict:
+    import numpy as np
+    from clifford_mellin import cfmt
+    from clifford_mellin.algebra import SIGNATURES, Multivector
+    from clifford_mellin.properties import symmetry_pair
+    from clifford_mellin.roots import RootPair, default_pair, random_roots
+    from clifford_mellin.signal import GridGeometry, LogPolarSignal, random_signal
+
+    digest = Digest()
+    for n in (16, 32):
+        geo = GridGeometry(n, n, -math.pi, math.pi)
+        s, theta = geo.s_values[:, None], geo.theta_values[None, :]
+        bump_channel = np.exp(-((s / 1.2) ** 2) - ((theta - math.pi) / 0.6) ** 2)
+        for k, sig in enumerate(SIGNATURES):
+            seed = 3000 * n + 10 * k
+            h, h2 = random_signal(geo, sig, seed=seed), random_signal(geo, sig, seed=seed + 1)
+            smooth = random_signal(geo, sig, seed=seed + 2, band_limit=4)
+            bump = LogPolarSignal.from_channels(geo, sig, m0=bump_channel)
+            one = Multivector.scalar(sig, 1.0)
+            f, g = random_roots(sig, 2, seed=seed + 3)
+            for pair in (default_pair(sig), RootPair(f, g)):
+                values = list(cfmt.check_linearity(
+                    h, h2, pair, 0.7 * one + 0.4 * pair.f.value, 1.5 * one, 0.3 * one,
+                    -1.1 * one + 0.8 * pair.g.value))
+                for order in range(3):
+                    check = cfmt.check_derivative_theorems(smooth, pair, order)
+                    values += [check.radial_residual, check.angular_residual, check.band_limited]
+                values += [cfmt.check_power_scaling(bump, pair, m, q)
+                           for m in range(3) for q in range(3)]
+                values += cfmt.plancherel_check(h, h2, pair)
+                if pair.blade_like:
+                    values += cfmt.parseval_check(h, pair)
+                digest.add(repr(values).encode())
+            real = random_signal(geo, sig, seed=seed + 4, channels=(0,))
+            off_span = cfmt.symmetry_decompose(real, symmetry_pair(sig)).off_span
+            digest.add(repr(sorted(off_span.items())).encode())
+    return {"checks": digest}
 
 
 def _images():
@@ -191,6 +242,7 @@ def main(argv=None) -> int:
 
     digests = verify_digests(cli)
     digests.update(transform_digests())
+    digests.update(check_digests())
     with tempfile.TemporaryDirectory() as workdir:
         images, paths = image_digests(workdir)
         digests.update(images)
