@@ -579,7 +579,8 @@ def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> fl
 
 def _power_scaling(h: LogPolarSignal, pair: RootPair, orders) -> dict[tuple[int, int], float]:
     """check_power_scaling at each (m, n) of orders.  One _direct_sums call
-    takes the difference points of every order, each once."""
+    takes the difference points of every order, each once; its rows are
+    per point, so each order gets the bits a call of its own would give."""
     geo = h.geometry
     step_v = 1e-3 * geo.dv
     step_k = 1e-3
