@@ -16,13 +16,19 @@ corners, the flat raster index and the weight (zero off the raster) of every
 grid node, 64 bytes per node (256 KB at 64x64).  It depends only on the
 geometry, the exact center floats and the image height and width, and the
 last SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that many times
-64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  register keeps
-the spectrum of each mean-removed signal it reads for as long as the signal
-lives (a 64x64 signal's takes 135 KB), since signals are immutable and a
-corpus entry is registered against many queries.  It transforms only the
-channels an image populates (one for gray, three for RGB); the others stay
-zero planes of the same entry.  Both caches hand out read-only arrays, and
-every output is what the uncached, all-channel computation gives.
+64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  The gather runs
+one image channel at a time: it reads the channel's plane at each corner's
+indices, weights the reads and adds them, corner by corner, into one
+(n_s, n_theta) buffer that starts at 0.0 and is then written into the
+channel's blade.  register keeps the spectrum of each mean-removed signal
+it reads for as long as the signal lives, since signals are immutable and a
+corpus entry is registered against many queries.  An entry is a
+(4, n_s, n_theta // 2 + 1) complex array, one plane per blade (135 KB at
+64x64).  The channels an image populates (one for gray, three for RGB) are
+transformed in one batched rfft2; the others stay exact zero planes.  Both
+caches hand out read-only arrays, and every output, the public arrays'
+(..., 4) layout included, is bit for bit what the uncached, interleaved,
+all-channel computation gives.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .algebra import Signature
 from .cfmt import _check_mixable, cfmt_fast
 from .errors import DomainError, FormatError, GeometryError, ImageParseError
 from .roots import RootPair
-from .signal import GridGeometry, LogPolarSignal, _check_compatible, _Fresh
+from .signal import GridGeometry, LogPolarSignal, _check_compatible, _Fresh, _grid_array
 
 GRAY_TO_SCALAR = (0,)
 RGB_TO_VECTOR_BLADES = (1, 2, 3)
@@ -224,19 +230,22 @@ def _corner_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> tuple:
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
             index = yy.clip(0, h - 1) * w + xx.clip(0, w - 1)
-            factor = (weight * valid)[..., None]
+            factor = weight * valid
             index.flags.writeable = factor.flags.writeable = False
             plan.append((index, factor))
     return tuple(plan)
 
 
-def _gather(field: np.ndarray, plan: tuple) -> np.ndarray:
-    """Apply a corner plan to an (h, w, c) field."""
-    h, w = field.shape[:2]
-    flat = field.reshape(h * w, -1)
-    out = np.zeros(plan[0][0].shape + (field.shape[2],))
+def _gather(plane: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """Apply a corner plan to one (h, w) channel plane: out, of the plan's
+    shape, starts at 0.0 and takes each corner's weighted read in plan
+    order.  Returns out."""
+    flat = plane.reshape(-1)
+    read = np.empty_like(out)
+    out.fill(0.0)
     for index, factor in plan:
-        out += flat[index] * factor
+        np.multiply(flat[index], factor, out=read)
+        out += read
     return out
 
 
@@ -278,7 +287,9 @@ def to_log_polar(
         )
     plan = _log_polar_plan(geometry, (cx, cy), image.height, image.width)
     samples = np.zeros((geometry.n_s, geometry.n_theta, 4))
-    samples[..., list(source.mapping)] = _gather(image.pixels, plan)
+    channel = np.empty((geometry.n_s, geometry.n_theta))
+    for c, blade in enumerate(source.mapping):
+        samples[..., blade] = _gather(image.pixels[..., c], plan, channel)
     return LogPolarSignal(geometry, source.signature, _Fresh(samples))
 
 
@@ -288,11 +299,17 @@ def to_log_polar(
 @dataclass(frozen=True)
 class Descriptor:
     """Pointwise transform magnitude; invariant under integer grid
-    scale/rotation shifts of the source signal."""
+    scale/rotation shifts of the source signal.  The magnitudes are a
+    read-only float copy, or the array of a _Fresh, checked to be finite and
+    shaped (n_s, n_theta) on the geometry."""
 
     magnitudes: np.ndarray
     geometry: GridGeometry
     pair: RootPair
+
+    def __post_init__(self):
+        magnitudes = _grid_array(self.geometry, self.magnitudes, "magnitudes", channels=())
+        object.__setattr__(self, "magnitudes", magnitudes)
 
     def l2_distance(self, other: "Descriptor") -> float:
         _check_mixable(self, other, "descriptors")
@@ -306,28 +323,30 @@ def descriptor(signal: LogPolarSignal, pair: RootPair) -> Descriptor:
     only then is the magnitude shift-invariant."""
     pair.require_blade_like("descriptor")
     spectrum = cfmt_fast(signal, pair)
-    return Descriptor(spectrum.magnitude(), signal.geometry, pair)
+    return Descriptor(_Fresh(spectrum.magnitude()), signal.geometry, pair)
 
 
-# signal -> rfft2 of its mean-removed samples; an entry dies with its signal
+# signal -> rfft2 of its mean-removed channel planes; an entry dies with its signal
 _CENTRED_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _centred_spectrum(h: LogPolarSignal) -> np.ndarray:
-    """Read-only rfft2 over the grid axes of h's samples less their channel
-    means, computed once per signal object.  Only channels with a nonzero
-    sample are transformed; the others stay exact zeros."""
+    """Read-only (4, n_s, n_theta // 2 + 1) rfft2 of h's channel planes less
+    their means, computed once per signal object.  Only channels with a
+    nonzero sample are transformed, in one batched call; the others stay
+    exact zero planes."""
     spectrum = _CENTRED_SPECTRA.get(h)
     if spectrum is None:
-        samples = h.samples
-        # the mean over all four channels at once: its bits depend on the
-        # shape and layout of the array it reduces
-        means = samples.mean(axis=(0, 1))
-        spectrum = np.zeros((samples.shape[0], samples.shape[1] // 2 + 1, 4), dtype=complex)
-        for c in range(4):
-            channel = samples[..., c]
-            if channel.any():
-                spectrum[..., c] = np.fft.rfft2(channel - means[c])
+        n_s, n_theta = h.samples.shape[:2]
+        planes = np.ascontiguousarray(h.samples.reshape(-1, 4).T)
+        populated = np.flatnonzero(planes.any(axis=1))
+        centred = planes[populated]
+        # a running sum: its last entry has the bits of samples.mean(axis=(0, 1)),
+        # which adds the samples of a channel one after another
+        means = np.add.accumulate(centred, axis=1)[:, -1] / (n_s * n_theta)
+        centred -= means[:, None]
+        spectrum = np.zeros((4, n_s, n_theta // 2 + 1), dtype=complex)
+        spectrum[populated] = np.fft.rfft2(centred.reshape(-1, n_s, n_theta))
         spectrum.flags.writeable = False
         _CENTRED_SPECTRA[h] = spectrum
     return spectrum
@@ -337,8 +356,9 @@ def _correlation(h1: LogPolarSignal, h2: LogPolarSignal) -> np.ndarray:
     """Fresh (n_s, n_theta) channel-summed cyclic cross-correlation of the
     mean-removed signals."""
     geo = h1.geometry
-    cross = _centred_spectrum(h1) * np.conj(_centred_spectrum(h2))
-    return np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
+    c0, c1, c2, c3 = _centred_spectrum(h1) * np.conj(_centred_spectrum(h2))
+    # the order in which np.sum adds four complex values
+    return np.fft.irfft2((c0 + c1) + (c2 + c3), s=(geo.n_s, geo.n_theta))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +65,10 @@ class RootOfMinusOne:
     def parameters(self) -> tuple[float, float, float]:
         return (self.b1, self.b2, self.beta)
 
-    @property
+    @cached_property
     def blade_like(self) -> bool:
-        """True when the principal reverse negates the root."""
+        """True when the principal reverse negates the root; computed once per
+        root and kept outside the dataclass fields."""
         flipped = self.value.coeffs * principal_reverse_signs(self.signature)
         return bool(np.all(np.abs(flipped + self.value.coeffs) <= ROOT_TOL))
 
@@ -181,9 +183,9 @@ class RootPair:
     def signature(self) -> Signature:
         return self.f.signature
 
-    @property
+    @cached_property
     def degenerate(self) -> bool:
-        """True when g equals f or -f componentwise."""
+        """True when g equals f or -f componentwise; computed once per pair."""
         fc, gc = self.f.value.coeffs, self.g.value.coeffs
         return bool(
             np.all(np.abs(gc - fc) <= ROOT_TOL) or np.all(np.abs(gc + fc) <= ROOT_TOL)

@@ -11,12 +11,12 @@ norms) run as single numpy sums over the fixed row-major layout, so results
 are deterministic run to run.
 
 The (n_s, n_theta, 4) grid array has one validator, _grid_array, shared with
-cfmt.Spectrum, and one file codec, _write_grid_file/_read_grid_file: a
-key=value header (algebra, grid, then any extra keys) followed by exactly
-n_s * n_theta * 4 little-endian float64 values.  The codec turns every
-error in a file, the validator's included, into a FormatError.  CLMS stores
-a signal with no extra keys; cfmt's CLMF stores a spectrum with its roots as
-f= and g=.
+cfmt.Spectrum (and, for (n_s, n_theta) magnitudes, imaging.Descriptor), and
+one file codec, _write_grid_file/_read_grid_file: a key=value header
+(algebra, grid, then any extra keys) followed by exactly n_s * n_theta * 4
+little-endian float64 values.  The codec turns every error in a file, the
+validator's included, into a FormatError.  CLMS stores a signal with no extra
+keys; cfmt's CLMF stores a spectrum with its roots as f= and g=.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ class _Fresh:
     array: np.ndarray
 
 
-def _grid_array(geometry: GridGeometry, values, what: str) -> np.ndarray:
+def _grid_array(geometry: GridGeometry, values, what: str, channels: tuple = (4,)) -> np.ndarray:
     """A read-only float copy of values, or the array of a _Fresh, checked to
-    be finite and shaped (n_s, n_theta, 4) on the geometry; what names the
-    array in errors."""
+    be finite and shaped (n_s, n_theta) + channels on the geometry; what
+    names the array in errors."""
     arr = values.array if isinstance(values, _Fresh) else np.array(values, dtype=float)
-    expected = (geometry.n_s, geometry.n_theta, 4)
+    expected = (geometry.n_s, geometry.n_theta) + channels
     if arr.shape != expected:
         raise GeometryError(f"{what} shape {arr.shape} does not match grid {expected}")
     if not np.isfinite(arr).all():

@@ -5,6 +5,7 @@ import numpy as np
 
 from clifford_mellin.algebra import CL11, Multivector, gp
 from clifford_mellin.cfmt import _kernel_values
+from clifford_mellin.imaging import _corner_plan
 from clifford_mellin.roots import RootPair, random_roots, sample_root
 
 
@@ -117,6 +118,21 @@ def four_channel_correlation(h1, h2):
     return np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
 
 
+def interleaved_centred_spectrum(h):
+    """(n_s, n_theta // 2 + 1, 4) rfft2 of h's mean-removed samples, the
+    means taken over all four interleaved channels at once and one rfft2
+    per channel with a nonzero sample: the reference for the bits of
+    register's cached channel planes."""
+    means = h.samples.mean(axis=(0, 1))
+    n_s, n_theta = h.samples.shape[:2]
+    spectrum = np.zeros((n_s, n_theta // 2 + 1, 4), dtype=complex)
+    for c in range(4):
+        channel = h.samples[..., c]
+        if channel.any():
+            spectrum[..., c] = np.fft.rfft2(channel - means[c])
+    return spectrum
+
+
 def correlation_register(corr, geo, min_confidence=1.05):
     """(steps, matched, confidence) from a correlation surface, masking the
     main lobe one cell at a time: the reference for register's peak search."""
@@ -148,6 +164,18 @@ def multivector_field(source):
     for channel, blade in enumerate(source.mapping):
         field[..., blade] = image.pixels[..., channel]
     return field
+
+
+def row_gather_bilinear(field, xs, ys):
+    """Bilinear reads of an (h, w, c) field at float (x, y) positions, each
+    corner reading whole (c,) pixel rows of the flattened field: the
+    reference for the bits of the plane-wise gather."""
+    h, w, c = field.shape
+    flat = field.reshape(h * w, c)
+    out = np.zeros(xs.shape + (c,))
+    for index, factor in _corner_plan(xs, ys, h, w):
+        out += flat[index] * factor[..., None]
+    return out
 
 
 def field_log_polar_samples(source, geometry, center):

@@ -45,8 +45,14 @@ def disk_image(size=128, radius=20.0):
 
 def _bilinear_sample(field, xs, ys):
     """Bilinear interpolation of an (h, w, c) field at float (x, y) positions,
-    through the resampler's corner plan; reads outside the raster return 0."""
-    return _gather(field, _corner_plan(xs, ys, *field.shape[:2]))
+    through the resampler's corner plan, one channel plane at a time; reads
+    outside the raster return 0."""
+    plan = _corner_plan(xs, ys, *field.shape[:2])
+    out = np.empty(xs.shape + field.shape[2:])
+    channel = np.empty(xs.shape)
+    for c in range(field.shape[2]):
+        out[..., c] = _gather(field[..., c], plan, channel)
+    return out
 
 
 def warp_similarity(pixels, angle, scale, center=None):

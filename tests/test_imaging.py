@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from imagegen import blob_image, disk_image, warp_similarity
+from imagegen import _bilinear_sample, blob_image, disk_image, warp_similarity
 
 from clifford_mellin import cfmt, imaging
 from clifford_mellin.algebra import CL02, CL20, Multivector
@@ -36,7 +36,9 @@ from helpers import (
     correlation_register,
     field_log_polar_samples,
     four_channel_correlation,
+    interleaved_centred_spectrum,
     multivector_field,
+    row_gather_bilinear,
     wild_pairs,
 )
 
@@ -229,6 +231,33 @@ def test_log_polar_matches_four_channel_field_resampling():
     assert np.array_equal(warp_similarity(rgb, 0.0, 1.0), rgb)
 
 
+def test_plane_gather_is_bitwise_the_row_gather():
+    # one channel plane at a time into a zeroed accumulator, against whole
+    # pixel rows per corner; positions run off every edge of the raster
+    rng = np.random.default_rng(79)
+    gray = blob_image(48, seed=80)[..., None]
+    rgb = np.stack([blob_image(48, seed=s) for s in (81, 82, 83)], axis=-1)
+    wide = rng.random((40, 56, 4)) * 10.0 ** rng.uniform(-3, 3, size=(40, 56, 4))
+    wide[10:30, 10:30] = -0.0  # the sum starts at 0.0, so these read as +0.0
+    for field in (gray, rgb, wide):
+        h, w = field.shape[:2]
+        xs = rng.uniform(-3.0, w + 2.0, size=(33, 27))
+        ys = rng.uniform(-3.0, h + 2.0, size=(33, 27))
+        xs[0, :4], ys[0, :4] = (0.0, w - 1.0, -1.0, w), (0.0, h - 1.0, h, -1.0)
+        assert _bilinear_sample(field, xs, ys).tobytes() == \
+            row_gather_bilinear(field, xs, ys).tobytes()
+    for angle, scale in ((0.0, 1.0), (0.5, 1.2), (-2.2, 0.8)):
+        for pixels in (gray[..., 0], rgb):
+            field = pixels[..., None] if pixels.ndim == 2 else pixels
+            h, w = pixels.shape[:2]
+            ys, xs = np.mgrid[0:h, 0:w].astype(float)
+            c = (w - 1) / 2.0
+            src_x = c + scale * (np.cos(angle) * (xs - c) - np.sin(angle) * (ys - c))
+            src_y = c + scale * (np.sin(angle) * (xs - c) + np.cos(angle) * (ys - c))
+            want = row_gather_bilinear(field, src_x, src_y).reshape(pixels.shape)
+            assert warp_similarity(pixels, angle, scale).tobytes() == want.tobytes()
+
+
 def test_sampling_plan_is_cached_per_exact_center_and_read_only():
     geo = GridGeometry(16, 16, -1.0, np.log(12.0))
     plan = imaging._log_polar_plan(geo, (0.0, 0.0), 32, 32)
@@ -310,6 +339,35 @@ def test_descriptor_distance_refuses_mixed_pairs():
     other_grid = GridGeometry(16, 16, 0.0, 1.0)
     with pytest.raises(GeometryError, match="different grids"):
         mine.l2_distance(Descriptor(mine.magnitudes, other_grid, mine.pair))
+
+
+def test_descriptor_refuses_magnitudes_off_its_grid():
+    geo, pair = default_geometry(16), default_pair(CL02)
+    for shape in ((1, 16), (16, 15), (16, 16, 1), (256,)):
+        with pytest.raises(GeometryError, match="does not match grid"):
+            Descriptor(np.ones(shape), geo, pair)
+
+
+def test_descriptor_refuses_non_finite_magnitudes():
+    geo, pair = default_geometry(16), default_pair(CL02)
+    for value in (np.nan, np.inf, -np.inf):
+        magnitudes = np.ones((16, 16))
+        magnitudes[3, 4] = value
+        with pytest.raises(DomainError, match="finite"):
+            Descriptor(magnitudes, geo, pair)
+
+
+def test_descriptor_magnitudes_are_read_only():
+    geo, pair = default_geometry(16), default_pair(CL02)
+    made = descriptor(random_signal(geo, CL02, seed=84), pair)
+    mine = np.ones((16, 16))
+    given = Descriptor(mine, geo, pair)
+    for desc in (made, given):
+        assert not desc.magnitudes.flags.writeable
+        with pytest.raises(ValueError):
+            desc.magnitudes[0, 0] = 1.0
+    # a caller's array is copied, not frozen in place
+    assert mine.flags.writeable and not np.shares_memory(mine, given.magnitudes)
 
 
 def test_l2_distance_is_bitwise_the_sum_of_squares_formula():
@@ -461,12 +519,41 @@ def test_centred_spectrum_keeps_zero_channels_as_exact_zeros():
     h = to_log_polar(source, image_geo, center=(63.5, 63.5))
     imaging._CENTRED_SPECTRA.clear()
     spectrum = imaging._centred_spectrum(h)
-    assert spectrum.shape == (32, 17, 4) and spectrum.dtype == complex
+    assert spectrum.shape == (4, 32, 17) and spectrum.dtype == complex
     assert not spectrum.flags.writeable
-    assert not spectrum[..., [0, 1, 3]].any()
+    assert not spectrum[[0, 1, 3]].any()
     centred = h.samples - h.samples.mean(axis=(0, 1), keepdims=True)
     want = np.fft.rfft2(centred, axes=(0, 1))
-    assert spectrum[..., 2].tobytes() == want[..., 2].tobytes()
+    assert spectrum[2].tobytes() == want[..., 2].tobytes()
+
+
+def test_centred_planes_are_bitwise_the_interleaved_spectrum():
+    # running-sum means, one batched rfft2 over the populated planes and the
+    # (c0 + c1) + (c2 + c3) plane sum against the interleaved computation
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    center = (63.5, 63.5)
+    gray = blob_image(128, seed=71)
+    rgb = np.stack([blob_image(128, seed=s) for s in (72, 73, 74)], axis=-1)
+    signals = []
+    for pixels, mapping in ((gray, (0,)), (rgb, (1, 2, 3)), (rgb, (3, 0, 1))):
+        for angle, scale in ((0.0, 1.0), (0.6, 1.1)):
+            source = ImageSignalSource(
+                RasterImage(warp_similarity(pixels, angle, scale, center=center)), CL02, mapping)
+            signals.append(to_log_polar(source, image_geo, center=center))
+    large = random_signal(image_geo, CL02, seed=77)
+    signals += [random_signal(image_geo, CL02, seed=75),
+                random_signal(image_geo, CL02, seed=76, channels=(0, 2)),
+                large.with_samples(1e6 * large.samples)]
+    imaging._CENTRED_SPECTRA.clear()
+    for h in signals:
+        planes = imaging._centred_spectrum(h)
+        want = interleaved_centred_spectrum(h)
+        for c in range(4):
+            assert planes[c].tobytes() == want[..., c].tobytes()
+    for h1 in signals:
+        for h2 in signals:
+            got = imaging._correlation(h1, h2)
+            assert got.tobytes() == four_channel_correlation(h1, h2).tobytes()
 
 
 def test_register_reports_no_match_on_flat_correlation():

@@ -1,11 +1,13 @@
 """Root manifolds: validation, chart sampling, random corpora, export."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from clifford_mellin import roots
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, inverse
 from clifford_mellin.errors import NotARootError, OffManifoldError, SignatureMismatchError
 from clifford_mellin.roots import (
@@ -154,6 +156,39 @@ def test_pair_flags():
     assert not RootPair(f, g).degenerate
     with pytest.raises(SignatureMismatchError):
         RootPair(f, validate_root(basis(CL20)[3]))
+
+
+def test_root_flags_are_computed_once_and_stay_out_of_equality(monkeypatch):
+    class CountingNumpy:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def all(self, *args, **kwargs):
+            self.calls += 1
+            return np.all(*args, **kwargs)
+
+    spy = CountingNumpy()
+    monkeypatch.setattr(roots, "np", spy)
+    e1, e2 = (basis(CL02)[i] for i in (1, 2))
+    pair, twin = RootPair(validate_root(e1), validate_root(e2)), make_pair(e1, e2)
+    assert pair.blade_like and not pair.degenerate
+    computed = spy.calls
+    assert computed > 0
+    for _ in range(3):
+        assert pair.blade_like and not pair.degenerate
+        assert pair.f.blade_like and pair.g.blade_like
+    assert spy.calls == computed
+    # the flags live beside the fields: equality, repr and fields ignore them
+    assert set(vars(pair)) == {"f", "g", "degenerate"} and "degenerate" not in vars(twin)
+    assert pair == twin and twin == pair and repr(pair) == repr(twin)
+    assert pair.f == twin.f and pair != RootPair(pair.f, -pair.g)
+    assert [field.name for field in dataclasses.fields(pair)] == ["f", "g"]
+    # Multivector has no hash, so neither has a root or a pair, cached or not
+    for item in (pair, twin, pair.f, twin.f):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(item)
 
 
 def test_default_pairs():

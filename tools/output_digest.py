@@ -29,11 +29,13 @@ The families:
   ``check_power_scaling`` at every order pair (m, n) in 0..2 on a seam-free
   bump, ``plancherel_check``, ``parseval_check`` on the blade-like pair, and
   the ``off_span`` of ``symmetry_decompose`` on a real signal.
-* ``descriptors``, ``distances``, ``registrations``: gray and RGB images from
-  ``tests/imagegen.py``, warped, written as PGM/PPM, read back and resampled
-  on a 64x64 grid about a fixed center and about their centroids; every
-  descriptor, every pairwise distance and every ordered pairwise
-  ``register`` result, wrong and gray-vs-RGB pairs included.
+* ``resample``, ``descriptors``, ``distances``, ``registrations``: gray and
+  RGB images from ``tests/imagegen.py``, warped, written as PGM/PPM, read
+  back and resampled on a 64x64 grid about a fixed center and about their
+  centroids; the bytes of every ``to_log_polar`` signal, and of each image
+  resampled about the fixed center under one custom channel-to-blade
+  mapping; every descriptor, every pairwise distance and every ordered
+  pairwise ``register`` result, wrong and gray-vs-RGB pairs included.
 * ``cli-descriptor``, ``cli-register``: the CSV that ``descriptor`` writes
   and the ``register`` summary without its config, with the exit codes.
 
@@ -59,6 +61,8 @@ GRID_SIZES = (8, 16, 32, 64, 128, 256, 512)
 IMAGE_SIZE = 128
 CENTER = (63.5, 63.5)
 WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
+# channels -> a mapping other than the default one
+CUSTOM_MAPPINGS = {1: (3,), 3: (2, 0, 3)}
 
 
 class Digest:
@@ -189,6 +193,8 @@ def image_digests(workdir: str) -> dict:
 
     geo = GridGeometry(64, 64, math.log(2.0), math.log(55.0))
     pair = default_pair(CL02)
+    digests = {name: Digest()
+               for name in ("resample", "descriptors", "distances", "registrations")}
     paths, signals = [], []
     for name, pixels in _images():
         path = os.path.join(workdir, name + (".pgm" if pixels.ndim == 2 else ".ppm"))
@@ -197,8 +203,10 @@ def image_digests(workdir: str) -> dict:
         source = imaging.ingest(path, CL02)
         for center in (CENTER, None):
             signals.append(imaging.to_log_polar(source, geo, center=center))
+            digests["resample"].add_array(signals[-1].samples)
+        custom = imaging.ingest(path, CL02, CUSTOM_MAPPINGS[source.image.channels])
+        digests["resample"].add_array(imaging.to_log_polar(custom, geo, center=CENTER).samples)
 
-    digests = {name: Digest() for name in ("descriptors", "distances", "registrations")}
     descs = [imaging.descriptor(h, pair) for h in signals]
     for desc in descs:
         digests["descriptors"].add_array(desc.magnitudes)
