@@ -24,19 +24,22 @@ routes are provided:
   exp(-f v s) equals the right kernel exp(+g v s), on x_- it equals
   exp(-g v s), so both kernels act in the commutative subalgebra generated
   by g.  Each eigenspace is one R_g-complex plane (see split); in the basis
-  (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and one
-  2-D FFT over both planes does the work, the + plane read with its rows
+  (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and the
+  2-D FFT of both planes does the work, the + plane read with its rows
   reversed.
 
-The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane
-basis, viewed as complex without a copy, are the two planes.  A route is its
-in-place FFT passes between real 4x4 plane maps, one stacked matmul each, and
-no other pass over the grid.  On an even grid fftshift is a swap of halves, so
-a map reads its source with halves swapped; the s_min phase and the scale are
-a per-row rotation of each plane in the map beside the radial pass.  The last
-map's fresh array becomes the result uncopied, through signal._Fresh.  The bases
-come from the pair's plan (split._plan), the rotations are built once per grid
-and route, and a call only forms the product of a basis and the rotations.
+The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane basis,
+viewed as complex without a copy, are the two planes.  A route is its in-place
+FFT passes between real 4x4 plane maps, one stacked matmul each, and no other
+pass over the grid.  A radial pass is one call over both planes; an angular
+pass is one call per plane, on a strided view of it, since one call over both
+runs numpy's FFT loop once per radial row.  On an even grid fftshift is a swap
+of halves, so a map reads its source with halves swapped; the s_min phase and
+the scale are a per-row rotation of each plane in the map beside the radial
+pass.  The last map's fresh array becomes the result uncopied, through
+signal._Fresh.  The bases come from the pair's plan (split._plan), the
+rotations are built once per grid and route, and a call only forms the product
+of a basis and the rotations.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -184,6 +187,13 @@ def _radial_rotations(geometry: GridGeometry, centred: bool, scale: float, signs
     return rotations
 
 
+def _angular_pass(z: np.ndarray, transform, **kwargs) -> None:
+    """Run transform along the angular axis of the (n_s, n_theta, 2) planes z
+    in place, one call per strided plane view (see the module docstring)."""
+    for plane in (z[:, :, 0], z[:, :, 1]):
+        transform(plane, axis=1, out=plane, **kwargs)
+
+
 # -- transform routes --------------------------------------------------------------
 
 
@@ -200,7 +210,7 @@ def cfmt_forward(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     rows = plan.basis_f @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
 
     z = _map(h.samples, plan.inv_g).view(complex)
-    np.fft.fft(z, axis=1, out=z)
+    _angular_pass(z, np.fft.fft)
     z = _map(z, plan.g_to_f, swap=(False, True)).view(complex)
     np.fft.fft(z, axis=0, out=z)
     return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, False))))
@@ -221,7 +231,7 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     # 1-D passes: np.fft.ifft2 ignores its out argument in numpy 2.4.6
     np.fft.ifft(z, axis=0, norm="forward", out=z)
     z = _map(z, plan.f_to_g).view(complex)
-    np.fft.ifft(z, axis=1, norm="forward", out=z)
+    _angular_pass(z, np.fft.ifft, norm="forward")
     return LogPolarSignal(geo, spectrum.signature, _Fresh(_map(z, plan.basis_g)))
 
 
@@ -231,10 +241,11 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     In the plan's split basis, plane 0 holds x_+ and plane 1 holds x_-,
     each as a complex function with R_g acting as i.  Both get the angular
     kernel exp(-i k theta); the radial kernel is exp(+i v s) on plane 0 and
-    exp(-i v s) on plane 1.  So one fft2 serves both, and plane 0 reads its
-    rows at -j, which turns the negative-sign radial DFT into the positive
-    one.  The cost is that of cfmt_forward with one 4x4 map fewer and one
-    row gather on a single plane more.
+    exp(-i v s) on plane 1.  So one 2-D FFT serves both, as fft2 runs it (the
+    angular pass, then the radial pass), and plane 0 reads its rows at -j,
+    which turns the negative-sign radial DFT into the positive one.  The
+    cost is that of cfmt_forward with one 4x4 map fewer and one row gather
+    on a single plane more.
     """
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
@@ -242,7 +253,8 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
 
     z = _map(h.samples, plan.inv_split).view(complex)
-    np.fft.fft2(z, axes=(0, 1), out=z)
+    _angular_pass(z, np.fft.fft)  # fft2's own order, last axis first: same bits
+    np.fft.fft(z, axis=0, out=z)
     z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
     return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, True))))
 

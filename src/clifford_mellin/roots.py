@@ -44,6 +44,7 @@ class RootOfMinusOne:
     """A validated multivector f with f*f = -1 and zero scalar part."""
 
     value: Multivector
+    __hash__ = None  # like Multivector: a hash true to == would merge +-0.0 keys
 
     @property
     def signature(self) -> Signature:
@@ -172,6 +173,7 @@ class RootPair:
 
     f: RootOfMinusOne
     g: RootOfMinusOne
+    __hash__ = None  # unhashable, like its roots
 
     def __post_init__(self):
         if self.f.signature != self.g.signature:

@@ -4,9 +4,11 @@ test suite."""
 import numpy as np
 
 from clifford_mellin.algebra import CL11, Multivector, gp
-from clifford_mellin.cfmt import _kernel_values
+from clifford_mellin.cfmt import _kernel_values, _map, _radial_rotations, _reversal_index
 from clifford_mellin.imaging import _corner_plan
 from clifford_mellin.roots import RootPair, random_roots, sample_root
+from clifford_mellin.signal import TWO_PI
+from clifford_mellin.split import _plan
 
 
 def moderate_roots(sig, n, seed):
@@ -83,6 +85,42 @@ def literal_direct_sum(h, pair, v, k):
     terms = gp(sig, kernel_left[:, None, :], h.samples)
     terms = gp(sig, terms, kernel_right[None, :, :])
     return terms.reshape(-1, 4).sum(axis=0) * (geo.ds * geo.dtheta / (2.0 * np.pi))
+
+
+def joint_pass_forward(h, pair):
+    """cfmt_forward's coefficients with each FFT pass one call over both
+    planes: the reference for the bits of the per-plane angular pass."""
+    geo = h.geometry
+    plan = _plan(pair)
+    rows = plan.basis_f @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
+    z = _map(h.samples, plan.inv_g).view(complex)
+    np.fft.fft(z, axis=1, out=z)
+    z = _map(z, plan.g_to_f, swap=(False, True)).view(complex)
+    np.fft.fft(z, axis=0, out=z)
+    return _map(z, rows, swap=(True, False))
+
+
+def joint_pass_inverse(spectrum):
+    """cfmt_inverse's samples with each FFT pass one call over both planes."""
+    geo = spectrum.geometry
+    plan = _plan(spectrum.pair)
+    rows = _radial_rotations(geo, True, 1.0 / geo.span, (1.0, 1.0)) @ plan.inv_f
+    z = _map(spectrum.coeffs, rows, swap=(True, True)).view(complex)
+    np.fft.ifft(z, axis=0, norm="forward", out=z)
+    z = _map(z, plan.f_to_g).view(complex)
+    np.fft.ifft(z, axis=1, norm="forward", out=z)
+    return _map(z, plan.basis_g)
+
+
+def joint_pass_fast(h, pair):
+    """cfmt_fast's coefficients with its 2-D FFT one fft2 over both planes."""
+    geo = h.geometry
+    plan = _plan(pair)
+    rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
+    z = _map(h.samples, plan.inv_split).view(complex)
+    np.fft.fft2(z, axes=(0, 1), out=z)
+    z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
+    return _map(z, rows, swap=(True, True))
 
 
 def gp_split_array(samples, pair):

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import literal_direct_sum, moderate_pairs, wild_pairs
+from helpers import (
+    joint_pass_fast,
+    joint_pass_forward,
+    joint_pass_inverse,
+    literal_direct_sum,
+    moderate_pairs,
+    wild_pairs,
+)
 
 from clifford_mellin import cfmt, properties
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, gp
@@ -217,6 +224,23 @@ def test_routes_leave_inputs_untouched():
     ):
         assert not np.shares_memory(output, source)
         assert not output.flags.writeable
+
+
+@pytest.mark.parametrize("n_s, n_theta", [(8, 8), (32, 32), (6, 10), (16, 128), (128, 16)])
+def test_routes_match_their_joint_pass_forms_bit_for_bit(n_s, n_theta):
+    # the angular pass runs one plane view per call; the bits are those of
+    # one call over both planes, and of fft2 in cfmt_fast
+    geo = GridGeometry(n_s, n_theta, -np.pi, np.pi)
+    for k, sig in enumerate(SIGNATURES):
+        h = random_signal(geo, sig, seed=80 + k)
+        pairs = [default_pair(sig), RootPair(*random_roots(sig, 2, seed=83 + k))]
+        for pair in pairs + wild_pairs(sig, 2, seed=86 + k):
+            spectrum = cfmt.cfmt_forward(h, pair)
+            assert spectrum.coeffs.tobytes() == joint_pass_forward(h, pair).tobytes()
+            back = cfmt.cfmt_inverse(spectrum).samples
+            assert back.tobytes() == joint_pass_inverse(spectrum).tobytes()
+            fast = cfmt.cfmt_fast(h, pair).coeffs
+            assert fast.tobytes() == joint_pass_fast(h, pair).tobytes()
 
 
 def test_overflowing_routes_raise():
@@ -481,13 +505,21 @@ def test_magnitude_is_bitwise_the_four_channel_sum():
     ],
 )
 def test_in_place_fft_call_forms_fill_their_out(name, kwargs):
-    # the routes run these forms on their own (n_s, n_theta, 2) planes and
-    # read the result from the array they passed as out
-    planes = np.random.default_rng(72).standard_normal((6, 10, 4)).view(complex)
-    want = getattr(np.fft, name)(planes.copy(), **kwargs)
+    # the routes run these forms on their own (n_s, n_theta, 2) planes, an
+    # angular (axis 1) form on one strided plane view per call, and read the
+    # result from the array they passed as out
+    original = np.random.default_rng(72).standard_normal((6, 10, 4)).view(complex)
+    want = getattr(np.fft, name)(original.copy(), **kwargs)
+    planes = original.copy()
     got = getattr(np.fft, name)(planes, out=planes, **kwargs)
     assert got is planes
     assert np.array_equal(planes, want)
+    if kwargs.get("axis") == 1:
+        planes = original.copy()
+        for view in (planes[:, :, 0], planes[:, :, 1]):
+            got = getattr(np.fft, name)(view, out=view, **kwargs)
+            assert got is view
+        assert planes.tobytes() == want.tobytes()
 
 
 def test_half_turn_rotation_alternates_sign():

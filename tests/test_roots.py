@@ -1,5 +1,6 @@
 """Root manifolds: validation, chart sampling, random corpora, export."""
 
+import collections.abc
 import dataclasses
 import math
 import warnings
@@ -185,9 +186,11 @@ def test_root_flags_are_computed_once_and_stay_out_of_equality(monkeypatch):
     assert pair == twin and twin == pair and repr(pair) == repr(twin)
     assert pair.f == twin.f and pair != RootPair(pair.f, -pair.g)
     assert [field.name for field in dataclasses.fields(pair)] == ["f", "g"]
-    # Multivector has no hash, so neither has a root or a pair, cached or not
+    # a root and a pair declare themselves unhashable, cached flags or not,
+    # and the error names their own class, not the Multivector inside
     for item in (pair, twin, pair.f, twin.f):
-        with pytest.raises(TypeError, match="unhashable"):
+        assert not isinstance(item, collections.abc.Hashable)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(item).__name__}'"):
             hash(item)
 
 

@@ -18,6 +18,9 @@ The families:
   ``cfmt_inverse`` (of that forward spectrum) and ``cfmt_fast`` on 8x8 to
   512x512 grids, with a symmetric and an asymmetric radial window, in all
   three algebras, under the default pair and one random pair.
+* ``routes-rect``: the same three routes' bytes, with the same windows,
+  algebras and pairs, on the non-square grids 6x10, 16x128 and 128x16, where
+  the radial and angular passes differ in length.
 * ``split``: on the same grids, signals and pairs, the plus and minus parts
   of ``Spectrum.split()`` of each forward spectrum and of ``split_signal``
   of each signal.
@@ -58,6 +61,7 @@ import tempfile
 from pathlib import Path
 
 GRID_SIZES = (8, 16, 32, 64, 128, 256, 512)
+RECT_GRIDS = ((6, 10), (16, 128), (128, 16))  # (n_s, n_theta)
 IMAGE_SIZE = 128
 CENTER = (63.5, 63.5)
 WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
@@ -106,26 +110,38 @@ def transform_digests() -> dict:
     from clifford_mellin.roots import RootPair, default_pair, random_roots
     from clifford_mellin.signal import GridGeometry, random_signal, split_signal
 
-    digests = {name: Digest() for name in ("forward", "inverse", "fast", "split", "spectrum-csv")}
-    for n in GRID_SIZES:
-        for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
-            geo = GridGeometry(n, n, *window)
-            for k, sig in enumerate(SIGNATURES):
-                h = random_signal(geo, sig, seed=1000 * n + k)
-                f, g = random_roots(sig, 2, seed=n + k)
-                for pair in (default_pair(sig), RootPair(f, g)):
-                    spectrum = cfmt.cfmt_forward(h, pair)
-                    digests["forward"].add_array(spectrum.coeffs)
-                    digests["inverse"].add_array(cfmt.cfmt_inverse(spectrum).samples)
-                    digests["fast"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
-                    for part in spectrum.split():
-                        digests["split"].add_array(part.coeffs)
-                    for part in split_signal(h, pair):
-                        digests["split"].add_array(part.samples)
-                    csv = hashlib.sha256()  # line by line: a 512x512 CSV is ~25 MB
-                    for row in cfmt.spectrum_csv_rows(spectrum):
-                        csv.update(row.encode() + b"\n")
-                    digests["spectrum-csv"].add(csv.digest())
+    def cases(grids):
+        """(h, pair) on each (n_s, n_theta) grid, with both radial windows, in
+        all three algebras, under the default pair and one random pair."""
+        for n_s, n_theta in grids:
+            for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
+                geo = GridGeometry(n_s, n_theta, *window)
+                for k, sig in enumerate(SIGNATURES):
+                    h = random_signal(geo, sig, seed=1000 * n_s + k)
+                    f, g = random_roots(sig, 2, seed=n_theta + k)
+                    for pair in (default_pair(sig), RootPair(f, g)):
+                        yield h, pair
+
+    names = ("forward", "inverse", "fast", "split", "spectrum-csv", "routes-rect")
+    digests = {name: Digest() for name in names}
+    for h, pair in cases((n, n) for n in GRID_SIZES):
+        spectrum = cfmt.cfmt_forward(h, pair)
+        digests["forward"].add_array(spectrum.coeffs)
+        digests["inverse"].add_array(cfmt.cfmt_inverse(spectrum).samples)
+        digests["fast"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
+        for part in spectrum.split():
+            digests["split"].add_array(part.coeffs)
+        for part in split_signal(h, pair):
+            digests["split"].add_array(part.samples)
+        csv = hashlib.sha256()  # line by line: a 512x512 CSV is ~25 MB
+        for row in cfmt.spectrum_csv_rows(spectrum):
+            csv.update(row.encode() + b"\n")
+        digests["spectrum-csv"].add(csv.digest())
+    for h, pair in cases(RECT_GRIDS):
+        spectrum = cfmt.cfmt_forward(h, pair)
+        digests["routes-rect"].add_array(spectrum.coeffs)
+        digests["routes-rect"].add_array(cfmt.cfmt_inverse(spectrum).samples)
+        digests["routes-rect"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
     return digests
 
 
