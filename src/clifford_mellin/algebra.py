@@ -2,18 +2,26 @@
 
 Elements carry four real coefficients over the blade basis (1, e1, e2, e12).
 An algebra is fixed by the squares (e1^2, e2^2), and the product is written
-out once, in _product, for any pair of squares: gp is _product at the
-signature's squares, the outer product is _product at squares (0, 0), and the
-left and right multiplication matrices are gp on the identity.  The one
-formula is evaluated on Python floats for a Multivector (its product and
-outer product) and on array views for gp, with bit-identical results.  Every
-involution reduces to a per-blade sign flip, and a^-1 = conj(a) / (a conj(a))
-with a conj(a) a scalar.  All values are immutable and every operation is a
-pure function, so the module is safe to use from any number of threads.
+out in _product for any pair of squares: a Multivector's product is _product
+at the signature's squares and the outer product is _product at squares
+(0, 0), both on Python floats.  gp evaluates the same formula on arrays from
+_TERMS, the same terms in the same order, each square of +-1 folded into the
+choice of add or subtract: it copies each operand's components into
+contiguous planes once and accumulates each output component in one plane.
+(+-a) * b = +-(a * b) and x + (-y) = x - y hold exactly, so the two carriers
+give the same bits; test_gp_equals_the_stacked_product_bit_for_bit (gp
+against _product on strided views) and
+test_float_and_array_carriers_agree_bit_for_bit (gp against the Multivector
+product) guard that.  The left and right multiplication matrices are gp on
+the identity.  Every involution reduces to a per-blade sign flip, and
+a^-1 = conj(a) / (a conj(a)) with a conj(a) a scalar.  All values are
+immutable and every operation is a pure function, so the module is safe to
+use from any number of threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -73,10 +81,10 @@ def _product(squares: tuple[int, int], a, b) -> tuple:
     """Components of the product of a = (a0, a1, a2, a3) and b = (b0, ..., b3)
     for generators with e1^2, e2^2 = squares (and e1 e2 = -e2 e1).
 
-    The components are Python floats or broadcasting arrays.  Both carriers
-    run the same multiplications and additions in the same order, each
-    rounded to double with no fused multiply-add, so their results are
-    bit-identical; a float-only rewrite of a term would break that.
+    The components are Python floats or broadcasting arrays; both round each
+    multiplication and addition to double with no fused multiply-add, so
+    their results are bit-identical.  gp's _TERMS lists these terms in this
+    order, and a rewrite of a term here must be made there too.
     """
     e1, e2 = squares
     a0, a1, a2, a3 = a
@@ -89,10 +97,54 @@ def _product(squares: tuple[int, int], a, b) -> tuple:
     )
 
 
+def _signed_terms(squares: tuple[int, int]) -> tuple:
+    """_product's terms at squares of +-1, per output component and in its
+    order: the first term (i, j) is the product a_i * b_j, and each further
+    (op, i, j) adds or subtracts a_i * b_j, op carrying the term's sign."""
+    e1, e2 = squares
+    signed = (
+        ((0, 0), (e1, 1, 1), (e2, 2, 2), (-e1 * e2, 3, 3)),
+        ((0, 1), (1, 1, 0), (-e2, 2, 3), (e2, 3, 2)),
+        ((0, 2), (1, 2, 0), (e1, 1, 3), (-e1, 3, 1)),
+        ((0, 3), (1, 3, 0), (1, 1, 2), (-1, 2, 1)),
+    )
+    return tuple(
+        (first, tuple((np.add if sign > 0 else np.subtract, i, j) for sign, i, j in rest))
+        for first, *rest in signed
+    )
+
+
+_TERMS = {sig.squares: _signed_terms(sig.squares) for sig in SIGNATURES}
+
+
+def _planes(x) -> list[np.ndarray]:
+    """The four components of a (..., 4) array as contiguous planes, views of
+    one copy; a (4,) operand gives 0-d arrays, so shapes broadcast as the
+    operands do."""
+    x = np.asarray(x, dtype=float)
+    planes = x.transpose((x.ndim - 1, *range(x.ndim - 1))).copy()
+    return [planes[i, ...] for i in range(4)]
+
+
 def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric product on (...,4) coefficient arrays, broadcasting."""
-    parts = _product(sig.squares, [a[..., i] for i in range(4)], [b[..., i] for i in range(4)])
-    return np.stack(parts, axis=-1)
+    """Geometric product on (...,4) coefficient arrays, broadcasting.
+
+    Each operand's components are copied once into contiguous planes, and
+    each output component accumulates _product's terms in _product's order
+    in one plane, a term's sign picking add or subtract.  (+-a) * b =
+    +-(a * b) and x + (-y) = x - y hold exactly, so the bits are those of
+    _product on the components."""
+    a_planes, b_planes = _planes(a), _planes(b)
+    shape = np.broadcast(a_planes[0], b_planes[0]).shape
+    out = np.empty(shape + (4,))
+    acc, term = np.empty(shape), np.empty(shape)
+    for k, ((i, j), rest) in enumerate(_TERMS[sig.squares]):
+        np.multiply(a_planes[i], b_planes[j], acc)
+        for op, i, j in rest:
+            np.multiply(a_planes[i], b_planes[j], term)
+            op(acc, term, acc)
+        out[..., k] = acc
+    return out
 
 
 def reverse_signs(sig: Signature) -> np.ndarray:
@@ -131,7 +183,7 @@ def _coerce_coeffs(values: Iterable[float]) -> np.ndarray:
     arr = np.array(values, dtype=float).reshape(-1)
     if arr.shape != (4,):
         raise DomainError(f"expected 4 blade coefficients, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise DomainError("coefficients must be finite")
     arr.flags.writeable = False
     return arr

@@ -15,6 +15,10 @@ routes are provided:
   the geometric product; it uses no FFT and no plane basis.  It is the
   one-point case of the kernel _direct_sums, which takes P points at once
   through one (2P, n_s) @ samples product, bit-identical to P single calls.
+  _direct_sums runs in two stages: the pair-free grid sums (_grid_sums),
+  then their f/g tail (_pair_sums).  Power scaling keeps the first stage's
+  sums for a signal (_scaling_sums), so verify makes them once per run and
+  each pair adds only its tail.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
@@ -281,19 +285,32 @@ DIRECT_CHUNK = 2**19
 
 def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The literal double sum at the P real frequency points (v[p], k[p]), as
-    a (P, 4) array, in the terms of cfmt_direct.  One (2P, n_s) @ samples
-    product makes every point's radial cosine and sine sums, one stacked
-    matmul their angular ones, and f and g enter through two geometric
-    products over all points."""
+    a (P, 4) array, in the terms of cfmt_direct: the pair-free _grid_sums,
+    then their f/g tail _pair_sums."""
     pair.require_algebra(h.signature, "signal")
+    return _pair_sums(_grid_sums(h, v, k), pair, h.geometry)
+
+
+def _grid_sums(h: LogPolarSignal, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The four real-weighted grid sums of cfmt_direct at each point, as a
+    (P, 2, 2, 4) array: sums[p, a, b] = A_ab, a radial and b angular (cos,
+    sin).  One (2P, n_s) @ samples product makes every point's radial cosine
+    and sine sums, one stacked matmul their angular ones.  No root enters."""
     geo = h.geometry
-    sig = h.signature
     radial = -np.asarray(v, dtype=float)[:, None] * geo.s_values  # (P, n_s)
     angular = -np.asarray(k, dtype=float)[:, None] * geo.theta_values  # (P, n_theta)
     rows = np.stack([np.cos(radial), np.sin(radial)], axis=1).reshape(-1, geo.n_s)
     cols = np.stack([np.cos(angular), np.sin(angular)], axis=1)  # (P, 2, n_theta)
     partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(-1, 2, geo.n_theta, 4)
-    sums = cols[:, None] @ partial  # sums[p, a, b] = A_ab, a radial and b angular (cos, sin)
+    return cols[:, None] @ partial
+
+
+def _pair_sums(sums: np.ndarray, pair: RootPair, geo: GridGeometry) -> np.ndarray:
+    """A_cC + f (A_sC + A_sS g) + A_cS g at each point of _grid_sums, times
+    the measure: f and g enter through two geometric products over all
+    points.  Its rows are per point, so any subset of points gets the bits a
+    call on that subset alone would give."""
+    sig = pair.signature
     # (A_cS g, A_sS g) per point; gp takes (2P, 4) rows faster than (P, 2, 4)
     times_g = gp(sig, sums[:, :, 1].reshape(-1, 4), pair.g.value.coeffs).reshape(-1, 2, 4)
     total = sums[:, 0, 0] + times_g[:, 0] + gp(sig, pair.f.value.coeffs,
@@ -586,13 +603,26 @@ def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> fl
             f"signal carries energy on the theta seam (fraction {fraction:.3e});"
             " power scaling in theta needs it to vanish there"
         )
-    return _power_scaling(h, pair, ((m, n),))[m, n]
+    return _scaling_residuals(_scaling_sums(h, ((m, n),)), pair)[m, n]
 
 
-def _power_scaling(h: LogPolarSignal, pair: RootPair, orders) -> dict[tuple[int, int], float]:
-    """check_power_scaling at each (m, n) of orders.  One _direct_sums call
-    takes the difference points of every order, each once; its rows are
-    per point, so each order gets the bits a call of its own would give."""
+@dataclass(frozen=True)
+class _ScalingSums:
+    """The pair-free stage of check_power_scaling on one signal: the grid sums
+    (_grid_sums) at each difference point of every order, each point once,
+    and at the probes of each order's scaled signal, with the stencils that
+    weigh the points."""
+
+    geometry: GridGeometry
+    stencils: dict  # (m, n) -> [(v offset, k offset, weight)]
+    column: dict  # (v offset, k offset) -> index along the points' axis 1
+    points: np.ndarray  # (probes, offsets, 2, 2, 4)
+    probes: dict  # (m, n) -> (probes, 2, 2, 4) of (ln r)^m theta^n h
+
+
+def _scaling_sums(h: LogPolarSignal, orders) -> _ScalingSums:
+    """One _grid_sums call takes the difference points of every order, and
+    one per order its scaled signal's probes."""
     geo = h.geometry
     step_v = 1e-3 * geo.dv
     step_k = 1e-3
@@ -603,18 +633,28 @@ def _power_scaling(h: LogPolarSignal, pair: RootPair, orders) -> dict[tuple[int,
     offsets = list(dict.fromkeys((ov, ok) for steps in stencils.values() for ov, ok, _ in steps))
     points = np.array([(v_value + ov * step_v, k_value + ok * step_k)
                        for v_value, k_value in probes.tolist() for ov, ok in offsets])
-    samples = _direct_sums(h, pair, points[:, 0], points[:, 1]).reshape(len(probes), -1, 4)
-    column = {offset: i for i, offset in enumerate(offsets)}
-
-    residuals = {}
+    point_sums = _grid_sums(h, points[:, 0], points[:, 1])
+    scaled = {}
     for m, n in orders:
-        scaled = h.samples * geo.s_values[:, None, None]**m * geo.theta_values[None, :, None]**n
-        lhs = _direct_sums(h.with_samples(scaled), pair, probes[:, 0], probes[:, 1])
-        rhs = np.zeros((len(probes), 4))
-        for ov, ok, weight in stencils[m, n]:
-            rhs += weight * samples[:, column[ov, ok]]
-        rhs = gp(h.signature, gp(h.signature, _root_power(pair.f, m).coeffs, rhs),
-                 _root_power(pair.g, n).coeffs)
+        samples = h.samples * geo.s_values[:, None, None]**m * geo.theta_values[None, :, None]**n
+        scaled[m, n] = _grid_sums(h.with_samples(samples), probes[:, 0], probes[:, 1])
+    return _ScalingSums(geo, stencils, {offset: i for i, offset in enumerate(offsets)},
+                        point_sums.reshape(len(probes), len(offsets), 2, 2, 4), scaled)
+
+
+def _scaling_residuals(sums: _ScalingSums, pair: RootPair) -> dict[tuple[int, int], float]:
+    """The f/g tail of check_power_scaling: each order's relative residual
+    from the pair-free sums."""
+    sig, geo = pair.signature, sums.geometry
+    n_probes = sums.points.shape[0]
+    samples = _pair_sums(sums.points.reshape(-1, 2, 2, 4), pair, geo).reshape(n_probes, -1, 4)
+    residuals = {}
+    for (m, n), stencil in sums.stencils.items():
+        lhs = _pair_sums(sums.probes[m, n], pair, geo)
+        rhs = np.zeros((n_probes, 4))
+        for ov, ok, weight in stencil:
+            rhs += weight * samples[:, sums.column[ov, ok]]
+        rhs = gp(sig, gp(sig, _root_power(pair.f, m).coeffs, rhs), _root_power(pair.g, n).coeffs)
         scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-30)
         residuals[m, n] = float(np.max(np.abs(lhs - rhs).max(axis=1) / scale))
     return residuals

@@ -6,18 +6,23 @@ a reason the case is out of scope, or None; the first reason is the one way
 a row reads ``skipped``.  ``verify_rows`` runs the table over the three
 algebras; it is what ``clifford-mellin verify`` prints.  Every random draw
 comes from one PCG64 generator in table order; the test signals seed their
-own generators.  Each result that several rows share is built once: what
-depends only on the test signals (the smooth signal's spectral derivatives
-and band-limit flag, the bump's seam fraction) once per algebra, and what
-also depends on the pair (the spectra of h and h2, the split of h's, the
-three power-scaling residuals) once per ``Case``, which hands it to the
+own generators.  Each result that several rows share is built once, at the
+widest scope it allows.  The fixed pairs (``roots.default_pair``,
+``symmetry_pair``) are built once per process and algebra.  What depends
+only on the test signals is built once per run by ``run_inputs``: their
+samples, which depend on the grid and the seed but not the algebra, the
+smooth signal's spectral derivatives and band-limit flag, the bump's seam
+fraction and its pair-free power-scaling grid sums; ``algebra_signals``
+tags the signals with each algebra in turn.  What also depends on the pair
+(the spectra of h and h2, the split of h's, the power-scaling residuals,
+from the shared sums) is built once per ``Case``, which hands it to the
 private kernels behind cfmt's public checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import Callable
 
@@ -43,9 +48,11 @@ ON_PAIRS = ("blade", "random", "degenerate")
 POWER_ORDERS = ((1, 0), (0, 1), (1, 1))
 
 
+@cache
 def symmetry_pair(sig: Signature) -> RootPair:
     """A pair for which (1, f, g, fg) is a well-conditioned basis, so the
-    parity components of a real signal land in separate channels."""
+    parity components of a real signal land in separate channels.  Built
+    once per process and algebra, like roots.default_pair."""
     if sig.squares == (-1, -1):
         return roots.default_pair(sig)
     if sig.squares == (1, 1):
@@ -64,24 +71,40 @@ def verify_pairs(sig: Signature, seed: int, include_degenerate: bool):
     return named + [("symmetry", symmetry_pair(sig))]
 
 
-def algebra_signals(geometry: GridGeometry, sig: Signature, seed: int) -> SimpleNamespace:
-    """The pair-independent signals of one algebra, each seeding its own
-    generator, and what the rows derive from them alone."""
+def run_inputs(geometry: GridGeometry, seed: int) -> SimpleNamespace:
+    """The test signals of one run, each seeding its own generator, and what
+    the rows derive from them alone.  A signal's samples depend on the grid
+    and its seed, not on the algebra, so they are drawn once, in Cl(2,0), and
+    algebra_signals tags them with each algebra in turn."""
 
     def draw(offset: int, **options) -> LogPolarSignal:
-        return signal.random_signal(geometry, sig, seed=seed + offset, **options)
+        return signal.random_signal(geometry, SIGNATURES[0], seed=seed + offset, **options)
 
     s_col, t_row = geometry.s_values[:, None], geometry.theta_values[None, :]
     radial = np.exp(-((s_col / (0.25 * geometry.span)) ** 2))
     bump = LogPolarSignal.from_channels(
-        geometry, sig, m0=radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2)))
+        geometry, SIGNATURES[0], m0=radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2)))
     smooth = draw(4, band_limit=4)
     return SimpleNamespace(
-        sig=sig, geometry=geometry, bump=bump, h=draw(2), h2=draw(3), smooth=smooth,
+        geometry=geometry, bump=bump, h=draw(2), h2=draw(3), smooth=smooth,
         real=draw(5, channels=(0,)), bump_seam=cfmt._seam_fraction(bump),
         derivatives={n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)},
         band_limited=cfmt._band_limited(smooth),
+        power_sums=cfmt._scaling_sums(bump, POWER_ORDERS),
     )
+
+
+def algebra_signals(inputs: SimpleNamespace, sig: Signature) -> SimpleNamespace:
+    """The run's inputs with each signal tagged with the algebra sig."""
+
+    def tag(h: LogPolarSignal) -> LogPolarSignal:
+        return LogPolarSignal(h.geometry, sig, h.samples)
+
+    return SimpleNamespace(**{
+        **vars(inputs), "sig": sig, "bump": tag(inputs.bump), "h": tag(inputs.h),
+        "h2": tag(inputs.h2), "smooth": tag(inputs.smooth), "real": tag(inputs.real),
+        "derivatives": {n: tuple(map(tag, pair)) for n, pair in inputs.derivatives.items()},
+    })
 
 
 class Case:
@@ -138,7 +161,7 @@ class Case:
 
     @cached_property
     def power_scaling(self) -> dict:
-        return cfmt._power_scaling(self.signals.bump, self.pair, POWER_ORDERS)
+        return cfmt._scaling_residuals(self.signals.power_sums, self.pair)
 
 
 # -- rules: each gives the reason to skip a case, or None -------------------------------
@@ -378,9 +401,10 @@ def verify_rows(
     """One row per property and case over the three algebras; ``tol``
     replaces every default tolerance."""
     rng = np.random.default_rng(seed)
+    inputs = run_inputs(geometry, seed)
     rows = []
     for sig in SIGNATURES:
-        signals = algebra_signals(geometry, sig, seed)
+        signals = algebra_signals(inputs, sig)
         for name, pair in verify_pairs(sig, seed, include_degenerate):
             case = Case(signals, name, pair, rng)
             rows += [_row(prop, case, tol) for prop in TABLE if name in prop.pairs]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -218,9 +218,12 @@ def make_pair(f: Multivector, g: Multivector) -> RootPair:
     return RootPair(validate_root(f), validate_root(g))
 
 
+@cache
 def default_pair(sig: Signature) -> RootPair:
     """A canonical blade-like pair: (e1, e2) in Cl(0,2), else the unique
-    blade-like root with its negative."""
+    blade-like root with its negative.  Built and validated once per process
+    and algebra; the pair is frozen and its coefficients are read-only, so
+    every caller can share it."""
     if sig.squares == (-1, -1):
         return make_pair(Multivector.blade(sig, 1), Multivector.blade(sig, 2))
     index = 3 if sig.squares == (1, 1) else 2

@@ -3,7 +3,7 @@ test suite."""
 
 import numpy as np
 
-from clifford_mellin.algebra import CL11, Multivector, gp
+from clifford_mellin.algebra import CL11, Multivector, _product, gp
 from clifford_mellin.cfmt import _kernel_values, _map, _radial_rotations, _reversal_index
 from clifford_mellin.imaging import _corner_plan
 from clifford_mellin.roots import RootPair, random_roots, sample_root
@@ -68,6 +68,20 @@ def product_tensor(sig):
             target, sign = blade_product(i, j, sig.squares)
             tensor[i, j, target] = sign
     return tensor
+
+
+def stacked_product(sig, a, b):
+    """The product formula on strided component views of (..., 4) arrays,
+    stacked: the reference for the bits of gp's planes evaluation."""
+    parts = _product(sig.squares, [a[..., i] for i in range(4)], [b[..., i] for i in range(4)])
+    return np.stack(parts, axis=-1)
+
+
+def wide_coefficients(rng, *shape):
+    """Random signs, magnitudes from 1e-3 to 1e3, a tenth of the entries +-0.0."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    x[rng.random(shape) < 0.1] *= 0.0
+    return x
 
 
 def random_multivectors(sig, n, seed, scale=1.0):

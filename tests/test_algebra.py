@@ -28,7 +28,7 @@ from clifford_mellin.errors import (
     SignatureMismatchError,
     SingularElementError,
 )
-from helpers import product_tensor
+from helpers import product_tensor, stacked_product, wide_coefficients
 
 coeff = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 coeffs4 = st.tuples(coeff, coeff, coeff, coeff)
@@ -185,6 +185,24 @@ def test_float_and_array_carriers_agree_bit_for_bit(sig):
         x, y = Multivector(sig, a[i]), Multivector(sig, b[i])
         assert (x * y).coeffs.tobytes() == products[i].tobytes()
         assert outer_product(x, y).coeffs.tobytes() == outers[i].tobytes()
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_gp_equals_the_stacked_product_bit_for_bit(sig):
+    # gp sums each component's terms on contiguous planes; the bits must be
+    # those of the product formula on strided views, on every operand shape
+    # its callers use and on operands whose components are 0-d
+    rng = np.random.default_rng(31)
+    shapes = [((4,), (4,)), ((4,), (1, 4)), ((2000, 4), (2000, 4))]
+    for n in (8, 16, 32, 64):
+        grid = (n, n, 4)
+        shapes += [((4,), grid), (grid, (4,)), ((n, 1, 4), grid), (grid, (1, n, 4)),
+                   (grid, grid), ((n, 4), (4,))]
+    for a_shape, b_shape in shapes:
+        a, b = wide_coefficients(rng, *a_shape), wide_coefficients(rng, *b_shape)
+        got, want = algebra.gp(sig, a, b), stacked_product(sig, a, b)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (a_shape, b_shape)
 
 
 # -- involutions ------------------------------------------------------------------

@@ -488,10 +488,11 @@ def test_verify_report_matches_golden(capsys, name):
 
 
 def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
-    # the pair-independent signals are built once per algebra (4 x 3), each
-    # transform that several properties share runs once per pair, the two
-    # derivative orders share one base spectrum, and the literal sums run
-    # batched, not through cfmt_direct
+    # the test signals are drawn once per run (4), each transform that
+    # several properties share runs once per pair, the two derivative orders
+    # share one base spectrum, and the literal sums run batched, not through
+    # cfmt_direct: the power-scaling grid sums once per run (1 + 3 orders),
+    # the direct oracle's once per case that runs it (2 pairs x 3 algebras)
     calls = collections.Counter()
 
     def counted(module, name):
@@ -507,11 +508,14 @@ def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
                 monkeypatch.setattr(owner, name, wrapper)
 
     counted(signal, "random_signal")
-    for name in ("cfmt_forward", "cfmt_direct", "cfmt_fast", "cfmt_inverse"):
+    for name in ("cfmt_forward", "cfmt_direct", "cfmt_fast", "cfmt_inverse", "_scaling_sums",
+                 "_grid_sums"):
         counted(cfmt, name)
     code, _ = run(capsys, "verify", "--seed", "0")
     assert code == 0
-    assert calls["random_signal"] == 12
+    assert calls["random_signal"] == 4
+    assert calls["_scaling_sums"] == 1
+    assert calls["_grid_sums"] == 4 + 6
     assert calls["cfmt_forward"] <= 120
     assert calls["cfmt_direct"] == 0
     assert calls["cfmt_fast"] <= 6

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clifford_mellin import roots
+from clifford_mellin import properties, roots
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector, basis, inverse
 from clifford_mellin.errors import NotARootError, OffManifoldError, SignatureMismatchError
 from clifford_mellin.roots import (
@@ -258,3 +258,21 @@ def test_root_exponential():
         a, b = 0.7, -1.9
         lhs = root.exp(a) * root.exp(b)
         assert lhs.allclose(root.exp(a + b), tol=1e-12)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+@pytest.mark.parametrize("build", [default_pair, properties.symmetry_pair])
+def test_fixed_pairs_are_built_once_and_stay_frozen(build, sig):
+    pair = build(sig)
+    assert build(sig) is pair
+    fresh = build.__wrapped__(sig)  # validated anew, past the cache
+    assert fresh == pair
+    for root, fresh_root in ((pair.f, fresh.f), (pair.g, fresh.g)):
+        assert root.value.coeffs.tobytes() == fresh_root.value.coeffs.tobytes()
+        assert not root.value.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            root.value.coeffs[1] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.f = pair.g
+    with pytest.raises(TypeError, match="RootPair"):
+        hash(pair)

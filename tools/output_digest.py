@@ -32,6 +32,12 @@ The families:
   ``check_power_scaling`` at every order pair (m, n) in 0..2 on a seam-free
   bump, ``plancherel_check``, ``parseval_check`` on the blade-like pair, and
   the ``off_span`` of ``symmetry_decompose`` on a real signal.
+* ``products``: the bytes of ``gp`` on the operand shapes its callers use,
+  (4,) x grid, grid x (4,), (n, 1, 4) x grid, grid x (1, n, 4), grid x grid,
+  (n, 4) x (4,) and (2000, 4) x (2000, 4), on 8x8 to 64x64 grids in all
+  three algebras, with random signs, magnitudes from 1e-3 to 1e3 and a
+  tenth of the entries +-0.0; and on the (2000, 4) draws, row by row, the
+  ``Multivector`` product and ``outer_product``.
 * ``resample``, ``descriptors``, ``distances``, ``registrations``: gray and
   RGB images from ``tests/imagegen.py``, warped, written as PGM/PPM, read
   back and resampled on a 64x64 grid about a fixed center and about their
@@ -61,6 +67,7 @@ import tempfile
 from pathlib import Path
 
 GRID_SIZES = (8, 16, 32, 64, 128, 256, 512)
+PRODUCT_GRIDS = (8, 16, 32, 64)
 RECT_GRIDS = ((6, 10), (16, 128), (128, 16))  # (n_s, n_theta)
 IMAGE_SIZE = 128
 CENTER = (63.5, 63.5)
@@ -184,6 +191,32 @@ def check_digests() -> dict:
     return {"checks": digest}
 
 
+def product_digests() -> dict:
+    import numpy as np
+    from clifford_mellin.algebra import SIGNATURES, Multivector, gp, outer_product
+
+    def draw(rng, *shape):
+        """Random signs, magnitudes from 1e-3 to 1e3, a tenth of the entries +-0.0."""
+        x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        x[rng.random(shape) < 0.1] *= 0.0
+        return x
+
+    digest = Digest()
+    for n in PRODUCT_GRIDS:
+        for k, sig in enumerate(SIGNATURES):
+            rng = np.random.default_rng(7000 + 10 * n + k)
+            grid, other, one = draw(rng, n, n, 4), draw(rng, n, n, 4), draw(rng, 4)
+            column, row, points = draw(rng, n, 1, 4), draw(rng, 1, n, 4), draw(rng, n, 4)
+            left, right = draw(rng, 2000, 4), draw(rng, 2000, 4)
+            for a, b in ((one, grid), (grid, one), (column, grid), (grid, row), (grid, other),
+                         (points, one), (left, right)):
+                digest.add_array(gp(sig, a, b))
+            pairs = [(Multivector(sig, a), Multivector(sig, b)) for a, b in zip(left, right)]
+            digest.add_array(np.array([(x * y).coeffs for x, y in pairs]))
+            digest.add_array(np.array([outer_product(x, y).coeffs for x, y in pairs]))
+    return {"products": digest}
+
+
 def _images():
     """(name, pixels) of gray and RGB images and their warps."""
     import numpy as np
@@ -267,6 +300,7 @@ def main(argv=None) -> int:
     digests = verify_digests(cli)
     digests.update(transform_digests())
     digests.update(check_digests())
+    digests.update(product_digests())
     with tempfile.TemporaryDirectory() as workdir:
         images, paths = image_digests(workdir)
         digests.update(images)
