@@ -17,8 +17,8 @@ routes are provided:
   through one (2P, n_s) @ samples product, bit-identical to P single calls.
   _direct_sums runs in two stages: the pair-free grid sums (_grid_sums),
   then their f/g tail (_pair_sums).  Power scaling keeps the first stage's
-  sums for a signal (_scaling_sums), so verify makes them once per run and
-  each pair adds only its tail.
+  sums for a signal, one block per order (_scaling_sums); verify makes them
+  once per run, and each pair adds one tail call over all blocks.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
@@ -603,57 +603,48 @@ def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> fl
             f"signal carries energy on the theta seam (fraction {fraction:.3e});"
             " power scaling in theta needs it to vanish there"
         )
-    return _scaling_residuals(_scaling_sums(h, ((m, n),)), pair)[m, n]
+    return _scaling_residuals(_scaling_sums(h, ((m, n),)), pair, h.geometry)[m, n]
 
 
-@dataclass(frozen=True)
-class _ScalingSums:
-    """The pair-free stage of check_power_scaling on one signal: the grid sums
-    (_grid_sums) at each difference point of every order, each point once,
-    and at the probes of each order's scaled signal, with the stencils that
-    weigh the points."""
-
-    geometry: GridGeometry
-    stencils: dict  # (m, n) -> [(v offset, k offset, weight)]
-    column: dict  # (v offset, k offset) -> index along the points' axis 1
-    points: np.ndarray  # (probes, offsets, 2, 2, 4)
-    probes: dict  # (m, n) -> (probes, 2, 2, 4) of (ln r)^m theta^n h
-
-
-def _scaling_sums(h: LogPolarSignal, orders) -> _ScalingSums:
-    """One _grid_sums call takes the difference points of every order, and
-    one per order its scaled signal's probes."""
+def _scaling_sums(h: LogPolarSignal, orders) -> dict:
+    """The pair-free stage of check_power_scaling on one signal: for each
+    order (m, n), its stencil's weights, the grid sums (_grid_sums) at the
+    probes of its scaled signal (ln r)^m theta^n h, (probes, 2, 2, 4), and at
+    its difference points, (probes, points, 2, 2, 4).  One _grid_sums call
+    takes every order's points, probe by probe, and one per order its probes."""
     geo = h.geometry
-    step_v = 1e-3 * geo.dv
-    step_k = 1e-3
+    step_v, step_k = 1e-3 * geo.dv, 1e-3
     probes = np.array([(v_units * geo.dv, k_value) for v_units, k_value in POWER_SCALING_PROBES])
-    stencils = {(m, n): [(ov, ok, (wv / step_v**m) * (wk / step_k**n))
-                         for ov, wv in _FD_WEIGHTS[m] for ok, wk in _FD_WEIGHTS[n]]
-                for m, n in orders}
-    offsets = list(dict.fromkeys((ov, ok) for steps in stencils.values() for ov, ok, _ in steps))
+    stencils = [[(ov, ok, (wv / step_v**m) * (wk / step_k**n))
+                 for ov, wv in _FD_WEIGHTS[m] for ok, wk in _FD_WEIGHTS[n]]
+                for m, n in orders]
     points = np.array([(v_value + ov * step_v, k_value + ok * step_k)
-                       for v_value, k_value in probes.tolist() for ov, ok in offsets])
-    point_sums = _grid_sums(h, points[:, 0], points[:, 1])
-    scaled = {}
-    for m, n in orders:
+                       for v_value, k_value in probes.tolist()
+                       for stencil in stencils for ov, ok, _ in stencil])
+    point_sums = _grid_sums(h, points[:, 0], points[:, 1]).reshape(len(probes), -1, 2, 2, 4)
+    blocks = np.split(point_sums, np.cumsum([len(stencil) for stencil in stencils])[:-1], axis=1)
+    sums = {}
+    for (m, n), stencil, block in zip(orders, stencils, blocks):
         samples = h.samples * geo.s_values[:, None, None]**m * geo.theta_values[None, :, None]**n
-        scaled[m, n] = _grid_sums(h.with_samples(samples), probes[:, 0], probes[:, 1])
-    return _ScalingSums(geo, stencils, {offset: i for i, offset in enumerate(offsets)},
-                        point_sums.reshape(len(probes), len(offsets), 2, 2, 4), scaled)
+        scaled = _grid_sums(h.with_samples(samples), probes[:, 0], probes[:, 1])
+        sums[m, n] = ([weight for _, _, weight in stencil], scaled, block)
+    return sums
 
 
-def _scaling_residuals(sums: _ScalingSums, pair: RootPair) -> dict[tuple[int, int], float]:
+def _scaling_residuals(sums: dict, pair: RootPair, geo: GridGeometry) -> dict:
     """The f/g tail of check_power_scaling: each order's relative residual
-    from the pair-free sums."""
-    sig, geo = pair.signature, sums.geometry
-    n_probes = sums.points.shape[0]
-    samples = _pair_sums(sums.points.reshape(-1, 2, 2, 4), pair, geo).reshape(n_probes, -1, 4)
+    from the pair-free sums, through one _pair_sums call over every order's
+    probes and points."""
+    sig = pair.signature
+    rows = [part.reshape(-1, 2, 2, 4) for entry in sums.values() for part in entry[1:]]
+    values = iter(np.split(_pair_sums(np.concatenate(rows), pair, geo),
+                           np.cumsum([len(part) for part in rows])[:-1]))
     residuals = {}
-    for (m, n), stencil in sums.stencils.items():
-        lhs = _pair_sums(sums.probes[m, n], pair, geo)
-        rhs = np.zeros((n_probes, 4))
-        for ov, ok, weight in stencil:
-            rhs += weight * samples[:, sums.column[ov, ok]]
+    for (m, n), (weights, _, points) in sums.items():
+        lhs, at_points = next(values), next(values).reshape(points.shape[:2] + (4,))
+        rhs = np.zeros(lhs.shape)
+        for column, weight in enumerate(weights):
+            rhs += weight * at_points[:, column]
         rhs = gp(sig, gp(sig, _root_power(pair.f, m).coeffs, rhs), _root_power(pair.g, n).coeffs)
         scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-30)
         residuals[m, n] = float(np.max(np.abs(lhs - rhs).max(axis=1) / scale))

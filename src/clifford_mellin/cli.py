@@ -65,6 +65,19 @@ def _parse_center(text: str) -> tuple[float, float]:
     return _parse_floats(text, 2, "x,y")
 
 
+def _nonnegative(convert, form: str):
+    """A flag type: text that convert reads as a number in [0, inf)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = -1
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_algebra(text: str) -> Signature:
     try:
         return Signature.parse(text)
@@ -211,9 +224,9 @@ def cmd_invert(args) -> int:
 
 
 def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
-    """Wall time of the per-bin direct sum over the whole grid, measured on
-    whole rows up to 2048 bins and scaled by the bin count (per-bin work is
-    constant); also whether it was scaled, and the bins measured."""
+    """Wall time of the per-bin direct sum over the whole grid, measured on the
+    whole rows that fit in 2048 bins (at least one) and scaled by the bin count
+    (per-bin work is constant); also whether it was scaled, and the bins measured."""
     geo = h.geometry
     rows = min(geo.n_s, max(1, 2048 // geo.n_theta))
     start = time.perf_counter()
@@ -352,7 +365,8 @@ def _add_out(p) -> None:
 
 
 def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="PCG64 seed for random signals")
+    p.add_argument("--seed", type=_nonnegative(int, "an integer >= 0"), default=0,
+                   help="PCG64 seed for random signals")
 
 
 def _add_signal_command(sub, name: str, text: str) -> None:
@@ -386,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suite and emit a JSON report")
     _add_grid(p, 32)
     _add_seed(p)
-    p.add_argument("--tol", type=float, default=None, help="tolerance replacing every default gate")
+    p.add_argument("--tol", type=_nonnegative(float, "a finite float >= 0"), default=None,
+                   help="tolerance replacing every default gate")
     _add_out(p)
     p.add_argument("--pair-degenerate", action="store_true",
                    help="also exercise the degenerate pair g = -f")

@@ -12,11 +12,11 @@ widest scope it allows.  The fixed pairs (``roots.default_pair``,
 only on the test signals is built once per run by ``run_inputs``: their
 samples, which depend on the grid and the seed but not the algebra, the
 smooth signal's spectral derivatives and band-limit flag, the bump's seam
-fraction and its pair-free power-scaling grid sums; ``algebra_signals``
-tags the signals with each algebra in turn.  What also depends on the pair
-(the spectra of h and h2, the split of h's, the power-scaling residuals,
-from the shared sums) is built once per ``Case``, which hands it to the
-private kernels behind cfmt's public checks.
+fraction and its pair-free power-scaling grid sums, returned as one
+namespace per algebra with the signals tagged with its signature.  What
+also depends on the pair (the spectra of h and h2, the split of h's, the
+power-scaling residuals, from the shared sums) is built once per ``Case``,
+which hands it to the private kernels behind cfmt's public checks.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ def verify_pairs(sig: Signature, seed: int, include_degenerate: bool):
     return named + [("symmetry", symmetry_pair(sig))]
 
 
-def run_inputs(geometry: GridGeometry, seed: int) -> SimpleNamespace:
+def run_inputs(geometry: GridGeometry, seed: int) -> dict[Signature, SimpleNamespace]:
     """The test signals of one run, each seeding its own generator, and what
-    the rows derive from them alone.  A signal's samples depend on the grid
-    and its seed, not on the algebra, so they are drawn once, in Cl(2,0), and
-    algebra_signals tags them with each algebra in turn."""
+    the rows derive from them alone, as one namespace per algebra.  Their
+    samples depend on the grid and the seed, not the algebra, so they are
+    drawn and derived once, in Cl(2,0), and tagged with each algebra."""
 
     def draw(offset: int, **options) -> LogPolarSignal:
         return signal.random_signal(geometry, SIGNATURES[0], seed=seed + offset, **options)
@@ -85,26 +85,21 @@ def run_inputs(geometry: GridGeometry, seed: int) -> SimpleNamespace:
     bump = LogPolarSignal.from_channels(
         geometry, SIGNATURES[0], m0=radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2)))
     smooth = draw(4, band_limit=4)
-    return SimpleNamespace(
-        geometry=geometry, bump=bump, h=draw(2), h2=draw(3), smooth=smooth,
-        real=draw(5, channels=(0,)), bump_seam=cfmt._seam_fraction(bump),
-        derivatives={n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)},
-        band_limited=cfmt._band_limited(smooth),
-        power_sums=cfmt._scaling_sums(bump, POWER_ORDERS),
-    )
+    signals = {"bump": bump, "h": draw(2), "h2": draw(3), "smooth": smooth,
+               "real": draw(5, channels=(0,))}
+    derivatives = {n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)}
+    shared = {"geometry": geometry, "bump_seam": cfmt._seam_fraction(bump),
+              "band_limited": cfmt._band_limited(smooth),
+              "power_sums": cfmt._scaling_sums(bump, POWER_ORDERS)}
 
+    def tag(h: LogPolarSignal, sig: Signature) -> LogPolarSignal:
+        return LogPolarSignal(geometry, sig, h.samples)
 
-def algebra_signals(inputs: SimpleNamespace, sig: Signature) -> SimpleNamespace:
-    """The run's inputs with each signal tagged with the algebra sig."""
-
-    def tag(h: LogPolarSignal) -> LogPolarSignal:
-        return LogPolarSignal(h.geometry, sig, h.samples)
-
-    return SimpleNamespace(**{
-        **vars(inputs), "sig": sig, "bump": tag(inputs.bump), "h": tag(inputs.h),
-        "h2": tag(inputs.h2), "smooth": tag(inputs.smooth), "real": tag(inputs.real),
-        "derivatives": {n: tuple(map(tag, pair)) for n, pair in inputs.derivatives.items()},
-    })
+    return {sig: SimpleNamespace(
+        **shared, sig=sig, **{name: tag(h, sig) for name, h in signals.items()},
+        derivatives={n: (tag(radial, sig), tag(angular, sig))
+                     for n, (radial, angular) in derivatives.items()})
+        for sig in SIGNATURES}
 
 
 class Case:
@@ -161,7 +156,7 @@ class Case:
 
     @cached_property
     def power_scaling(self) -> dict:
-        return cfmt._scaling_residuals(self.signals.power_sums, self.pair)
+        return cfmt._scaling_residuals(self.signals.power_sums, self.pair, self.geometry)
 
 
 # -- rules: each gives the reason to skip a case, or None -------------------------------
@@ -401,10 +396,8 @@ def verify_rows(
     """One row per property and case over the three algebras; ``tol``
     replaces every default tolerance."""
     rng = np.random.default_rng(seed)
-    inputs = run_inputs(geometry, seed)
     rows = []
-    for sig in SIGNATURES:
-        signals = algebra_signals(inputs, sig)
+    for sig, signals in run_inputs(geometry, seed).items():
         for name, pair in verify_pairs(sig, seed, include_degenerate):
             case = Case(signals, name, pair, rng)
             rows += [_row(prop, case, tol) for prop in TABLE if name in prop.pairs]

@@ -49,8 +49,8 @@ class GridGeometry:
 
     def __post_init__(self):
         for n, label in ((self.n_s, "n_s"), (self.n_theta, "n_theta")):
-            if n < 2 or n % 2 != 0:
-                raise GeometryError(f"{label} must be even and >= 2, got {n}")
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
+                raise GeometryError(f"{label} must be an even integer >= 2, got {n!r}")
         if not (np.isfinite(self.s_min) and np.isfinite(self.s_max)):
             raise GeometryError("s_min and s_max must be finite")
         if not self.s_max > self.s_min:

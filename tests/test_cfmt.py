@@ -745,7 +745,7 @@ def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
     # the verify rule and check_power_scaling read one seam predicate: on
     # 2 and 4 angles the test bump reaches the seam, from 6 on it does not
     geo = GridGeometry(8, n_theta, -np.pi, np.pi)
-    signals = properties.algebra_signals(properties.run_inputs(geo, seed=0), CL02)
+    signals = properties.run_inputs(geo, seed=0)[CL02]
     case = properties.Case(signals, "blade", default_pair(CL02), np.random.default_rng(0))
     if n_theta <= 4:
         with pytest.raises(ContractError, match="energy on the theta seam"):
@@ -760,11 +760,28 @@ def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
 def test_power_scaling_in_s_alone_ignores_seam_energy(sig):
     # with n = 0 nothing multiplies by theta, so the identity needs no seam
     # condition: the 8x4 verify bump reaches the seam and still passes
-    bump = properties.algebra_signals(
-        properties.run_inputs(GridGeometry(8, 4, -np.pi, np.pi), seed=0), sig).bump
+    bump = properties.run_inputs(GridGeometry(8, 4, -np.pi, np.pi), seed=0)[sig].bump
     assert cfmt._seam_fraction(bump) is not None
     for pair in (default_pair(sig), moderate_pairs(sig, 1, seed=44)[0]):
         assert cfmt.check_power_scaling(bump, pair, 1, 0) <= 1e-5
+
+
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_scaling_residuals_of_all_orders_at_once_equal_each_order_alone(sig, size):
+    # one _scaling_sums call lays every order's points side by side, with
+    # no point shared between orders even where offsets coincide ((1, 0) and
+    # (2, 0) both step to (+-1, 0)); each order must read its own block only
+    geo = default_geometry(size)
+    h = bump_signal(geo, sig)
+    orders = [(m, n) for m in range(3) for n in range(3)]
+    sums = cfmt._scaling_sums(h, orders)
+    assert [len(weights) for weights, _, _ in sums.values()] == [1, 2, 3, 2, 4, 6, 3, 6, 9]
+    for pair in (default_pair(sig), RootPair(*random_roots(sig, 2, seed=46))):
+        residuals = cfmt._scaling_residuals(sums, pair, geo)
+        assert list(residuals) == orders
+        for (m, n), residual in residuals.items():
+            assert residual == cfmt.check_power_scaling(h, pair, m, n), (m, n)
 
 
 def _plancherel_residual(lhs, rhs):
@@ -782,7 +799,7 @@ def test_verify_shared_results_equal_the_public_checks_bit_for_bit(sig):
     # public checks; on every pair it runs, the degenerate one included, the
     # results must be the ones the public checks compute from scratch
     geo = default_geometry(16)
-    signals = properties.algebra_signals(properties.run_inputs(geo, seed=5), sig)
+    signals = properties.run_inputs(geo, seed=5)[sig]
     h, h2 = signals.h, signals.h2
     for name, pair in properties.verify_pairs(sig, 5, include_degenerate=True)[1:]:
         case = properties.Case(signals, name, pair, np.random.default_rng(5))

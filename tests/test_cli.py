@@ -127,6 +127,13 @@ def test_exit_codes(tmp_path, capsys, signal_file):
         (["register", "a.pgm", "b.pgm", "--center", "1"], "x,y"),
         (["register", "a.pgm", "b.pgm", "--center", "1,y"], "x,y"),
         (["split", "--x", "1,0,0,0", "--algebra", "Cl(5,0)"], "Cl(2,0), Cl(1,1) or Cl(0,2)"),
+        (["verify", "--seed", "-5"], "an integer >= 0"),
+        (["verify", "--seed", "1.5"], "an integer >= 0"),
+        (["fast-bench", "--seed", "-3"], "an integer >= 0"),
+        (["verify", "--tol", "nan"], "finite float >= 0"),
+        (["verify", "--tol", "inf"], "finite float >= 0"),
+        (["verify", "--tol", "-1"], "finite float >= 0"),
+        (["verify", "--tol", "x"], "finite float >= 0"),
     ],
 )
 def test_argument_errors_name_the_expected_format(capsys, argv, form):
@@ -351,6 +358,14 @@ def test_verify_tolerance_override_can_fail(capsys):
     assert json.loads(out)["failures"] > 0
 
 
+def test_verify_accepts_a_zero_tolerance(capsys):
+    code, out = run(capsys, "verify", "--ns", "8", "--ntheta", "8", "--tol", "0")
+    report = json.loads(out)
+    assert code == (3 if report["failures"] else 0)
+    assert report["config"]["tol"] == 0.0
+    assert {r["tolerance"] for r in report["results"]} == {0.0, None}
+
+
 def _coeff_flag(name, coeffs):
     return f"--{name}=" + ",".join(repr(float(c)) for c in coeffs)
 
@@ -492,7 +507,9 @@ def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
     # several properties share runs once per pair, the two derivative orders
     # share one base spectrum, and the literal sums run batched, not through
     # cfmt_direct: the power-scaling grid sums once per run (1 + 3 orders),
-    # the direct oracle's once per case that runs it (2 pairs x 3 algebras)
+    # the direct oracle's once per case that runs it (2 pairs x 3 algebras),
+    # and each of those 6 cases makes one f/g tail call (_pair_sums) for its
+    # direct oracle and one for all its power-scaling rows
     calls = collections.Counter()
 
     def counted(module, name):
@@ -509,13 +526,14 @@ def test_verify_builds_shared_inputs_once(capsys, monkeypatch):
 
     counted(signal, "random_signal")
     for name in ("cfmt_forward", "cfmt_direct", "cfmt_fast", "cfmt_inverse", "_scaling_sums",
-                 "_grid_sums"):
+                 "_grid_sums", "_pair_sums"):
         counted(cfmt, name)
     code, _ = run(capsys, "verify", "--seed", "0")
     assert code == 0
     assert calls["random_signal"] == 4
     assert calls["_scaling_sums"] == 1
     assert calls["_grid_sums"] == 4 + 6
+    assert calls["_pair_sums"] == 6 + 6
     assert calls["cfmt_forward"] <= 120
     assert calls["cfmt_direct"] == 0
     assert calls["cfmt_fast"] <= 6

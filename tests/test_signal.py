@@ -37,6 +37,17 @@ def test_geometry_validation():
     assert geo.k_values[geo.n_theta // 2] == 0.0
 
 
+@pytest.mark.parametrize("sizes", [(4.0, 4), (4, 8.0), (True, 4), (4, np.float64(4)), ("4", 4)])
+def test_geometry_refuses_sizes_that_are_not_integers(sizes):
+    with pytest.raises(GeometryError, match="must be an even integer >= 2"):
+        GridGeometry(*sizes, -1.0, 1.0)
+
+
+def test_geometry_accepts_numpy_integer_sizes():
+    geo = GridGeometry(np.int64(4), np.int32(6), -1.0, 1.0)
+    assert random_signal(geo, CL02, seed=1).samples.shape == (4, 6, 4)
+
+
 def test_constant_inner_product():
     one = Multivector.scalar(CL02, 1.0)
     sig = LogPolarSignal.constant(GEO, one)
