@@ -13,8 +13,10 @@ routes are provided:
   kernel is cos - root*sin, so the sum reduces to four real-weighted grid
   sums (cos/sin in s times cos/sin in theta) that f and g then multiply by
   the geometric product; it uses no FFT and no plane basis.  It is the
-  one-point case of the kernel _direct_sums, which takes P points at once
-  through one (2P, n_s) @ samples product, bit-identical to P single calls.
+  one-point case of the kernel _direct_sums, which takes any v and k that
+  broadcast, bit-identical to one call per point: points (P,) x (P,) make P
+  kernel rows per axis, direct_spectrum's axes v[:, None] x k[None, :] make
+  n_s + n_theta rows in all.
   _direct_sums runs in two stages: the pair-free grid sums (_grid_sums),
   then their f/g tail (_pair_sums).  Power scaling keeps the first stage's
   sums for a signal, one block per order (_scaling_sums); verify makes them
@@ -278,31 +280,29 @@ def _kernel_sandwich(sig: Signature, left: np.ndarray, arr: np.ndarray,
     return gp(sig, gp(sig, left[:, None, :], arr), right[None, :, :])
 
 
-# bins x (n_s + n_theta) of one _direct_sums call in direct_spectrum, which
-# bounds the call's intermediates (about 30 MB at this size)
-DIRECT_CHUNK = 2**19
-
-
-def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The literal double sum at the P real frequency points (v[p], k[p]), as
-    a (P, 4) array, in the terms of cfmt_direct: the pair-free _grid_sums,
-    then their f/g tail _pair_sums."""
+def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray | float,
+                 k: np.ndarray | float) -> np.ndarray:
+    """The literal double sum at the real points v, k broadcast, as a shape +
+    (4,) array: the pair-free _grid_sums, then their f/g tail _pair_sums."""
     pair.require_algebra(h.signature, "signal")
-    return _pair_sums(_grid_sums(h, v, k), pair, h.geometry)
+    sums = _grid_sums(h, v, k)
+    return _pair_sums(sums.reshape(-1, 2, 2, 4), pair, h.geometry).reshape(sums.shape[:-3] + (4,))
 
 
-def _grid_sums(h: LogPolarSignal, v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The four real-weighted grid sums of cfmt_direct at each point, as a
-    (P, 2, 2, 4) array: sums[p, a, b] = A_ab, a radial and b angular (cos,
-    sin).  One (2P, n_s) @ samples product makes every point's radial cosine
-    and sine sums, one stacked matmul their angular ones.  No root enters."""
+def _grid_sums(h: LogPolarSignal, v: np.ndarray | float, k: np.ndarray | float) -> np.ndarray:
+    """The four real-weighted grid sums of cfmt_direct at the points v, k
+    broadcast, as a shape + (2, 2, 4) array: sums[..., a, b] = A_ab, a radial
+    and b angular (cos, sin).  One (2 v.size, n_s) @ samples product makes the
+    radial sums at every v, one stacked matmul the angular ones at every k.
+    No root enters."""
     geo = h.geometry
-    radial = -np.asarray(v, dtype=float)[:, None] * geo.s_values  # (P, n_s)
-    angular = -np.asarray(k, dtype=float)[:, None] * geo.theta_values  # (P, n_theta)
-    rows = np.stack([np.cos(radial), np.sin(radial)], axis=1).reshape(-1, geo.n_s)
-    cols = np.stack([np.cos(angular), np.sin(angular)], axis=1)  # (P, 2, n_theta)
-    partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(-1, 2, geo.n_theta, 4)
-    return cols[:, None] @ partial
+    v, k = np.asarray(v, dtype=float), np.asarray(k, dtype=float)
+    radial = -v[..., None] * geo.s_values
+    angular = -k[..., None] * geo.theta_values
+    rows = np.stack([np.cos(radial), np.sin(radial)], axis=-2).reshape(-1, geo.n_s)
+    cols = np.stack([np.cos(angular), np.sin(angular)], axis=-2)  # k.shape + (2, n_theta)
+    partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(v.shape + (2, geo.n_theta, 4))
+    return cols[..., None, :, :] @ partial
 
 
 def _pair_sums(sums: np.ndarray, pair: RootPair, geo: GridGeometry) -> np.ndarray:
@@ -328,26 +328,20 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
     product, never through a plane basis or an FFT.  This is _direct_sums at
     one point.
     """
-    return Multivector(h.signature, _direct_sums(h, pair, np.array([v]), np.array([k]))[0])
+    return Multivector(h.signature, _direct_sums(h, pair, v, k))
 
 
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Full spectrum by the literal sum at every grid frequency.
 
-    Each bin is the sum cfmt_direct evaluates, taken through _direct_sums over
-    whole radial rows at a time, so the cost is quadratic in the total sample
-    count; this is the oracle the FFT routes are checked against.  A call
-    takes as many rows as keep bins x (n_s + n_theta) within DIRECT_CHUNK,
-    so a 64x64 grid is one call.
+    Each bin is the sum cfmt_direct evaluates, taken by one _direct_sums call
+    on the whole frequency axes; the kernels are separable, so the call makes
+    n_s + n_theta kernel rows and costs n_s * n_theta * (n_s + n_theta).  This
+    is the oracle the FFT routes are checked against.
     """
     geo = h.geometry
-    rows = max(1, DIRECT_CHUNK // (geo.n_theta * (geo.n_s + geo.n_theta)))
-    v, k = np.meshgrid(geo.v_values, geo.k_values, indexing="ij")
-    coeffs = np.concatenate([
-        _direct_sums(h, pair, v[i:i + rows].ravel(), k[i:i + rows].ravel())
-        for i in range(0, geo.n_s, rows)
-    ])
-    return Spectrum(geo, pair, coeffs.reshape(geo.n_s, geo.n_theta, 4))
+    coeffs = _direct_sums(h, pair, geo.v_values[:, None], geo.k_values[None, :])
+    return Spectrum(geo, pair, _Fresh(coeffs))
 
 
 # -- operator actions on signals and spectra ------------------------------------------

@@ -51,8 +51,12 @@ class GridGeometry:
         for n, label in ((self.n_s, "n_s"), (self.n_theta, "n_theta")):
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
                 raise GeometryError(f"{label} must be an even integer >= 2, got {n!r}")
-        if not (np.isfinite(self.s_min) and np.isfinite(self.s_max)):
-            raise GeometryError("s_min and s_max must be finite")
+        for bound, label in ((self.s_min, "s_min"), (self.s_max, "s_max")):
+            real = isinstance(bound, (int, float, np.integer, np.floating))
+            if isinstance(bound, bool) or not real:
+                raise GeometryError(f"{label} must be a real number, got {bound!r}")
+            if not np.isfinite(bound):
+                raise GeometryError(f"{label} must be finite, got {bound!r}")
         if not self.s_max > self.s_min:
             raise GeometryError(f"need s_max > s_min, got [{self.s_min}, {self.s_max}]")
 

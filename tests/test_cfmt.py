@@ -1,5 +1,7 @@
 """Transform theorems: inversion, oracle equivalence, covariances, symmetry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -189,7 +191,8 @@ def test_direct_matches_literal_grid_sum(sig, grid):
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_batched_direct_sums_equal_one_point_calls(sig):
     # one batched call is bit-identical to stacked one-point calls, for one
-    # point and for all fifteen
+    # point, for all fifteen, and for the axes v[:, None], k[None, :] of all
+    # fifteen, which broadcast to the 15 x 15 points of their meshgrid
     for grid in UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)]:
         h, points, pairs = direct_sum_cases(sig, grid)
         v, k = np.array(points).T
@@ -199,6 +202,37 @@ def test_batched_direct_sums_equal_one_point_calls(sig):
                 got = cfmt._direct_sums(h, pair, v[:count], k[:count])
                 assert got.shape == (count, 4)
                 assert np.array_equal(got, np.array(want))
+            want = [[cfmt.cfmt_direct(h, pair, a, b).coeffs for b in k] for a in v]
+            got = cfmt._direct_sums(h, pair, v[:, None], k[None, :])
+            assert got.shape == (len(v), len(k), 4)
+            assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)])
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_direct_spectrum_is_cfmt_direct_at_every_bin(sig, grid):
+    h, _, pairs = direct_sum_cases(sig, grid)
+    geo = h.geometry
+    for pair in pairs:
+        want = [[cfmt.cfmt_direct(h, pair, float(v), float(k)).coeffs for k in geo.k_values]
+                for v in geo.v_values]
+        assert np.array_equal(cfmt.direct_spectrum(h, pair).coeffs, np.array(want))
+
+
+def test_direct_spectrum_memory_stays_linear_in_the_bins():
+    # one call on the axes holds O(n_s * n_theta) intermediates, about 5.5 MB
+    # at 128x128; kernel rows per bin would hold n_s * n_theta * (n_s + n_theta)
+    # floats, about 240 MB here in one call
+    geo = default_geometry(128)
+    h = random_signal(geo, CL11, seed=16)
+    pair = RootPair(*random_roots(CL11, 2, seed=17))
+    tracemalloc.start()
+    try:
+        cfmt.direct_spectrum(h, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_direct_sums_refuse_a_signal_from_another_algebra():
@@ -692,6 +726,15 @@ def test_derivative_theorems_band_limited(sig, order):
     assert result.angular_residual <= 1e-8
 
 
+def test_theorem_checks_refuse_orders_above_two():
+    pair = default_pair(CL02)
+    h = random_signal(default_geometry(8), CL02, seed=40, band_limit=2)
+    with pytest.raises(DomainError, match="derivative order must be 0..2"):
+        cfmt.check_derivative_theorems(h, pair, 3)
+    with pytest.raises(DomainError, match="power-scaling orders must be 0..2"):
+        cfmt.check_power_scaling(h, pair, 3, 0)
+
+
 def test_derivative_warns_on_full_band_signal():
     pair = default_pair(CL02)
     h = random_signal(GEO, CL02, seed=43)
@@ -949,6 +992,11 @@ def test_symmetry_rejects_bad_inputs():
     f = pair.f
     with pytest.raises(ContractError, match="g != "):
         cfmt.symmetry_decompose(real, RootPair(f, -f))
+    # g = e12 + 1e-11 e1 is not +-f for f = e12, but (1, f, g, fg) is singular to roundoff
+    close = RootPair(validate_root(basis(CL20)[3]), sample_root(CL20, 1e-11, 0.0, 1))
+    assert not close.degenerate
+    with pytest.raises(ContractError, match="numerically dependent"):
+        cfmt.symmetry_decompose(random_signal(GEO, CL20, seed=56, channels=(0,)), close)
 
 
 # -- spectra as values -------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_image_parse_errors(tmp_path):
     with pytest.raises(ImageParseError):
         read_image(path)
 
+    path.write_bytes(b"P5\n128")
+    with pytest.raises(ImageParseError, match="unexpected end of header"):
+        read_image(path)
+
+    path.write_bytes(b"P5\n0 8\n255\n")
+    with pytest.raises(ImageParseError, match="bad dimensions 0x8"):
+        read_image(path)
+
 
 def test_pixel_decode_is_bitwise_the_float_division_for_all_levels(tmp_path):
     levels = np.arange(256, dtype=np.uint8)
@@ -110,6 +118,8 @@ def test_pixel_decode_is_bitwise_the_float_division_for_all_levels(tmp_path):
 def test_raster_image_validation():
     with pytest.raises(DomainError):
         RasterImage(np.zeros((4, 4)))
+    with pytest.raises(DomainError, match="expected \\(h, w\\) or \\(h, w, 3\\) pixels"):
+        RasterImage(np.zeros((8, 8, 2)))
     raw = np.full((8, 8), 2.0)
     image = RasterImage(raw)
     assert float(image.pixels.max()) == 1.0
@@ -147,6 +157,13 @@ def test_ingest_mapping_override(tmp_path):
     assert np.all(multivector_field(source)[..., 3] == 1.0)
     with pytest.raises(DomainError):
         ingest(path, CL20, mapping=(1, 2))
+    rgb = RasterImage(np.zeros((8, 8, 3)))
+    with pytest.raises(DomainError, match="must be distinct blade indices"):
+        ImageSignalSource(rgb, CL20, (1, 1, 2))
+
+
+def test_centroid_of_an_all_black_image_is_its_center():
+    assert RasterImage(np.zeros((8, 12))).centroid() == (5.5, 3.5)
 
 
 # -- log-polar resampling --------------------------------------------------------------

@@ -50,6 +50,14 @@ def test_validate_bound_scales_with_root_size():
         validate_root(Multivector(CL02, (0.0, 1.0 + 1e-9, 0.0, 0.0)))
 
 
+def test_validate_refuses_a_scalar_part():
+    # a scalar part of 2e-12 moves the square of this chart point by 4e-8,
+    # within the size-scaled bound, so only the scalar-part rule refuses it
+    b1, b2, beta = sample_root(CL20, 1e4, 0.0, 1).parameters
+    with pytest.raises(NotARootError, match="has nonzero scalar part"):
+        validate_root(Multivector(CL20, (2e-12, b1, b2, beta)))
+
+
 def test_validate_refuses_a_root_too_large_to_square():
     # |a|^2 overflows; the rule refuses it before squaring, without a numpy warning
     with warnings.catch_warnings():
@@ -108,6 +116,12 @@ def test_random_roots_square_to_minus_one(sig):
         # chart constraint from the manifold equation
         want = manifold_beta_squared(sig, root.b1, root.b2)
         assert abs(root.beta**2 - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES)
+def test_random_roots_refuses_an_empty_draw(sig):
+    with pytest.raises(OffManifoldError, match="need n >= 1 roots"):
+        random_roots(sig, 0, seed=1)
 
 
 def test_random_roots_deterministic():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from clifford_mellin.algebra import CL02, CL11, CL20, SIGNATURES, Multivector
-from clifford_mellin.errors import DomainError, FormatError, GeometryError
+from clifford_mellin.errors import (
+    DomainError,
+    FormatError,
+    GeometryError,
+    SignatureMismatchError,
+)
 from clifford_mellin.roots import default_pair
 from clifford_mellin.signal import (
     GridGeometry,
@@ -46,6 +51,30 @@ def test_geometry_refuses_sizes_that_are_not_integers(sizes):
 def test_geometry_accepts_numpy_integer_sizes():
     geo = GridGeometry(np.int64(4), np.int32(6), -1.0, 1.0)
     assert random_signal(geo, CL02, seed=1).samples.shape == (4, 6, 4)
+
+
+@pytest.mark.parametrize("bounds, label", [
+    (("0", "1"), "s_min"), ((None, 1.0), "s_min"), ((1j, 2.0), "s_min"),
+    ((False, True), "s_min"), ((0.0, np.True_), "s_max"), ((0.0, [1.0]), "s_max"),
+])
+def test_geometry_refuses_bounds_that_are_not_real_numbers(bounds, label):
+    with pytest.raises(GeometryError, match=f"{label} must be a real number"):
+        GridGeometry(4, 4, *bounds)
+
+
+@pytest.mark.parametrize("bounds, label", [
+    ((np.nan, 1.0), "s_min"), ((0.0, np.nan), "s_max"),
+    ((-np.inf, 1.0), "s_min"), ((0.0, np.inf), "s_max"), ((0.0, float("-inf")), "s_max"),
+])
+def test_geometry_refuses_bounds_that_are_not_finite(bounds, label):
+    with pytest.raises(GeometryError, match=f"{label} must be finite"):
+        GridGeometry(4, 4, *bounds)
+
+
+def test_geometry_accepts_python_and_numpy_real_bounds():
+    for bounds in ((0, 1), (np.int64(-2), np.float32(1.5)), (np.float64(-1.0), 2.0)):
+        geo = GridGeometry(4, 4, *bounds)
+        assert geo.span == float(bounds[1]) - float(bounds[0])
 
 
 def test_constant_inner_product():
@@ -147,6 +176,13 @@ def test_geometry_mismatch_rejected():
         inner_product(a, b)
 
 
+def test_signals_from_different_algebras_do_not_mix():
+    a = random_signal(GEO, CL20, seed=9)
+    b = random_signal(GEO, CL02, seed=9)
+    with pytest.raises(SignatureMismatchError, match="signals in Cl"):
+        a.max_abs_diff(b)
+
+
 def test_nonfinite_samples_rejected():
     arr = np.zeros((GEO.n_s, GEO.n_theta, 4))
     arr[0, 0, 0] = np.inf
@@ -180,6 +216,9 @@ def test_clms_header_errors(tmp_path):
         read_clms(path)
     path.write_bytes(b"algebra=Cl(9,9)\nns=4\nntheta=4\nsmin=0\nsmax=1\n")
     with pytest.raises(FormatError):
+        read_clms(path)
+    path.write_bytes(b"algebra=Cl(0,2)\nns 4\nntheta=4\nsmin=0\nsmax=1\n")
+    with pytest.raises(FormatError, match="malformed header line 'ns 4'"):
         read_clms(path)
     good = random_signal(GridGeometry(4, 4, -1.0, 1.0), CL02, seed=1)
     write_clms(path, good)

@@ -26,6 +26,10 @@ The families:
   of each signal.
 * ``spectrum-csv``: the text of ``spectrum_csv_rows`` of each of those
   forward spectra.
+* ``direct``: the bytes of the literal-sum oracle, ``direct_spectrum``, and
+  of ``cfmt_direct`` at three real points off the grid, on the grids of
+  ``DIRECT_GRIDS`` in all three algebras, under the default pair, a random
+  pair and the degenerate pair (f, -f).
 * ``checks``: the residuals of the public theorem checks on 16x16 and 32x32
   grids in all three algebras, under the default pair and one random pair:
   ``check_linearity``, ``check_derivative_theorems`` at orders 0 to 2,
@@ -69,6 +73,13 @@ from pathlib import Path
 GRID_SIZES = (8, 16, 32, 64, 128, 256, 512)
 PRODUCT_GRIDS = (8, 16, 32, 64)
 RECT_GRIDS = ((6, 10), (16, 128), (128, 16))  # (n_s, n_theta)
+# (n_s, n_theta, s_min, s_max): minimal, non-square, asymmetric and shifted
+# windows, then square and rectangular grids
+DIRECT_GRIDS = (
+    (2, 2, -1.0, 1.0), (2, 8, 0.3, 2.9), (16, 8, -2.0, 2.0), (8, 32, 0.3, 2.9),
+    (12, 6, -5.0, -1.0), (8, 8, -math.pi, math.pi), (32, 32, -math.pi, math.pi),
+    (64, 64, -math.pi, math.pi), (32, 128, 0.1, 1.7), (128, 16, -1.0, 3.0),
+)
 IMAGE_SIZE = 128
 CENTER = (63.5, 63.5)
 WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
@@ -150,6 +161,26 @@ def transform_digests() -> dict:
         digests["routes-rect"].add_array(cfmt.cfmt_inverse(spectrum).samples)
         digests["routes-rect"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
     return digests
+
+
+def direct_digests() -> dict:
+    from clifford_mellin import cfmt
+    from clifford_mellin.algebra import SIGNATURES
+    from clifford_mellin.roots import RootPair, default_pair, random_roots
+    from clifford_mellin.signal import GridGeometry, random_signal
+
+    digest = Digest()
+    for n, grid in enumerate(DIRECT_GRIDS):
+        geo = GridGeometry(*grid)
+        points = ((0.37 * geo.dv, -2.5), (-1.9 * geo.dv, 0.25), (3.3, 7.75))
+        for k, sig in enumerate(SIGNATURES):
+            h = random_signal(geo, sig, seed=5000 + 10 * n + k)
+            f, g = random_roots(sig, 2, seed=6000 + 10 * n + k)
+            for pair in (default_pair(sig), RootPair(f, g), RootPair(f, -f)):
+                digest.add_array(cfmt.direct_spectrum(h, pair).coeffs)
+                for v, kv in points:
+                    digest.add_array(cfmt.cfmt_direct(h, pair, v, kv).coeffs)
+    return {"direct": digest}
 
 
 def check_digests() -> dict:
@@ -299,6 +330,7 @@ def main(argv=None) -> int:
 
     digests = verify_digests(cli)
     digests.update(transform_digests())
+    digests.update(direct_digests())
     digests.update(check_digests())
     digests.update(product_digests())
     with tempfile.TemporaryDirectory() as workdir:
