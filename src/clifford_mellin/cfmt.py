@@ -15,8 +15,8 @@ routes are provided:
   the geometric product; it uses no FFT and no plane basis.  It is the
   one-point case of the kernel _direct_sums, which takes any v and k that
   broadcast, bit-identical to one call per point: points (P,) x (P,) make P
-  kernel rows per axis, direct_spectrum's axes v[:, None] x k[None, :] make
-  n_s + n_theta rows in all.
+  kernel rows per axis; direct_spectrum runs it on blocks of 2 * isqrt(n_s)
+  radial rows v[:, None] against the whole axis k[None, :].
   _direct_sums runs in two stages: the pair-free grid sums (_grid_sums),
   then their f/g tail (_pair_sums).  Power scaling keeps the first stage's
   sums for a signal, one block per order (_scaling_sums); verify makes them
@@ -59,6 +59,7 @@ descriptor CSV are both rendered by frequency_csv_rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -334,13 +335,22 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Full spectrum by the literal sum at every grid frequency.
 
-    Each bin is the sum cfmt_direct evaluates, taken by one _direct_sums call
-    on the whole frequency axes; the kernels are separable, so the call makes
-    n_s + n_theta kernel rows and costs n_s * n_theta * (n_s + n_theta).  This
+    Each bin is the sum cfmt_direct evaluates, filled into one output in
+    blocks of 2 * isqrt(n_s) radial rows: one _direct_sums call per block of v
+    against the whole k axis, which costs n_s * n_theta * (n_s + n_theta) in
+    all.  Each call rebuilds the angular kernel tables, O(n_theta^2), so half
+    as many rows per block would cost 1.2-1.4x the whole-axes call at 256^2;
+    beside the output a block holds O(sqrt(n_s) * n_theta) grid sums, so the
+    peak stays a few outputs when n_theta <= n_s (2.6x at 256^2).  Rows are
+    independent, so the bits are those of one call on the whole axes.  This
     is the oracle the FFT routes are checked against.
     """
     geo = h.geometry
-    coeffs = _direct_sums(h, pair, geo.v_values[:, None], geo.k_values[None, :])
+    block = 2 * math.isqrt(geo.n_s)
+    coeffs = np.empty((geo.n_s, geo.n_theta, 4))
+    for start in range(0, geo.n_s, block):
+        rows = slice(start, start + block)
+        coeffs[rows] = _direct_sums(h, pair, geo.v_values[rows, None], geo.k_values[None, :])
     return Spectrum(geo, pair, _Fresh(coeffs))
 
 

@@ -223,37 +223,24 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _time_direct(h: LogPolarSignal, pair: RootPair) -> tuple[float, bool, int]:
-    """Wall time of the per-bin direct sum over the whole grid, measured on the
-    whole rows that fit in 2048 bins (at least one) and scaled by the bin count
-    (per-bin work is constant); also whether it was scaled, and the bins measured."""
-    geo = h.geometry
-    rows = min(geo.n_s, max(1, 2048 // geo.n_theta))
-    start = time.perf_counter()
-    for v in geo.v_values[:rows]:
-        for k in geo.k_values:
-            cfmt.cfmt_direct(h, pair, float(v), float(k))
-    elapsed = time.perf_counter() - start
-    measured, total = rows * geo.n_theta, geo.n_s * geo.n_theta
-    return elapsed * total / measured, measured < total, measured
-
-
 def cmd_fast_bench(args) -> int:
     pair = _pair(args.algebra, args.f, args.g)
     h = random_signal(_grid(args), args.algebra, seed=args.seed)
 
     start = time.perf_counter()
-    cfmt.cfmt_fast(h, pair)
+    fast = cfmt.cfmt_fast(h, pair)
     time_fast = time.perf_counter() - start
-    time_direct, extrapolated, bins = _time_direct(h, pair)
+    start = time.perf_counter()
+    direct = cfmt.direct_spectrum(h, pair)
+    time_direct = time.perf_counter() - start
+    peak = float(np.max(np.abs(direct.coeffs)))
     _emit(
         {
             "config": _echo(args, args.algebra, pair),
             "time_fast_s": time_fast,
             "time_direct_s": time_direct,
-            "direct_extrapolated": extrapolated,
-            "direct_bins_measured": bins,
             "speedup": time_direct / max(time_fast, 1e-12),
+            "oracle_max_rel_diff": fast.max_abs_diff(direct) / max(peak, 1e-300),
         }
     )
     return 0
@@ -391,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs=1, metavar="SPECTRUM")
     _add_out(p)
 
-    p = sub.add_parser("fast-bench", help="benchmark the fast path against the direct sum")
+    p = sub.add_parser("fast-bench",
+                       help="time the fast path against the literal-sum oracle; compare the spectra")
     _add_algebra(p, CL02)
     _add_pair(p)
     _add_grid(p, 256)

@@ -217,7 +217,7 @@ def random_signal(
             mask = (np.abs(fs)[:, None] <= band_limit) & (np.abs(ft)[None, :] <= band_limit)
             field = np.fft.ifft2(spec * mask).real
         arr[..., c] = field
-    return LogPolarSignal(geometry, signature, arr)
+    return LogPolarSignal(geometry, signature, _Fresh(arr))
 
 
 # -- grid files: CLMS v1 (signals) and CLMF v1 (spectra) -----------------------------

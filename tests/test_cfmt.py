@@ -208,7 +208,8 @@ def test_batched_direct_sums_equal_one_point_calls(sig):
             assert np.array_equal(got, np.array(want))
 
 
-@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi)])
+# 18 radial rows run in oracle blocks of 8, 8 and a ragged 2
+@pytest.mark.parametrize("grid", UNCOMMON_GRIDS + [(32, 32, -np.pi, np.pi), (18, 8, -1.5, 2.5)])
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_direct_spectrum_is_cfmt_direct_at_every_bin(sig, grid):
     h, _, pairs = direct_sum_cases(sig, grid)
@@ -220,9 +221,9 @@ def test_direct_spectrum_is_cfmt_direct_at_every_bin(sig, grid):
 
 
 def test_direct_spectrum_memory_stays_linear_in_the_bins():
-    # one call on the axes holds O(n_s * n_theta) intermediates, about 5.5 MB
-    # at 128x128; kernel rows per bin would hold n_s * n_theta * (n_s + n_theta)
-    # floats, about 240 MB here in one call
+    # blocks of 2 * isqrt(n_s) rows hold the 0.5 MB output and about 1 MB of
+    # intermediates at 128x128; kernel rows per bin would hold
+    # n_s * n_theta * (n_s + n_theta) floats, about 240 MB here in one call
     geo = default_geometry(128)
     h = random_signal(geo, CL11, seed=16)
     pair = RootPair(*random_roots(CL11, 2, seed=17))
@@ -233,6 +234,20 @@ def test_direct_spectrum_memory_stays_linear_in_the_bins():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+def test_direct_spectrum_memory_is_bounded_by_its_output():
+    # one call on the whole axes peaks at 10.5 outputs here; blocks of 32 rows
+    # hold a block's grid sums and the angular kernel tables beside the output
+    h = random_signal(default_geometry(256), CL11, seed=100)
+    pair = RootPair(*random_roots(CL11, 2, seed=7))
+    tracemalloc.start()
+    try:
+        out = cfmt.direct_spectrum(h, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.coeffs.nbytes
 
 
 def test_direct_sums_refuse_a_signal_from_another_algebra():

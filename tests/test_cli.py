@@ -47,7 +47,7 @@ def test_transform_and_invert_round_trip(tmp_path, capsys, signal_file):
     assert summary["relative_difference"] <= 1e-10
     assert summary["time_fast_s"] > 0.0
     # only fast-bench times the direct sum
-    for key in ("time_direct_s", "direct_extrapolated", "direct_bins_measured"):
+    for key in ("time_direct_s", "oracle_max_rel_diff"):
         assert key not in summary
     assert spectrum_path.exists()
 
@@ -370,25 +370,26 @@ def _coeff_flag(name, coeffs):
     return f"--{name}=" + ",".join(repr(float(c)) for c in coeffs)
 
 
+def spy_on_cfmt(monkeypatch, *names):
+    """Replace each named cfmt function with one that records the positional
+    arguments of every call in calls[name]; return calls."""
+    calls = {}
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(cfmt, name), **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cfmt, name, wrapper)
+    return calls
+
+
 def test_transform_never_runs_the_direct_sum(tmp_path, capsys, monkeypatch):
-    calls = []
-
-    def counted(name):
-        original = getattr(cfmt, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("cfmt_direct", "direct_spectrum"):
-        monkeypatch.setattr(cfmt, name, counted(name))
+    calls = spy_on_cfmt(monkeypatch, "cfmt_direct", "direct_spectrum")
     path = tmp_path / "big.clms"
     write_clms(path, random_signal(default_geometry(64), CL02, seed=1))
     code, _ = run(capsys, "transform", str(path))
     assert code == 0
-    assert calls == []
+    assert not calls
 
 
 def test_transform_labels_parseval_for_non_blade_pair(tmp_path, capsys):
@@ -448,12 +449,29 @@ def test_invert_echoes_spectrum_header(tmp_path, capsys):
     assert cli.main(["invert", str(spectrum_path), "--algebra", "Cl(2,0)"]) == 1
 
 
-def test_fast_bench_times_the_direct_sum(capsys):
-    code, out = run(capsys, "fast-bench", "--ns", "16", "--ntheta", "16")
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["time_direct_s"] > 0.0
-    assert summary["speedup"] > 0.0
+def test_fast_bench_times_the_direct_sum(capsys, monkeypatch):
+    calls = spy_on_cfmt(monkeypatch, "cfmt_fast", "direct_spectrum", "cfmt_direct")
+    f, g = random_roots(CL11, 2, seed=4)
+    random_pair = ["--algebra", "Cl(1,1)",
+                   _coeff_flag("f", f.value.coeffs), _coeff_flag("g", g.value.coeffs)]
+    for runs, flags in enumerate(([], random_pair), start=1):
+        code, out = run(capsys, "fast-bench", "--ns", "16", "--ntheta", "16", *flags)
+        assert code == 0
+        summary = json.loads(out)
+        # one whole oracle call on the fast path's own signal and pair
+        assert len(calls["cfmt_fast"]) == len(calls["direct_spectrum"]) == runs
+        h, pair = calls["direct_spectrum"][-1]
+        assert h is calls["cfmt_fast"][-1][0] and pair is calls["cfmt_fast"][-1][1]
+        assert summary["config"]["f"] == pair.f.value.coeffs.tolist()
+        assert summary["config"]["g"] == pair.g.value.coeffs.tolist()
+        assert summary["time_direct_s"] > 0.0
+        assert summary["speedup"] == summary["time_direct_s"] / summary["time_fast_s"]
+        assert summary["oracle_max_rel_diff"] <= 1e-10
+        for key in ("direct_extrapolated", "direct_bins_measured"):
+            assert key not in summary
+    # the random --f reached the transform, and no per-bin literal sum ran
+    assert f.value.coeffs.tolist() == pair.f.value.coeffs.tolist()
+    assert "cfmt_direct" not in calls
 
 
 def test_descriptor_csv_renders_every_bin(tmp_path, capsys):
