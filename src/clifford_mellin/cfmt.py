@@ -15,10 +15,10 @@ routes are provided:
   the geometric product; it uses no FFT and no plane basis.  It is the
   one-point case of the kernel _direct_sums, which takes any v and k that
   broadcast, bit-identical to one call per point: points (P,) x (P,) make P
-  kernel rows per axis; direct_spectrum runs it on blocks of 2 * isqrt(n_s)
-  radial rows v[:, None] against the whole axis k[None, :].
-  _direct_sums runs in two stages: the pair-free grid sums (_grid_sums),
-  then their f/g tail (_pair_sums).  Power scaling keeps the first stage's
+  kernel rows per axis.  _direct_sums runs in two stages: the pair-free
+  grid sums (_grid_sums), then their f/g tail (_pair_sums).  direct_spectrum
+  builds the angular table of the whole axis k[None, :] once and sums blocks
+  of 2 * isqrt(n_s) radial rows v[:, None] against it (_table_sums).  Power scaling keeps the first stage's
   sums for a signal, one block per order (_scaling_sums); verify makes them
   once per run, and each pair adds one tail call over all blocks.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
@@ -286,37 +286,46 @@ def _direct_sums(h: LogPolarSignal, pair: RootPair, v: np.ndarray | float,
     """The literal double sum at the real points v, k broadcast, as a shape +
     (4,) array: the pair-free _grid_sums, then their f/g tail _pair_sums."""
     pair.require_algebra(h.signature, "signal")
-    sums = _grid_sums(h, v, k)
-    return _pair_sums(sums.reshape(-1, 2, 2, 4), pair, h.geometry).reshape(sums.shape[:-3] + (4,))
+    return _pair_sums(_grid_sums(h, v, k), pair, h.geometry)
+
+
+def _cos_sin(angles: np.ndarray) -> np.ndarray:
+    """cos and sin of angles, stacked on a new second-to-last axis."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-2)
 
 
 def _grid_sums(h: LogPolarSignal, v: np.ndarray | float, k: np.ndarray | float) -> np.ndarray:
     """The four real-weighted grid sums of cfmt_direct at the points v, k
     broadcast, as a shape + (2, 2, 4) array: sums[..., a, b] = A_ab, a radial
-    and b angular (cos, sin).  One (2 v.size, n_s) @ samples product makes the
-    radial sums at every v, one stacked matmul the angular ones at every k.
-    No root enters."""
+    and b angular (cos, sin).  No root enters."""
+    k = np.asarray(k, dtype=float)
+    return _table_sums(h, v, _cos_sin(-k[..., None] * h.geometry.theta_values))
+
+
+def _table_sums(h: LogPolarSignal, v: np.ndarray | float, table: np.ndarray) -> np.ndarray:
+    """_grid_sums given the angular table, k.shape + (2, n_theta), of its k
+    axis: one (2 v.size, n_s) @ samples product makes the radial sums at
+    every v, one stacked matmul against the table the angular ones."""
     geo = h.geometry
-    v, k = np.asarray(v, dtype=float), np.asarray(k, dtype=float)
-    radial = -v[..., None] * geo.s_values
-    angular = -k[..., None] * geo.theta_values
-    rows = np.stack([np.cos(radial), np.sin(radial)], axis=-2).reshape(-1, geo.n_s)
-    cols = np.stack([np.cos(angular), np.sin(angular)], axis=-2)  # k.shape + (2, n_theta)
+    v = np.asarray(v, dtype=float)
+    rows = _cos_sin(-v[..., None] * geo.s_values).reshape(-1, geo.n_s)
     partial = (rows @ h.samples.reshape(geo.n_s, -1)).reshape(v.shape + (2, geo.n_theta, 4))
-    return cols[..., None, :, :] @ partial
+    return table[..., None, :, :] @ partial
 
 
 def _pair_sums(sums: np.ndarray, pair: RootPair, geo: GridGeometry) -> np.ndarray:
-    """A_cC + f (A_sC + A_sS g) + A_cS g at each point of _grid_sums, times
-    the measure: f and g enter through two geometric products over all
-    points.  Its rows are per point, so any subset of points gets the bits a
-    call on that subset alone would give."""
+    """A_cC + f (A_sC + A_sS g) + A_cS g at each point of a shape + (2, 2, 4)
+    array of _grid_sums, times the measure, as a shape + (4,) array: f and g
+    enter through two geometric products over all points.  Its rows are per
+    point, so any subset of points gets the bits a call on that subset alone
+    would give."""
     sig = pair.signature
+    flat = sums.reshape(-1, 2, 2, 4)
     # (A_cS g, A_sS g) per point; gp takes (2P, 4) rows faster than (P, 2, 4)
-    times_g = gp(sig, sums[:, :, 1].reshape(-1, 4), pair.g.value.coeffs).reshape(-1, 2, 4)
-    total = sums[:, 0, 0] + times_g[:, 0] + gp(sig, pair.f.value.coeffs,
-                                               sums[:, 1, 0] + times_g[:, 1])
-    return total * (geo.ds * geo.dtheta / TWO_PI)
+    times_g = gp(sig, flat[:, :, 1].reshape(-1, 4), pair.g.value.coeffs).reshape(-1, 2, 4)
+    total = flat[:, 0, 0] + times_g[:, 0] + gp(sig, pair.f.value.coeffs,
+                                               flat[:, 1, 0] + times_g[:, 1])
+    return (total * (geo.ds * geo.dtheta / TWO_PI)).reshape(sums.shape[:-3] + (4,))
 
 
 def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multivector:
@@ -336,21 +345,23 @@ def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Full spectrum by the literal sum at every grid frequency.
 
     Each bin is the sum cfmt_direct evaluates, filled into one output in
-    blocks of 2 * isqrt(n_s) radial rows: one _direct_sums call per block of v
-    against the whole k axis, which costs n_s * n_theta * (n_s + n_theta) in
-    all.  Each call rebuilds the angular kernel tables, O(n_theta^2), so half
-    as many rows per block would cost 1.2-1.4x the whole-axes call at 256^2;
-    beside the output a block holds O(sqrt(n_s) * n_theta) grid sums, so the
-    peak stays a few outputs when n_theta <= n_s (2.6x at 256^2).  Rows are
-    independent, so the bits are those of one call on the whole axes.  This
+    blocks of 2 * isqrt(n_s) radial rows: the angular table of the whole k
+    axis, n_theta^2 cosines and sines, is built once, and each block of v
+    is summed against it, which costs n_s * n_theta * (n_s + n_theta) in
+    all.  Beside the output a block holds O(sqrt(n_s) * n_theta) grid sums,
+    so the peak stays a few outputs when n_theta <= n_s (2.8x at 256^2); on
+    wide grids the table sets it (42 MB at 8 x 1024).  Rows are independent,
+    so the bits are those of one _direct_sums call on the whole axes.  This
     is the oracle the FFT routes are checked against.
     """
+    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
+    table = _cos_sin(-geo.k_values[None, :, None] * geo.theta_values)
     block = 2 * math.isqrt(geo.n_s)
     coeffs = np.empty((geo.n_s, geo.n_theta, 4))
     for start in range(0, geo.n_s, block):
         rows = slice(start, start + block)
-        coeffs[rows] = _direct_sums(h, pair, geo.v_values[rows, None], geo.k_values[None, :])
+        coeffs[rows] = _pair_sums(_table_sums(h, geo.v_values[rows, None], table), pair, geo)
     return Spectrum(geo, pair, _Fresh(coeffs))
 
 

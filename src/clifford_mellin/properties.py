@@ -3,20 +3,23 @@
 Each ``Property`` holds a name, a default tolerance, the pairs it runs on,
 the rules it needs and a check that returns the residual.  Each rule gives
 a reason the case is out of scope, or None; the first reason is the one way
-a row reads ``skipped``.  ``verify_rows`` runs the table over the three
-algebras; it is what ``clifford-mellin verify`` prints.  Every random draw
-comes from one PCG64 generator in table order; the test signals seed their
-own generators.  Each result that several rows share is built once, at the
-widest scope it allows.  The fixed pairs (``roots.default_pair``,
-``symmetry_pair``) are built once per process and algebra.  What depends
-only on the test signals is built once per run by ``run_inputs``: their
-samples, which depend on the grid and the seed but not the algebra, the
-smooth signal's spectral derivatives and band-limit flag, the bump's seam
-fraction and its pair-free power-scaling grid sums, returned as one
-namespace per algebra with the signals tagged with its signature.  What
-also depends on the pair (the spectra of h and h2, the split of h's, the
-power-scaling residuals, from the shared sums) is built once per ``Case``,
-which hands it to the private kernels behind cfmt's public checks.
+a row reads ``skipped``.  ``case_rows`` runs the table, or the rows it is
+named, on one ``Case``; ``verify_rows`` runs it on verify's cases over the
+three algebras, and is what ``clifford-mellin verify`` prints.  The
+acceptance criteria run the same rows on cases of their own.  Every random
+draw comes from the generator a case is given, shared by a run's cases in
+table order; the test signals seed their own generators.  Each result that
+several rows share is built once, at the widest scope it allows.  The fixed
+pairs (``roots.default_pair``, ``symmetry_pair``) are built once per process
+and algebra.  ``draw_signals`` draws verify's test signals, whose samples
+depend on the grid and the seed but not the algebra; ``run_inputs`` derives
+once what depends on the given signals alone (the smooth signal's spectral
+derivatives and band-limit flag, the bump's seam fraction and its pair-free
+power-scaling grid sums) and returns one namespace per algebra with the
+signals tagged with its signature.  What also depends on the pair (the
+spectra of h and h2, the split of h's, the power-scaling residuals, from the
+shared sums) is built once per ``Case``, which hands it to the private
+kernels behind cfmt's public checks.
 """
 
 from __future__ import annotations
@@ -71,11 +74,10 @@ def verify_pairs(sig: Signature, seed: int, include_degenerate: bool):
     return named + [("symmetry", symmetry_pair(sig))]
 
 
-def run_inputs(geometry: GridGeometry, seed: int) -> dict[Signature, SimpleNamespace]:
-    """The test signals of one run, each seeding its own generator, and what
-    the rows derive from them alone, as one namespace per algebra.  Their
-    samples depend on the grid and the seed, not the algebra, so they are
-    drawn and derived once, in Cl(2,0), and tagged with each algebra."""
+def draw_signals(geometry: GridGeometry, seed: int) -> dict[str, LogPolarSignal]:
+    """verify's test signals, each seeding its own generator.  Their samples
+    depend on the grid and the seed, not the algebra, so they are drawn once,
+    in Cl(2,0)."""
 
     def draw(offset: int, **options) -> LogPolarSignal:
         return signal.random_signal(geometry, SIGNATURES[0], seed=seed + offset, **options)
@@ -84,13 +86,26 @@ def run_inputs(geometry: GridGeometry, seed: int) -> dict[Signature, SimpleNames
     radial = np.exp(-((s_col / (0.25 * geometry.span)) ** 2))
     bump = LogPolarSignal.from_channels(
         geometry, SIGNATURES[0], m0=radial * np.exp(-(((t_row - np.pi) / 0.5) ** 2)))
-    smooth = draw(4, band_limit=4)
-    signals = {"bump": bump, "h": draw(2), "h2": draw(3), "smooth": smooth,
-               "real": draw(5, channels=(0,))}
-    derivatives = {n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)}
-    shared = {"geometry": geometry, "bump_seam": cfmt._seam_fraction(bump),
-              "band_limited": cfmt._band_limited(smooth),
-              "power_sums": cfmt._scaling_sums(bump, POWER_ORDERS)}
+    return {"bump": bump, "h": draw(2), "h2": draw(3), "smooth": draw(4, band_limit=4),
+            "real": draw(5, channels=(0,))}
+
+
+def run_inputs(signals: dict[str, LogPolarSignal]) -> dict[Signature, SimpleNamespace]:
+    """The given test signals, all on one grid, and what the rows derive
+    from them alone, as one namespace per algebra with each signal tagged
+    with its signature: from ``smooth`` its spectral derivatives and
+    band-limit flag, from ``bump`` its seam fraction and power-scaling grid
+    sums.  Samples do not depend on the algebra, so each is derived once for
+    all three.  With no signals a namespace holds its algebra alone, which
+    is all the algebra and split rows read."""
+    geometry = next(iter(signals.values())).geometry if signals else None
+    shared, derivatives = {"geometry": geometry}, {}
+    if (smooth := signals.get("smooth")) is not None:
+        shared["band_limited"] = cfmt._band_limited(smooth)
+        derivatives = {n: cfmt._spectral_derivatives(smooth, n) for n in (1, 2)}
+    if (bump := signals.get("bump")) is not None:
+        shared["bump_seam"] = cfmt._seam_fraction(bump)
+        shared["power_sums"] = cfmt._scaling_sums(bump, POWER_ORDERS)
 
     def tag(h: LogPolarSignal, sig: Signature) -> LogPolarSignal:
         return LogPolarSignal(geometry, sig, h.samples)
@@ -108,7 +123,11 @@ class Case:
 
     def __init__(self, signals: SimpleNamespace, name: str, pair: RootPair | None, rng):
         self.signals, self.name, self.pair, self.rng = signals, name, pair, rng
-        self.sig, self.geometry, self.h = signals.sig, signals.geometry, signals.h
+        self.sig, self.geometry = signals.sig, signals.geometry
+
+    @property
+    def h(self) -> LogPolarSignal:
+        return self.signals.h
 
     @cached_property
     def x(self) -> Multivector:
@@ -282,8 +301,8 @@ def _reflection(case: Case, axis: int) -> float:
     """s -> -s (axis 0) or theta -> -theta (axis 1) negates that frequency index."""
     reflect = cfmt.reflect_circle if axis == 0 else cfmt.reverse_rotation
     reflected = cfmt.cfmt_forward(reflect(case.h), case.pair).coeffs
-    n = reflected.shape[axis]
-    return np.max(np.abs(reflected - np.take(case.spectrum.coeffs, (-np.arange(n)) % n, axis)))
+    index = cfmt._reversal_index(reflected.shape[axis])
+    return np.max(np.abs(reflected - np.take(case.spectrum.coeffs, index, axis)))
 
 
 def _modulation_shift(case: Case) -> float:
@@ -390,6 +409,13 @@ def _row(prop: Property, case: Case, tol: float | None) -> dict:
     return row
 
 
+def case_rows(case: Case, names=None, tol: float | None = None) -> list[dict]:
+    """The rows of TABLE present on the case's pair, in table order, or only
+    those named in ``names``; ``tol`` replaces every default tolerance."""
+    return [_row(prop, case, tol) for prop in TABLE
+            if case.name in prop.pairs and (names is None or prop.name in names)]
+
+
 def verify_rows(
     geometry: GridGeometry, seed: int, tol: float | None = None, include_degenerate: bool = False
 ) -> list[dict]:
@@ -397,8 +423,7 @@ def verify_rows(
     replaces every default tolerance."""
     rng = np.random.default_rng(seed)
     rows = []
-    for sig, signals in run_inputs(geometry, seed).items():
+    for sig, signals in run_inputs(draw_signals(geometry, seed)).items():
         for name, pair in verify_pairs(sig, seed, include_degenerate):
-            case = Case(signals, name, pair, rng)
-            rows += [_row(prop, case, tol) for prop in TABLE if name in prop.pairs]
+            rows += case_rows(Case(signals, name, pair, rng), tol=tol)
     return rows

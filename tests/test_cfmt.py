@@ -803,7 +803,7 @@ def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
     # the verify rule and check_power_scaling read one seam predicate: on
     # 2 and 4 angles the test bump reaches the seam, from 6 on it does not
     geo = GridGeometry(8, n_theta, -np.pi, np.pi)
-    signals = properties.run_inputs(geo, seed=0)[CL02]
+    signals = properties.run_inputs(properties.draw_signals(geo, 0))[CL02]
     case = properties.Case(signals, "blade", default_pair(CL02), np.random.default_rng(0))
     if n_theta <= 4:
         with pytest.raises(ContractError, match="energy on the theta seam"):
@@ -818,7 +818,8 @@ def test_verify_skips_power_scaling_exactly_where_the_check_refuses(n_theta):
 def test_power_scaling_in_s_alone_ignores_seam_energy(sig):
     # with n = 0 nothing multiplies by theta, so the identity needs no seam
     # condition: the 8x4 verify bump reaches the seam and still passes
-    bump = properties.run_inputs(GridGeometry(8, 4, -np.pi, np.pi), seed=0)[sig].bump
+    signals = properties.draw_signals(GridGeometry(8, 4, -np.pi, np.pi), 0)
+    bump = properties.run_inputs(signals)[sig].bump
     assert cfmt._seam_fraction(bump) is not None
     for pair in (default_pair(sig), moderate_pairs(sig, 1, seed=44)[0]):
         assert cfmt.check_power_scaling(bump, pair, 1, 0) <= 1e-5
@@ -857,7 +858,7 @@ def test_verify_shared_results_equal_the_public_checks_bit_for_bit(sig):
     # public checks; on every pair it runs, the degenerate one included, the
     # results must be the ones the public checks compute from scratch
     geo = default_geometry(16)
-    signals = properties.run_inputs(geo, seed=5)[sig]
+    signals = properties.run_inputs(properties.draw_signals(geo, 5))[sig]
     h, h2 = signals.h, signals.h2
     for name, pair in properties.verify_pairs(sig, 5, include_degenerate=True)[1:]:
         case = properties.Case(signals, name, pair, np.random.default_rng(5))
