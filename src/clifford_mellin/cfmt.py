@@ -18,9 +18,10 @@ routes are provided:
   kernel rows per axis.  _direct_sums runs in two stages: the pair-free
   grid sums (_grid_sums), then their f/g tail (_pair_sums).  direct_spectrum
   builds the angular table of the whole axis k[None, :] once and sums blocks
-  of 2 * isqrt(n_s) radial rows v[:, None] against it (_table_sums).  Power scaling keeps the first stage's
-  sums for a signal, one block per order (_scaling_sums); verify makes them
-  once per run, and each pair adds one tail call over all blocks.
+  of 2 * isqrt(n_s) radial rows v[:, None] against it (_table_sums).  Power
+  scaling keeps the first stage's sums for a signal, one block per order
+  (_scaling_sums); verify makes them once per run, and each pair adds one
+  tail call over all blocks.
 * cfmt_forward: exact FFT evaluation.  Left multiplication by exp(-f v s)
   and right multiplication by exp(-g k theta) are each complex-linear for a
   complex structure on the coefficient space (L_f resp. R_g squares to -I),
