@@ -14,8 +14,10 @@ Work that is the same on every query is done once.  Resampling splits into
 a sampling plan and a gather: the plan holds, for each of the four bilinear
 corners, the flat raster index and the weight (zero off the raster) of every
 grid node, 64 bytes per node (256 KB at 64x64).  It depends only on the
-geometry, the exact center floats and the image height and width, and the
-last SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that many times
+geometry, the center and the image height and width; a center coordinate of
+-0.0 shares the plan of +0.0, whose weights can differ from its own only in
+the sign of a zero, which the gather's +0.0 start absorbs.  The last
+SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that many times
 64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  The gather runs
 one image channel at a time: it reads the channel's plane at each corner's
 indices, weights the reads and adds them, corner by corner, into one
@@ -34,7 +36,6 @@ all-channel computation gives.
 from __future__ import annotations
 
 import math
-import struct
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -249,16 +250,11 @@ def _gather(plane: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_polar_plan(geometry: GridGeometry, center, h: int, w: int) -> tuple:
-    """The corner plan of the geometry's nodes about center on an h x w
-    raster, cached on the exact center floats: a center one ulp or one zero
-    sign away gets its own entry."""
-    return _cached_log_polar_plan(geometry, struct.pack("<2d", *center), h, w)
-
-
 @lru_cache(maxsize=SAMPLING_PLAN_CACHE_SIZE)
-def _cached_log_polar_plan(geometry: GridGeometry, center: bytes, h: int, w: int) -> tuple:
-    cx, cy = struct.unpack("<2d", center)
+def _log_polar_plan(geometry: GridGeometry, center: tuple, h: int, w: int) -> tuple:
+    """The corner plan of the geometry's nodes about center on an h x w
+    raster; the last SAMPLING_PLAN_CACHE_SIZE plans are cached."""
+    cx, cy = center
     radii = np.exp(geometry.s_values)[:, None]
     angles = geometry.theta_values[None, :]
     return _corner_plan(cx + radii * np.cos(angles), cy + radii * np.sin(angles), h, w)

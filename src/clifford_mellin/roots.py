@@ -12,6 +12,12 @@ a*a does, so every point the chart computes with |a|^2 < 5e11 passes.  From
 there on the bound reaches 1/2 and could not tell -1 from 0, so a larger a is
 refused as too large to validate.  RootPair owns the pair rules: operands in
 its algebra, and a blade-like pair where an identity needs one.
+
+A pair also holds what it fixes, each computed once per pair object on first
+use: its degenerate flag and its plan, the read-only 4x4 matrices that
+split_array and cfmt's FFT routes read.  The plan's sandwich S = L_f R_g
+commutes with R_g, and S != +-I because no root of -1 is central; so the +-1
+eigenspaces of S are two R_g-invariant planes: the split basis.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import CL11, Multivector, Signature, principal_reverse_signs, scalar_product_array
+from .algebra import (
+    CL11, Multivector, Signature, left_matrix, principal_reverse_signs, right_matrix,
+    scalar_product_array)
 from .errors import ContractError, NotARootError, OffManifoldError, SignatureMismatchError
 
 ROOT_TOL = 1e-12
@@ -75,9 +83,8 @@ class RootOfMinusOne:
 
     def exp(self, angle: float) -> Multivector:
         """exp(angle * f) = cos(angle) + f sin(angle), exact for f*f = -1."""
-        return Multivector.scalar(self.signature, math.cos(angle)) + self.value * math.sin(
-            angle
-        )
+        return Multivector(self.signature,
+                           self.value.coeffs * math.sin(angle) + (math.cos(angle), 0.0, 0.0, 0.0))
 
     def __neg__(self) -> "RootOfMinusOne":
         return RootOfMinusOne(-self.value)
@@ -167,6 +174,48 @@ def random_roots(sig: Signature, n: int, seed: int) -> list[RootOfMinusOne]:
     return [RootOfMinusOne(Multivector(sig, c)) for c in coeffs]
 
 
+def _plane_basis(j_matrix: np.ndarray) -> np.ndarray:
+    """Column basis (u1, J u1, u3, J u3) splitting R^4 into two J-invariant
+    planes, for J with J @ J = -I, so that J is multiplication by i in each.
+    u1 is the scalar unit; u3 is the standard basis vector giving the largest
+    determinant."""
+    candidates = np.empty((3, 4, 4))  # one per u3 = e1, e2, e12
+    candidates[:, :, 0], candidates[:, :, 1] = np.eye(4)[0], j_matrix[:, 0]
+    candidates[:, :, 2], candidates[:, :, 3] = np.eye(4)[1:], j_matrix[:, 1:].T
+    return candidates[np.argmax(np.abs(np.linalg.det(candidates)))]
+
+
+def _split_basis(sandwich: np.ndarray, j_matrix: np.ndarray) -> np.ndarray:
+    """Column basis (u+, R_g u+, u-, R_g u-) of the +-1 eigenplanes of the
+    sandwich S = L_f R_g, given S and j_matrix = R_g, with u+- the largest
+    column of the projector (I +- S)/2.  Each projector is nonzero and its
+    range is one R_g-invariant plane, on which R_g has no real eigenvector; so
+    the basis is invertible for every pair, g = +-f included."""
+    columns = []
+    for sign in (+1.0, -1.0):
+        projector = 0.5 * (np.eye(4) + sign * sandwich)
+        u = projector[:, np.argmax(np.sum(projector * projector, axis=0))]
+        columns += [u, j_matrix @ u]
+    return np.column_stack(columns)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A pair's read-only matrices: S @ x = f x g (split_array), the plane bases
+    of L_f and R_g with their inverses and changes of basis (cfmt_forward,
+    cfmt_inverse), and the split basis with its inverse (cfmt_fast)."""
+
+    sandwich: np.ndarray  # L_f R_g
+    basis_f: np.ndarray
+    basis_g: np.ndarray
+    inv_f: np.ndarray
+    inv_g: np.ndarray
+    g_to_f: np.ndarray  # basis_f^-1 basis_g
+    f_to_g: np.ndarray  # basis_g^-1 basis_f
+    split: np.ndarray
+    inv_split: np.ndarray
+
+
 @dataclass(frozen=True)
 class RootPair:
     """Two square roots of -1 in the same algebra, parameterizing a split."""
@@ -192,6 +241,21 @@ class RootPair:
         return bool(
             np.all(np.abs(gc - fc) <= ROOT_TOL) or np.all(np.abs(gc + fc) <= ROOT_TOL)
         )
+
+    @cached_property
+    def plan(self) -> _Plan:
+        """The pair's plan, built once per pair from its own coefficients."""
+        sig = self.signature
+        left, right = left_matrix(sig, self.f.value.coeffs), right_matrix(sig, self.g.value.coeffs)
+        sandwich = left @ right
+        basis_f, basis_g = _plane_basis(left), _plane_basis(right)
+        split_basis = _split_basis(sandwich, right)
+        matrices = (sandwich, basis_f, basis_g, np.linalg.inv(basis_f), np.linalg.inv(basis_g),
+                    np.linalg.solve(basis_f, basis_g), np.linalg.solve(basis_g, basis_f),
+                    split_basis, np.linalg.inv(split_basis))
+        for matrix in matrices:
+            matrix.flags.writeable = False
+        return _Plan(*matrices)
 
     @property
     def blade_like(self) -> bool:

@@ -8,7 +8,6 @@ from clifford_mellin.cfmt import _kernel_values, _map, _radial_rotations, _rever
 from clifford_mellin.imaging import _corner_plan
 from clifford_mellin.roots import RootPair, random_roots, sample_root
 from clifford_mellin.signal import TWO_PI
-from clifford_mellin.split import _plan
 
 
 def moderate_roots(sig, n, seed):
@@ -105,7 +104,7 @@ def joint_pass_forward(h, pair):
     """cfmt_forward's coefficients with each FFT pass one call over both
     planes: the reference for the bits of the per-plane angular pass."""
     geo = h.geometry
-    plan = _plan(pair)
+    plan = pair.plan
     rows = plan.basis_f @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (-1.0, -1.0))
     z = _map(h.samples, plan.inv_g).view(complex)
     np.fft.fft(z, axis=1, out=z)
@@ -117,7 +116,7 @@ def joint_pass_forward(h, pair):
 def joint_pass_inverse(spectrum):
     """cfmt_inverse's samples with each FFT pass one call over both planes."""
     geo = spectrum.geometry
-    plan = _plan(spectrum.pair)
+    plan = spectrum.pair.plan
     rows = _radial_rotations(geo, True, 1.0 / geo.span, (1.0, 1.0)) @ plan.inv_f
     z = _map(spectrum.coeffs, rows, swap=(True, True)).view(complex)
     np.fft.ifft(z, axis=0, norm="forward", out=z)
@@ -129,7 +128,7 @@ def joint_pass_inverse(spectrum):
 def joint_pass_fast(h, pair):
     """cfmt_fast's coefficients with its 2-D FFT one fft2 over both planes."""
     geo = h.geometry
-    plan = _plan(pair)
+    plan = pair.plan
     rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
     z = _map(h.samples, plan.inv_split).view(complex)
     np.fft.fft2(z, axes=(0, 1), out=z)

@@ -6,19 +6,22 @@ prints) on cases built from their own seeds, grids and pairs, so each
 identity of the paper is written once.  Every row a criterion names must run
 on each of its cases, not skipped and not refused, and read within its gate.
 Criteria 3, 6 and 7 also run their rows on defect cases, whose inputs break
-each identity, and need every row above the gate there: a check that cannot
-fail fails its criterion.
+each identity, and criteria 1 and 8 run theirs with one sign of the algebra
+or the transform's channels broken, patched for the run and restored; each
+needs every row above the gate there: a check that cannot fail fails its
+criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from imagegen import ring_blob_image, warp_similarity
 
-from clifford_mellin import cfmt
+from clifford_mellin import algebra, cfmt
 from clifford_mellin.algebra import SIGNATURES, CL02, Multivector, gp
 from clifford_mellin.imaging import ImageSignalSource, RasterImage, register, to_log_polar
 from clifford_mellin.properties import Case, case_rows, run_inputs, symmetry_pair
@@ -67,16 +70,46 @@ def five_pairs(sig, seed):
     return [default_pair(sig), RootPair(a, b), RootPair(c, d), RootPair(a, -a), RootPair(b, b)]
 
 
+def broken_algebras():
+    """(patch, rows) pairs: a patch that breaks the algebra, as a context
+    manager, and the rows that must read the break."""
+    product, signs = algebra._product, algebra.principal_reverse_signs
+
+    def flipped_product(squares, a, b):  # the e1^2 a1 b1 term of the scalar part negated
+        c0, *rest = product(squares, a, b)
+        return (c0 - 2.0 * squares[0] * a[1] * b[1], *rest)
+
+    def flipped_terms(terms):  # the e12 e12 term of the scalar part negated
+        (first, rest), *others = terms
+        op, i, j = rest[-1]
+        return ((first, (*rest[:-1], (np.add if op is np.subtract else np.subtract, i, j))),
+                *others)
+
+    return [
+        (mock.patch.object(algebra, "_product", flipped_product), ("multiplication_rules",)),
+        (mock.patch.dict(algebra._TERMS, {key: flipped_terms(terms)
+                                          for key, terms in algebra._TERMS.items()}),
+         ("associativity",)),
+        (mock.patch.object(algebra, "principal_reverse_signs",
+                           lambda sig: signs(sig) * (1.0, -1.0, 1.0, 1.0)),
+         ("basis_duality", "modulus_identity")),
+    ]
+
+
 def test_criterion_1_algebra_axioms():
     start = time.perf_counter()
-    worst = 0.0
+    worst, caught = 0.0, np.inf
     for inputs in run_inputs({}).values():
         rng = np.random.default_rng(10)
         for _ in range(5):  # 2000 triples and 2000 moduli a case: 10^4 of each per algebra
             worst = max(worst, *table_residuals(Case(inputs, "-", None, rng), ALGEBRA_ROWS))
+        # defects: one sign of the product, of gp's terms or of the principal reverse
+        for patch, names in broken_algebras():
+            with patch:
+                caught = min(caught, *table_residuals(Case(inputs, "-", None, rng), names))
     elapsed = time.perf_counter() - start
-    report(1, worst <= 1e-12 and elapsed < 1.0,
-           f"algebra axioms, max residual {worst:.2e}", elapsed)
+    report(1, worst <= 1e-12 < caught and elapsed < 1.0,
+           f"algebra axioms, max residual {worst:.2e}, defects from {caught:.2e}", elapsed)
 
 
 def test_criterion_2_root_manifolds():
@@ -220,10 +253,23 @@ def test_criterion_8_symmetry_separation():
     worst = 0.0
     pure_ok = True
     signals = {"real": random_signal(geo, CL02, seed=80, channels=(0,))}
+    forward = cfmt.cfmt_forward
+
+    def rolled_forward(h, pair):  # each channel's coefficients moved to the next channel
+        spectrum = forward(h, pair)
+        return cfmt.Spectrum(spectrum.geometry, pair, np.roll(spectrum.coeffs, 1, axis=-1))
+
+    caught, all_leak = np.inf, True
     for sig, inputs in run_inputs(signals).items():
         pair = symmetry_pair(sig)
         worst = max(worst, *table_residuals(Case(inputs, "symmetry", pair, None),
                                             ("symmetry_separation",)))
+        # defect: the transform's channels rolled, so every component leaks
+        with mock.patch.object(cfmt, "cfmt_forward", rolled_forward):
+            caught = min(caught, *table_residuals(Case(inputs, "symmetry", pair, None),
+                                                  ("symmetry_separation",)))
+            leaks = cfmt.symmetry_decompose(inputs.real, pair).off_span.values()
+        all_leak = all_leak and min(leaks) > 1e-10
 
         # parity-pure input concentrates in exactly one component
         s = geo.s_values[:, None] * np.ones((1, geo.n_theta))
@@ -238,9 +284,9 @@ def test_criterion_8_symmetry_separation():
         others = sorted(energies.values())[:-1]
         pure_ok = pure_ok and energies["eo"] == top and all(e <= 1e-20 * top for e in others)
     elapsed = time.perf_counter() - start
-    report(8, worst <= 1e-10 and pure_ok and elapsed < 10.0,
-           f"four-channel separation, off-span {worst:.2e}, parity-pure inputs clean",
-           elapsed)
+    report(8, worst <= 1e-10 < caught and all_leak and pure_ok and elapsed < 10.0,
+           f"four-channel separation, off-span {worst:.2e}, parity-pure inputs clean,"
+           f" defects from {caught:.2e}", elapsed)
 
 
 def test_criterion_9_registration():

@@ -171,8 +171,8 @@ def test_outer_product_matches_disjoint_blade_table(sig):
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_float_and_array_carriers_agree_bit_for_bit(sig):
-    # Multivector products run the product formula on Python floats, gp on
-    # array views; both must round identically, signed zeros included
+    # Multivector products (and geometric_product) run the product formula on
+    # Python floats, gp on array views; both must round identically, signed zeros included
     rng = np.random.default_rng(29)
     shape = (2, 2000, 4)
     a, b = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
@@ -184,6 +184,7 @@ def test_float_and_array_carriers_agree_bit_for_bit(sig):
     for i in range(len(a)):
         x, y = Multivector(sig, a[i]), Multivector(sig, b[i])
         assert (x * y).coeffs.tobytes() == products[i].tobytes()
+        assert geometric_product(x, y).coeffs.tobytes() == products[i].tobytes()
         assert outer_product(x, y).coeffs.tobytes() == outers[i].tobytes()
 
 

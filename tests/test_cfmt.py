@@ -1,6 +1,8 @@
 """Transform theorems: inversion, oracle equivalence, covariances, symmetry."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -40,7 +42,6 @@ from clifford_mellin.signal import (
     scalar_inner_product,
     split_signal,
 )
-from clifford_mellin.split import PLAN_CACHE_SIZE, _cached_plan, _plan
 
 GEO = default_geometry(32)
 
@@ -317,16 +318,17 @@ def test_map_rolls_swapped_axes_by_half_a_period():
                            np.roll(src, shift, axis=(0, 1)) @ rows[0].T, rtol=0, atol=1e-14)
 
 
-def test_equal_pairs_share_one_plan():
+def _same_plan_bytes(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in vars(a))
+
+
+def test_each_pair_holds_its_own_plan():
     coeffs = [root.value.coeffs.tolist() for root in random_roots(CL11, 2, seed=20)]
     first, second = (make_pair(*(Multivector(CL11, c) for c in coeffs)) for _ in range(2))
     assert first == second and first is not second
-    before = _cached_plan.cache_info()
-    plan = _plan(first)
-    assert _plan(second) is plan
-    after = _cached_plan.cache_info()
-    assert after.hits - before.hits >= 1
-    assert after.currsize - before.currsize <= 1
+    assert first.plan is first.plan
+    assert second.plan is not first.plan
+    assert _same_plan_bytes(second.plan, first.plan)
 
 
 def test_plans_key_on_exact_coefficients():
@@ -337,34 +339,33 @@ def test_plans_key_on_exact_coefficients():
     nudged = base.g.value.coeffs.copy()
     nudged[1] = np.nextafter(nudged[1], np.inf)
     e12 = Multivector.blade(CL20, 3)
-    cases = [
-        (base, RootPair(base.f, validate_root(Multivector(CL20, nudged)))),
-        (default_pair(CL20), make_pair(e12, -e12)),  # -e12 has -0.0 coefficients
+    others = [
+        RootPair(base.f, validate_root(Multivector(CL20, nudged))),
+        make_pair(e12, -e12),  # -e12 has -0.0 coefficients
     ]
-    for pair, other in cases:
-        assert _plan(pair) is not _plan(other)
+    for other in others:
         spectra = [route(h, other).coeffs for route in (cfmt.cfmt_forward, cfmt.cfmt_fast)]
-        key = (other.signature, other.f.value.coeffs.tobytes(), other.g.value.coeffs.tobytes())
-        fresh = _cached_plan.__wrapped__(*key)
-        for name in vars(fresh):
-            assert getattr(_plan(other), name).tobytes() == getattr(fresh, name).tobytes()
-        _cached_plan.cache_clear()
+        fresh = RootPair(other.f, other.g)
+        assert _same_plan_bytes(other.plan, fresh.plan)
         for route, spectrum in zip((cfmt.cfmt_forward, cfmt.cfmt_fast), spectra):
-            assert route(h, other).coeffs.tobytes() == spectrum.tobytes()
+            assert route(h, fresh).coeffs.tobytes() == spectrum.tobytes()
 
 
 def test_plans_are_read_only():
     geo = default_geometry(16)
-    plan = _plan(RootPair(*random_roots(CL02, 2, seed=4)))
+    plan = RootPair(*random_roots(CL02, 2, seed=4)).plan
     for name, matrix in vars(plan).items():
         assert matrix.shape == (4, 4) and not matrix.flags.writeable, name
     assert not cfmt._radial_rotations(geo, True, 1.0, (1.0, 1.0)).flags.writeable
 
 
-def test_plan_cache_is_bounded():
-    for f in random_roots(CL20, PLAN_CACHE_SIZE + 1, seed=5):
-        _plan(RootPair(f, -f))
-    assert _cached_plan.cache_info().currsize == PLAN_CACHE_SIZE
+def test_plan_is_freed_with_its_pair():
+    f = random_roots(CL20, 1, seed=5)[0]
+    pair = RootPair(f, -f)
+    plan = weakref.ref(pair.plan)
+    del pair
+    gc.collect()
+    assert plan() is None
 
 
 def test_round_trip_error_follows_pair_size():

@@ -241,7 +241,7 @@ def test_log_polar_matches_four_channel_field_resampling():
                     want = field_log_polar_samples(
                         source, geo, center or source.image.centroid())
                     assert got.samples.tobytes() == want.tobytes()
-    cache = imaging._cached_log_polar_plan.cache_info()
+    cache = imaging._log_polar_plan.cache_info()
     assert cache.hits > 0
     assert cache.currsize <= imaging.SAMPLING_PLAN_CACHE_SIZE
     # the identity warp, through the uncached sampler, reads every pixel exactly
@@ -275,11 +275,14 @@ def test_plane_gather_is_bitwise_the_row_gather():
             assert warp_similarity(pixels, angle, scale).tobytes() == want.tobytes()
 
 
-def test_sampling_plan_is_cached_per_exact_center_and_read_only():
+def test_sampling_plan_is_cached_per_center_and_read_only():
+    # a -0.0 coordinate shares the plan of +0.0; the byte-level resampling
+    # test above covers the centers (0, 0), (-0, 0) and (0, -0)
     geo = GridGeometry(16, 16, -1.0, np.log(12.0))
     plan = imaging._log_polar_plan(geo, (0.0, 0.0), 32, 32)
     assert imaging._log_polar_plan(geo, (0.0, 0.0), 32, 32) is plan
-    assert imaging._log_polar_plan(geo, (-0.0, 0.0), 32, 32) is not plan
+    assert imaging._log_polar_plan(geo, (-0.0, 0.0), 32, 32) is plan
+    assert imaging._log_polar_plan(geo, (0.0, 0.5), 32, 32) is not plan
     assert imaging._log_polar_plan(geo, (0.0, 0.0), 32, 33) is not plan
     assert len(plan) == 4
     for index, factor in plan:

@@ -3,12 +3,8 @@
 Each case replaces one row's check in ``properties.TABLE`` by one that makes
 the same calls and returns 0.0 times their residual, then runs the
 acceptance criterion that claims the row: the criterion must fail, on the
-defect cases where the honest check reads above its gate.  Five rows that
-criteria 1 and 8 run have no claim here, since no case can make them read
-above a gate: the four algebra rows, whose only input is the algebra (three
-read exactly 0.0, and every product the library makes is associative), and
-``symmetry_separation``, whose check raises past 1e-10 instead of returning
-a larger leak.
+defect cases, or under the broken algebra or transform, where the honest
+check reads above its gate.
 """
 
 import dataclasses
@@ -19,11 +15,13 @@ import test_acceptance as acceptance
 from clifford_mellin import properties
 
 CLAIMS = {
+    acceptance.test_criterion_1_algebra_axioms: acceptance.ALGEBRA_ROWS,
     acceptance.test_criterion_3_split_identities:
         acceptance.SPLIT_ROWS + ("split_orthogonality",),
     acceptance.test_criterion_6_theorem_suite: acceptance.THEOREM_ROWS + acceptance.BLADE_ROWS,
     acceptance.test_criterion_7_derivative_and_power_scaling:
         acceptance.DERIVATIVE_ROWS + acceptance.POWER_ROWS,
+    acceptance.test_criterion_8_symmetry_separation: ("symmetry_separation",),
 }
 
 

@@ -272,6 +272,13 @@ def test_root_exponential():
         a, b = 0.7, -1.9
         lhs = root.exp(a) * root.exp(b)
         assert lhs.allclose(root.exp(a + b), tol=1e-12)
+    # one array sum gives the bits of the scalar plus the scaled root
+    angles = (0.0, -0.0, 1e-300, -0.7, 2.5, -math.pi, 40.0)
+    for sig in SIGNATURES:
+        for root in random_roots(sig, 10, seed=18):
+            for angle in angles:
+                two_step = Multivector.scalar(sig, math.cos(angle)) + root.value * math.sin(angle)
+                assert root.exp(angle).coeffs.tobytes() == two_step.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("sig", SIGNATURES)

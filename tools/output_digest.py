@@ -42,6 +42,8 @@ The families:
   three algebras, with random signs, magnitudes from 1e-3 to 1e3 and a
   tenth of the entries +-0.0; and on the (2000, 4) draws, row by row, the
   ``Multivector`` product and ``outer_product``.
+* ``exp``: the bytes of ``RootOfMinusOne.exp`` at the angles of
+  ``EXP_ANGLES``, -0.0 among them, for 50 ``random_roots`` per algebra.
 * ``resample``, ``descriptors``, ``distances``, ``registrations``: gray and
   RGB images from ``tests/imagegen.py``, warped, written as PGM/PPM, read
   back and resampled on a 64x64 grid about a fixed center and about their
@@ -80,6 +82,7 @@ DIRECT_GRIDS = (
     (12, 6, -5.0, -1.0), (8, 8, -math.pi, math.pi), (32, 32, -math.pi, math.pi),
     (64, 64, -math.pi, math.pi), (32, 128, 0.1, 1.7), (128, 16, -1.0, 3.0),
 )
+EXP_ANGLES = (0.0, -0.0, 1e-300, 0.5, -1.25, math.pi / 2, -math.pi, 7.0, -40.0)
 IMAGE_SIZE = 128
 CENTER = (63.5, 63.5)
 WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
@@ -248,6 +251,18 @@ def product_digests() -> dict:
     return {"products": digest}
 
 
+def exp_digests() -> dict:
+    from clifford_mellin.algebra import SIGNATURES
+    from clifford_mellin.roots import random_roots
+
+    digest = Digest()
+    for k, sig in enumerate(SIGNATURES):
+        for root in random_roots(sig, 50, seed=8000 + k):
+            for angle in EXP_ANGLES:
+                digest.add_array(root.exp(angle).coeffs)
+    return {"exp": digest}
+
+
 def _images():
     """(name, pixels) of gray and RGB images and their warps."""
     import numpy as np
@@ -333,6 +348,7 @@ def main(argv=None) -> int:
     digests.update(direct_digests())
     digests.update(check_digests())
     digests.update(product_digests())
+    digests.update(exp_digests())
     with tempfile.TemporaryDirectory() as workdir:
         images, paths = image_digests(workdir)
         digests.update(images)
