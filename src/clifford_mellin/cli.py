@@ -233,11 +233,17 @@ def cmd_fast_bench(args) -> int:
     start = time.perf_counter()
     direct = cfmt.direct_spectrum(h, pair)
     time_direct = time.perf_counter() - start
+    warm = []
+    for _ in range(5):
+        start = time.perf_counter()
+        cfmt.cfmt_fast(h, pair)
+        warm.append(time.perf_counter() - start)
     peak = float(np.max(np.abs(direct.coeffs)))
     _emit(
         {
             "config": _echo(args, args.algebra, pair),
             "time_fast_s": time_fast,
+            "time_fast_warm_s": min(warm),
             "time_direct_s": time_direct,
             "speedup": time_direct / max(time_fast, 1e-12),
             "oracle_max_rel_diff": fast.max_abs_diff(direct) / max(peak, 1e-300),

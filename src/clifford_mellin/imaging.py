@@ -10,21 +10,21 @@ log-polar signal cyclically, so the pointwise transform magnitude is a
 rotation/scale invariant descriptor, and cross-correlation over cyclic
 shifts recovers the rotation angle and the log-scale.
 
-Work that is the same on every query is done once.  Resampling splits into
-a sampling plan and a gather: the plan holds, for each of the four bilinear
-corners, the flat raster index and the weight (zero off the raster) of every
-grid node, 64 bytes per node (256 KB at 64x64).  It depends only on the
-geometry, the center and the image height and width; a center coordinate of
--0.0 shares the plan of +0.0, whose weights can differ from its own only in
-the sign of a zero, which the gather's +0.0 start absorbs.  The last
-SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that many times
-64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  The gather runs
-one image channel at a time: it reads the channel's plane at each corner's
-indices, weights the reads and adds them, corner by corner, into one
-(n_s, n_theta) buffer that starts at 0.0 and is then written into the
-channel's blade.  register keeps the spectrum of each mean-removed signal
-it reads for as long as the signal lives, since signals are immutable and a
-corpus entry is registered against many queries.  An entry is a
+Work that is the same on every query is done once.  Resampling splits into a
+sampling plan and a gather: the plan is two (4, n_s, n_theta) arrays, one
+row per bilinear corner, holding the flat raster index and the weight (zero
+off the raster) of every grid node, 64 bytes per node (256 KB at 64x64).  It
+depends only on the geometry, the center and the image height and width; a
+center coordinate of -0.0 shares the plan of +0.0, whose weights can differ
+from its own only in the sign of a zero, which the gather's +0.0 start
+absorbs.  The last SAMPLING_PLAN_CACHE_SIZE plans are kept, so at most that
+many times 64 * n_s * n_theta bytes: 1 MB at 64x64, 64 MB at 512x512.  The
+gather runs one image channel at a time: one indexed read of the channel's
+plane at all four corners' indices, one in-place multiply by the weights,
+and the sum of the four corner rows from 0.0 in plan order, which is written
+into the channel's blade.  register keeps the spectrum of each mean-removed
+signal it reads for as long as the signal lives, since signals are immutable
+and a corpus entry is registered against many queries.  An entry is a
 (4, n_s, n_theta // 2 + 1) complex array, one plane per blade (135 KB at
 64x64).  The channels an image populates (one for gray, three for RGB) are
 transformed in one batched rfft2; the others stay exact zero planes.  Both
@@ -216,38 +216,34 @@ def ingest(path, sig: Signature, mapping: tuple[int, ...] | None = None) -> Imag
 
 
 def _corner_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> tuple:
-    """The bilinear reads of float (x, y) positions on an h x w raster: per
-    corner, a read-only (flat index, weight) pair, with the weight zero
-    where the corner lies outside the raster."""
+    """The bilinear reads of float (x, y) positions on an h x w raster: a
+    read-only (flat indices, weights) pair of (4,) + xs.shape arrays, one row
+    per corner in the order (x0, y0), (x1, y0), (x0, y1), (x1, y1), with the
+    weight zero where the corner lies outside the raster."""
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
     fx = xs - x0
     fy = ys - y0
-    plan = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xx = x0 + dx
-            yy = y0 + dy
-            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-            index = yy.clip(0, h - 1) * w + xx.clip(0, w - 1)
-            factor = weight * valid
-            index.flags.writeable = factor.flags.writeable = False
-            plan.append((index, factor))
-    return tuple(plan)
+    # a (y corner, x corner) pair of axes, which the reshape flattens in order
+    ix = np.stack([x0, x0 + 1])
+    iy = np.stack([y0, y0 + 1])
+    weights = np.stack([1.0 - fy, fy])[:, None] * np.stack([1.0 - fx, fx])
+    weights *= ((iy >= 0) & (iy < h))[:, None] & ((ix >= 0) & (ix < w))
+    indices = iy.clip(0, h - 1)[:, None] * w + ix.clip(0, w - 1)
+    shape = (4,) + xs.shape
+    indices, weights = indices.reshape(shape), weights.reshape(shape)
+    indices.flags.writeable = weights.flags.writeable = False
+    return indices, weights
 
 
-def _gather(plane: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """Apply a corner plan to one (h, w) channel plane: out, of the plan's
-    shape, starts at 0.0 and takes each corner's weighted read in plan
-    order.  Returns out."""
-    flat = plane.reshape(-1)
-    read = np.empty_like(out)
-    out.fill(0.0)
-    for index, factor in plan:
-        np.multiply(flat[index], factor, out=read)
-        out += read
-    return out
+def _gather(plane: np.ndarray, plan: tuple) -> np.ndarray:
+    """Apply a corner plan to one (h, w) channel plane: a fresh array of the
+    plan's node shape, the sum from 0.0 of the corners' weighted reads in
+    plan order."""
+    indices, weights = plan
+    reads = plane.reshape(-1)[indices]
+    reads *= weights
+    return (((0.0 + reads[0]) + reads[1]) + reads[2]) + reads[3]
 
 
 @lru_cache(maxsize=SAMPLING_PLAN_CACHE_SIZE)
@@ -283,9 +279,8 @@ def to_log_polar(
         )
     plan = _log_polar_plan(geometry, (cx, cy), image.height, image.width)
     samples = np.zeros((geometry.n_s, geometry.n_theta, 4))
-    channel = np.empty((geometry.n_s, geometry.n_theta))
     for c, blade in enumerate(source.mapping):
-        samples[..., blade] = _gather(image.pixels[..., c], plan, channel)
+        samples[..., blade] = _gather(image.pixels[..., c], plan)
     return LogPolarSignal(geometry, source.signature, _Fresh(samples))
 
 

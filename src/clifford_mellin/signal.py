@@ -208,14 +208,14 @@ def random_signal(
     on both axes (the mask is symmetric, so samples stay real)."""
     rng = np.random.default_rng(seed)
     arr = np.zeros((geometry.n_s, geometry.n_theta, 4))
+    if band_limit is not None:
+        fs = np.fft.fftfreq(geometry.n_s, d=1.0 / geometry.n_s)
+        ft = np.fft.fftfreq(geometry.n_theta, d=1.0 / geometry.n_theta)
+        mask = (np.abs(fs)[:, None] <= band_limit) & (np.abs(ft)[None, :] <= band_limit)
     for c in channels:
         field = rng.uniform(-1.0, 1.0, size=(geometry.n_s, geometry.n_theta))
         if band_limit is not None:
-            spec = np.fft.fft2(field)
-            fs = np.fft.fftfreq(geometry.n_s, d=1.0 / geometry.n_s)
-            ft = np.fft.fftfreq(geometry.n_theta, d=1.0 / geometry.n_theta)
-            mask = (np.abs(fs)[:, None] <= band_limit) & (np.abs(ft)[None, :] <= band_limit)
-            field = np.fft.ifft2(spec * mask).real
+            field = np.fft.ifft2(np.fft.fft2(field) * mask).real
         arr[..., c] = field
     return LogPolarSignal(geometry, signature, _Fresh(arr))
 

@@ -224,7 +224,7 @@ def row_gather_bilinear(field, xs, ys):
     h, w, c = field.shape
     flat = field.reshape(h * w, c)
     out = np.zeros(xs.shape + (c,))
-    for index, factor in _corner_plan(xs, ys, h, w):
+    for index, factor in zip(*_corner_plan(xs, ys, h, w)):
         out += flat[index] * factor[..., None]
     return out
 

@@ -49,9 +49,8 @@ def _bilinear_sample(field, xs, ys):
     outside the raster return 0."""
     plan = _corner_plan(xs, ys, *field.shape[:2])
     out = np.empty(xs.shape + field.shape[2:])
-    channel = np.empty(xs.shape)
     for c in range(field.shape[2]):
-        out[..., c] = _gather(field[..., c], plan, channel)
+        out[..., c] = _gather(field[..., c], plan)
     return out
 
 

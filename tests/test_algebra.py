@@ -108,6 +108,19 @@ def test_signature_mismatch_raises():
         scalar_product(mv(CL20, 1.0), mv(CL11, 1.0))
 
 
+@pytest.mark.parametrize("op", [
+    lambda x: x * "a",
+    lambda x: x * 2j,
+    lambda x: 2j * x,
+    lambda x: "a" * x,
+    lambda x: x / "a",
+], ids=["mul-str", "mul-complex", "rmul-complex", "rmul-str", "div-str"])
+def test_non_numeric_operands_raise_type_error(op):
+    # Multivector returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        op(mv(CL20, 1.0, 2.0, 3.0, 4.0))
+
+
 def test_signature_parse():
     assert Signature.parse("Cl(1,1)") == CL11
     with pytest.raises(DomainError):

@@ -458,10 +458,14 @@ def test_fast_bench_times_the_direct_sum(capsys, monkeypatch):
         code, out = run(capsys, "fast-bench", "--ns", "16", "--ntheta", "16", *flags)
         assert code == 0
         summary = json.loads(out)
-        # one whole oracle call on the fast path's own signal and pair
-        assert len(calls["cfmt_fast"]) == len(calls["direct_spectrum"]) == runs
+        # one whole oracle call on the fast path's own signal and pair, and
+        # the cold fast call followed by five warm ones
+        assert len(calls["direct_spectrum"]) == runs
+        assert len(calls["cfmt_fast"]) == 6 * runs
         h, pair = calls["direct_spectrum"][-1]
-        assert h is calls["cfmt_fast"][-1][0] and pair is calls["cfmt_fast"][-1][1]
+        for args in calls["cfmt_fast"][-6:]:
+            assert args[0] is h and args[1] is pair
+        assert summary["time_fast_warm_s"] > 0.0
         assert summary["config"]["f"] == pair.f.value.coeffs.tolist()
         assert summary["config"]["g"] == pair.g.value.coeffs.tolist()
         assert summary["time_direct_s"] > 0.0

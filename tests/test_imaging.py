@@ -249,8 +249,8 @@ def test_log_polar_matches_four_channel_field_resampling():
 
 
 def test_plane_gather_is_bitwise_the_row_gather():
-    # one channel plane at a time into a zeroed accumulator, against whole
-    # pixel rows per corner; positions run off every edge of the raster
+    # one channel plane at a time, its corner rows summed from 0.0, against
+    # whole pixel rows per corner; positions run off every edge of the raster
     rng = np.random.default_rng(79)
     gray = blob_image(48, seed=80)[..., None]
     rgb = np.stack([blob_image(48, seed=s) for s in (81, 82, 83)], axis=-1)
@@ -284,11 +284,17 @@ def test_sampling_plan_is_cached_per_center_and_read_only():
     assert imaging._log_polar_plan(geo, (-0.0, 0.0), 32, 32) is plan
     assert imaging._log_polar_plan(geo, (0.0, 0.5), 32, 32) is not plan
     assert imaging._log_polar_plan(geo, (0.0, 0.0), 32, 33) is not plan
-    assert len(plan) == 4
-    for index, factor in plan:
-        assert not index.flags.writeable and not factor.flags.writeable
-        with pytest.raises(ValueError):
-            factor[0, 0] = 1.0
+    indices, weights = plan
+    assert indices.shape == weights.shape == (4, 16, 16)
+    assert indices.nbytes + weights.nbytes == 64 * 16 * 16
+    assert not indices.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0, 0] = 1.0
+    # rows in the order (x0, y0), (x1, y0), (x0, y1), (x1, y1); an off-raster
+    # corner reads a clipped index with weight zero
+    indices, weights = imaging._corner_plan(np.array([0.25, -0.5]), np.array([0.5, 31.5]), 32, 32)
+    assert indices.tolist() == [[0, 992], [1, 992], [32, 992], [33, 992]]
+    assert weights.tolist() == [[0.375, 0.0], [0.125, 0.25], [0.375, 0.0], [0.125, 0.0]]
 
 
 # -- descriptors -------------------------------------------------------------------------
