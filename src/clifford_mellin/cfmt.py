@@ -33,7 +33,8 @@ routes are provided:
   by g.  Each eigenspace is one R_g-complex plane (see split); in the basis
   (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and the
   2-D FFT of both planes does the work, the + plane read with its rows
-  reversed.
+  reversed.  Those FFT planes (_split_planes) are also what imaging.register
+  correlates; cfmt_fast memoises its last signal's planes for it.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane basis,
 viewed as complex without a copy, are the two planes.  A route is its in-place
@@ -61,6 +62,7 @@ descriptor CSV are both rendered by frequency_csv_rows.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,27 +246,55 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
     return LogPolarSignal(geo, spectrum.signature, _Fresh(_map(z, plan.basis_g)))
 
 
+def _split_planes(h: LogPolarSignal, pair: RootPair) -> np.ndarray:
+    """Read-only (n_s, n_theta, 2) complex fft2 of h's split planes under pair,
+    as fft2 runs it (the angular pass, then the radial pass): plane 0 holds
+    x_+ and plane 1 holds x_-, each with R_g acting as i, and plane 0's rows
+    are not yet reversed."""
+    pair.require_algebra(h.signature, "signal")
+    z = _map(h.samples, pair.plan.inv_split).view(complex)
+    _angular_pass(z, np.fft.fft)  # fft2's own order, last axis first: same bits
+    np.fft.fft(z, axis=0, out=z)
+    z.flags.writeable = False
+    return z
+
+
+# signal -> (pair, planes) of the last cfmt_fast call, a one-signal memo whose
+# entry dies with its signal
+_FAST_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _fast_planes(h: LogPolarSignal, pair: RootPair) -> np.ndarray:
+    """_split_planes(h, pair), taken from the last cfmt_fast call when that
+    call was on h under this very pair object."""
+    entry = _FAST_PLANES.get(h)
+    if entry is not None and entry[0] is pair:
+        return entry[1]
+    return _split_planes(h, pair)
+
+
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     """Quasi-complex route: the paper's split, as one FFT over two planes.
 
     In the plan's split basis, plane 0 holds x_+ and plane 1 holds x_-,
     each as a complex function with R_g acting as i.  Both get the angular
     kernel exp(-i k theta); the radial kernel is exp(+i v s) on plane 0 and
-    exp(-i v s) on plane 1.  So one 2-D FFT serves both, as fft2 runs it (the
-    angular pass, then the radial pass), and plane 0 reads its rows at -j,
-    which turns the negative-sign radial DFT into the positive one.  The
-    cost is that of cfmt_forward with one 4x4 map fewer and one row gather
-    on a single plane more.
+    exp(-i v s) on plane 1.  So one 2-D FFT serves both (_split_planes), and
+    plane 0 reads its rows at -j, which turns the negative-sign radial DFT
+    into the positive one.  The planes stay as the FFT left them, memoised
+    for register (_fast_planes), and the reversal writes a copy.  The cost is
+    that of cfmt_forward with one 4x4 map fewer and one copy of the planes
+    more.
     """
-    pair.require_algebra(h.signature, "signal")
     geo = h.geometry
+    planes = _split_planes(h, pair)  # computed on every call, so timings stay honest
+    _FAST_PLANES.clear()
+    _FAST_PLANES[h] = (pair, planes)
     plan = pair.plan
     rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
 
-    z = _map(h.samples, plan.inv_split).view(complex)
-    _angular_pass(z, np.fft.fft)  # fft2's own order, last axis first: same bits
-    np.fft.fft(z, axis=0, out=z)
-    z[:, :, 0] = z[_reversal_index(geo.n_s), :, 0]
+    z = planes.copy()
+    z[1:, :, 0] = planes[:0:-1, :, 0]  # row j from row -j mod n_s
     return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, True))))
 
 

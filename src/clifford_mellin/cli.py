@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -143,8 +144,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _emit(payload: dict, file=None) -> None:
     """Print the JSON summary to file, stdout by default; a command whose CSV
-    went to stdout passes stderr, so each stream parses."""
-    print(json.dumps(payload, sort_keys=True, indent=2), file=file)
+    went to stdout passes stderr, so each stream parses.  The summary is
+    strict JSON: a non-finite float raises ValueError rather than print as
+    Infinity or NaN."""
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), file=file)
 
 
 _IMAGE_ONLY = ("algebra", "ns", "ntheta", "smin", "smax", "center")  # a CLMS input fixes these
@@ -293,16 +296,20 @@ def cmd_descriptor(args) -> int:
 
 def cmd_register(args) -> int:
     geometry = _grid(args)
-    # the correlation sums over blade channels, so the algebra cannot change the result
+    # the images fill blade channels, which the default pair's split basis,
+    # orthogonal up to a factor, correlates as they are
+    pair = default_pair(CL02)
     signals, centers = zip(*(_image_signal(path, CL02, geometry, args.center)
                              for path in args.inputs))
-    result = register(*signals)
+    result = register(*signals, pair)
     _emit(
         {
-            "config": {**_echo(args, CL02), "centers": [list(c) for c in centers]},
+            "config": {**_echo(args, CL02, pair), "centers": [list(c) for c in centers]},
             "scale": result.scale,
             "angle_rad": result.angle,
-            "confidence": result.confidence,
+            # infinite when nothing outside the main lobe correlates positively
+            "confidence": result.confidence if math.isfinite(result.confidence) else None,
+            "score": result.score,
             "matched": result.matched,
         }
     )

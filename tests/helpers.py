@@ -157,31 +157,22 @@ def channelwise_correlation(h1, h2):
     return corr
 
 
-def four_channel_correlation(h1, h2):
-    """register's correlation as one rfft2 over all four mean-removed
-    channels of each signal, zero channels included: the reference for the
-    bits of its correlation."""
-    def spectrum(h):
-        return np.fft.rfft2(h.samples - h.samples.mean(axis=(0, 1), keepdims=True), axes=(0, 1))
+def plane_correlation(h1, h2, pair):
+    """(correlation, score) of the mean-removed signals in pair's split planes,
+    one complex fft2/ifft2 per plane with the real parts summed, the means
+    subtracted before the FFTs and the score the correlation's maximum over
+    the product of the mean-removed planes' norms: the reference for
+    register."""
+    def planes(h):
+        coords = h.samples @ pair.plan.inv_split.T
+        z = coords[..., 0::2] + 1j * coords[..., 1::2]
+        return z - z.mean(axis=(0, 1))
 
-    geo = h1.geometry
-    cross = spectrum(h1) * np.conj(spectrum(h2))
-    return np.fft.irfft2(cross.sum(axis=-1), s=(geo.n_s, geo.n_theta))
-
-
-def interleaved_centred_spectrum(h):
-    """(n_s, n_theta // 2 + 1, 4) rfft2 of h's mean-removed samples, the
-    means taken over all four interleaved channels at once and one rfft2
-    per channel with a nonzero sample: the reference for the bits of
-    register's cached channel planes."""
-    means = h.samples.mean(axis=(0, 1))
-    n_s, n_theta = h.samples.shape[:2]
-    spectrum = np.zeros((n_s, n_theta // 2 + 1, 4), dtype=complex)
-    for c in range(4):
-        channel = h.samples[..., c]
-        if channel.any():
-            spectrum[..., c] = np.fft.rfft2(channel - means[c])
-    return spectrum
+    z1, z2 = planes(h1), planes(h2)
+    corr = np.zeros(h1.samples.shape[:2])
+    for p in range(2):
+        corr += np.fft.ifft2(np.fft.fft2(z1[..., p]) * np.conj(np.fft.fft2(z2[..., p]))).real
+    return corr, float(corr.max() / (np.linalg.norm(z1) * np.linalg.norm(z2)))
 
 
 def correlation_register(corr, geo, min_confidence=1.05):

@@ -74,7 +74,7 @@ ECHO_KEYS = {
     "fast-bench": {"command", "algebra", "f", "g", "seed", *GRID_KEYS},
     "verify": {"command", "seed", "tol", "out", "pair_degenerate", *GRID_KEYS},
     "split": {"command", "algebra", "f", "g", "x"},
-    "register": {"command", "inputs", "algebra", "center", "centers", *GRID_KEYS},
+    "register": {"command", "inputs", "algebra", "f", "g", "center", "centers", *GRID_KEYS},
     "manifold": {"command", "algebra", "resolution", "out"},
 }
 
@@ -264,8 +264,40 @@ def test_register_command(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["matched"] is True
+    assert 0.9 < summary["score"] <= 1.0 + 1e-12
     dtheta = 2 * np.pi / 64
     assert abs(summary["angle_rad"] - np.pi / 8) <= dtheta
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("pixel", [(51, 31), (31, 51), (45, 45)])
+def test_register_without_a_second_peak_writes_strict_json(tmp_path, capsys, pixel):
+    # one bright pixel against itself: nothing outside the main lobe
+    # correlates positively, so the confidence ratio is infinite
+    image = np.zeros((64, 64))
+    image[pixel] = 1.0
+    path = tmp_path / "pixel.pgm"
+    write_pgm(path, image)
+    code, out = run(capsys, "register", str(path), str(path), "--center", "31.5,31.5")
+    assert code == 0
+    summary = _strict_json(out)
+    assert summary["confidence"] is None
+    assert summary["matched"] is True
+    assert summary["score"] == pytest.approx(1.0, rel=1e-12)
+    assert summary["config"]["f"] == [0.0, 1.0, 0.0, 0.0]
+    assert summary["config"]["g"] == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_emit_refuses_non_finite_floats(capsys):
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli._emit({"value": value})
+    assert capsys.readouterr().out == ""
 
 
 def test_register_echoes_its_algebra_and_the_centers_it_used(tmp_path, capsys):
@@ -610,7 +642,7 @@ UNREAD_FLAGS = {
     "manifold": (["manifold", "--ns", "7"], "--ns"),
     "verify": (["verify", "--f", "0,1,0,0"], "--f"),
     "register": (["register", "{pgm}", "{pgm}", "--f", "0,1,0,0"], "--f"),
-    # the correlation sums over blade channels, so the algebra cannot change it
+    # register correlates blade channels under the Cl(0,2) default pair
     "register --algebra": (["register", "{pgm}", "{pgm}", "--algebra", "Cl(2,0)"], "--algebra"),
     "split": (["split", "--x", "1,0,0,0", "--out", "{tmp}/split.json"], "--out"),
     "fast-bench": (["fast-bench", "--tol", "1e-3"], "--tol"),

@@ -8,7 +8,7 @@ import pytest
 from imagegen import _bilinear_sample, blob_image, disk_image, warp_similarity
 
 from clifford_mellin import cfmt, imaging
-from clifford_mellin.algebra import CL02, CL20, Multivector
+from clifford_mellin.algebra import CL02, CL11, CL20, Multivector
 from clifford_mellin.errors import (
     ContractError,
     DomainError,
@@ -35,9 +35,8 @@ from helpers import (
     channelwise_correlation,
     correlation_register,
     field_log_polar_samples,
-    four_channel_correlation,
-    interleaved_centred_spectrum,
     multivector_field,
+    plane_correlation,
     row_gather_bilinear,
     wild_pairs,
 )
@@ -492,22 +491,27 @@ def test_register_matches_channelwise_correlation():
         assert result.confidence == pytest.approx(confidence, rel=1e-12)
 
 
-def test_register_is_bitwise_the_four_channel_correlation():
-    # the query spectrum transforms only populated channels; every result
-    # and correlation value is what one rfft2 over all four channels gives
+def _image_signals(seeds, geo, center):
+    """Gray and RGB blob images, each unwarped and under two warps, resampled
+    about center, or about their centroids when center is None."""
+    gray = blob_image(128, seed=seeds[0])
+    rgb = np.stack([blob_image(128, seed=s) for s in seeds[1:]], axis=-1)
+    groups = []
+    for pixels, mapping in ((gray, (0,)), (rgb, (1, 2, 3))):
+        group = []
+        for angle, scale in ((0.0, 1.0), (0.4, 1.1), (-2.5, 0.9)):
+            warped = RasterImage(warp_similarity(pixels, angle, scale, center=(63.5, 63.5)))
+            source = ImageSignalSource(warped, CL02, mapping)
+            group.append(to_log_polar(source, geo, center=center))
+        groups.append(group)
+    return groups
+
+
+def test_register_is_the_split_plane_correlation():
+    # the peak search, the confidence and the score of the planes' correlation,
+    # against one fft2/ifft2 per plane of the mean-subtracted planes
     image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
-    center = (63.5, 63.5)
-    gray = blob_image(128, seed=63)
-    rgb = np.stack([blob_image(128, seed=s) for s in (64, 65, 66)], axis=-1)
-
-    def signal_of(pixels, mapping, angle, scale):
-        source = ImageSignalSource(
-            RasterImage(warp_similarity(pixels, angle, scale, center=center)), CL02, mapping)
-        return to_log_polar(source, image_geo, center=center)
-
-    warps = ((0.0, 1.0), (0.4, 1.1), (-2.5, 0.9))
-    grays = [signal_of(gray, (0,), *w) for w in warps]
-    rgbs = [signal_of(rgb, (1, 2, 3), *w) for w in warps]
+    grays, rgbs = _image_signals((63, 64, 65, 66), image_geo, (63.5, 63.5))
     cases = [(a, b) for group in (grays, rgbs) for a in group for b in group]
     # a constant channel beside a zero one, and random four-channel signals
     for n in (8, 16, 32):
@@ -521,65 +525,81 @@ def test_register_is_bitwise_the_four_channel_correlation():
         constant[..., 1] = 0.37
         constant = h.with_samples(constant)
         cases += [(constant, cfmt.apply_scale_rotate(constant, 2, 3)), (h, constant)]
-    for h1, h2 in cases:
-        imaging._CENTRED_SPECTRA.clear()
-        corr = four_channel_correlation(h1, h2)
-        steps, matched, confidence = correlation_register(corr, h1.geometry)
-        want = RegistrationResult(float(np.exp(steps[0] * h1.geometry.ds)),
-                                  float(steps[1] * h1.geometry.dtheta), confidence, matched, steps)
-        assert register(h1, h2) == want
-        assert np.array_equal(imaging._correlation(h1, h2), corr)
+    for pair in (default_pair(CL02), wild_pairs(CL02, 1, seed=78)[0]):
+        for h1, h2 in cases:
+            result = register(h1, h2, pair)
+            corr, score = plane_correlation(h1, h2, pair)
+            steps, matched, confidence = correlation_register(corr, h1.geometry)
+            assert result.steps == steps
+            assert result.matched == matched
+            assert result.confidence == pytest.approx(confidence, rel=1e-12)
+            assert result.score == pytest.approx(score, rel=1e-12)
+            assert 0.0 < result.score <= 1.0 + 1e-12
+            assert result.scale == float(np.exp(steps[0] * h1.geometry.ds))
+            assert result.angle == float(steps[1] * h1.geometry.dtheta)
+            if pair is default_pair(CL02):
+                # an orthogonal split basis: the verdicts of the channel correlation
+                channel = correlation_register(channelwise_correlation(h1, h2), h1.geometry)
+                assert (result.steps, result.matched) == channel[:2]
+    # no pair argument: the signals' default pair
+    for h1, h2 in cases[:4]:
+        assert register(h1, h2) == register(h1, h2, default_pair(CL02))
 
-    # gray against RGB: no channel in common, so the correlation is exactly zero
-    for a in grays:
-        for b in rgbs:
-            for h1, h2 in ((a, b), (b, a)):
-                assert np.array_equal(four_channel_correlation(h1, h2), np.zeros((32, 32)))
-                assert np.array_equal(imaging._correlation(h1, h2), np.zeros((32, 32)))
-                assert register(h1, h2) == RegistrationResult(1.0, 0.0, 1.0, False, (0, 0))
 
-
-def test_centred_spectrum_keeps_zero_channels_as_exact_zeros():
+def test_register_of_signals_without_a_common_channel_is_the_zero_result():
+    # gray against RGB correlates to exactly zero channel by channel, and to
+    # roundoff in the planes, which the score floor turns back into zero
     image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
-    source = ImageSignalSource(RasterImage(blob_image(128, seed=70)), CL02, (2,))
-    h = to_log_polar(source, image_geo, center=(63.5, 63.5))
-    imaging._CENTRED_SPECTRA.clear()
-    spectrum = imaging._centred_spectrum(h)
-    assert spectrum.shape == (4, 32, 17) and spectrum.dtype == complex
-    assert not spectrum.flags.writeable
-    assert not spectrum[[0, 1, 3]].any()
-    centred = h.samples - h.samples.mean(axis=(0, 1), keepdims=True)
-    want = np.fft.rfft2(centred, axes=(0, 1))
-    assert spectrum[2].tobytes() == want[..., 2].tobytes()
+    for center in ((63.5, 63.5), None):
+        grays, rgbs = _image_signals((79, 80, 81, 82), image_geo, center)
+        for a in grays:
+            for b in rgbs:
+                for h1, h2 in ((a, b), (b, a)):
+                    assert not channelwise_correlation(h1, h2).any()
+                    result = register(h1, h2)
+                    assert result == RegistrationResult(1.0, 0.0, 1.0, False, (0, 0), result.score)
+                    assert 0.0 <= result.score < imaging.ROUNDOFF_SCORE
 
 
-def test_centred_planes_are_bitwise_the_interleaved_spectrum():
-    # running-sum means, one batched rfft2 over the populated planes and the
-    # (c0 + c1) + (c2 + c3) plane sum against the interleaved computation
+def test_register_recovers_grid_shifts_under_any_pair():
+    geo = default_geometry(16)
+    for k, sig in enumerate((CL02, CL20, CL11)):
+        h = random_signal(geo, sig, seed=83 + k)
+        for pair in (default_pair(sig), *wild_pairs(sig, 2, seed=86 + k)):
+            for p, q in ((0, 0), (3, -5), (-8, 7)):
+                result = register(h, cfmt.apply_scale_rotate(h, p, q), pair)
+                assert result.steps == (p, q)
+                assert result.matched
+                assert result.score == pytest.approx(1.0, rel=1e-12)
+
+
+def test_split_planes_are_what_cfmt_fast_transforms():
+    # the planes are fft2 of the split-basis coordinates, and cfmt_fast's memo
+    # hands register them unreversed and unmodified
     image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
-    center = (63.5, 63.5)
-    gray = blob_image(128, seed=71)
-    rgb = np.stack([blob_image(128, seed=s) for s in (72, 73, 74)], axis=-1)
-    signals = []
-    for pixels, mapping in ((gray, (0,)), (rgb, (1, 2, 3)), (rgb, (3, 0, 1))):
-        for angle, scale in ((0.0, 1.0), (0.6, 1.1)):
-            source = ImageSignalSource(
-                RasterImage(warp_similarity(pixels, angle, scale, center=center)), CL02, mapping)
-            signals.append(to_log_polar(source, image_geo, center=center))
+    grays, rgbs = _image_signals((71, 72, 73, 74), image_geo, (63.5, 63.5))
     large = random_signal(image_geo, CL02, seed=77)
-    signals += [random_signal(image_geo, CL02, seed=75),
-                random_signal(image_geo, CL02, seed=76, channels=(0, 2)),
-                large.with_samples(1e6 * large.samples)]
-    imaging._CENTRED_SPECTRA.clear()
-    for h in signals:
-        planes = imaging._centred_spectrum(h)
-        want = interleaved_centred_spectrum(h)
-        for c in range(4):
-            assert planes[c].tobytes() == want[..., c].tobytes()
-    for h1 in signals:
-        for h2 in signals:
-            got = imaging._correlation(h1, h2)
-            assert got.tobytes() == four_channel_correlation(h1, h2).tobytes()
+    signals = grays + rgbs + [random_signal(image_geo, CL02, seed=75),
+                              large.with_samples(1e6 * large.samples)]
+    for pair in (default_pair(CL02), wild_pairs(CL02, 1, seed=78)[0]):
+        for h in signals:
+            coords = cfmt._map(h.samples, pair.plan.inv_split).view(complex)
+            want = np.fft.fft2(coords, axes=(0, 1))
+            planes = cfmt._split_planes(h, pair)
+            assert planes.shape == (32, 32, 2) and planes.dtype == complex
+            assert not planes.flags.writeable
+            assert planes.tobytes() == want.tobytes()
+            cfmt.cfmt_fast(h, pair)
+            memo = cfmt._fast_planes(h, pair)
+            assert memo is cfmt._FAST_PLANES[h][1]
+            assert memo.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                memo[1, 0, 0] = 0.0
+            # only the last signal, and only under the very pair object
+            equal_pair = make_pair(pair.f.value, pair.g.value)
+            assert cfmt._fast_planes(h, equal_pair) is not memo
+            assert cfmt._fast_planes(h, equal_pair).tobytes() == want.tobytes()
+        assert len(cfmt._FAST_PLANES) == 1
 
 
 def test_register_reports_no_match_on_flat_correlation():
@@ -597,7 +617,36 @@ def test_register_geometry_mismatch():
         register(h1, h2)
 
 
-def test_register_cache_gives_cold_results_and_dies_with_the_signal():
+def test_register_transforms_each_signal_once(monkeypatch):
+    # the image-match flow: corpus descriptors, then per query a descriptor
+    # and registrations against corpus entries
+    image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
+    pair = default_pair(CL02)
+    computed = []
+    split_planes = cfmt._split_planes
+
+    def counting(h, pair):
+        computed.append(h)
+        return split_planes(h, pair)
+
+    monkeypatch.setattr(cfmt, "_split_planes", counting)
+    corpus = [random_signal(image_geo, CL02, seed=90 + k) for k in range(3)]
+    for h in corpus:
+        descriptor(h, pair)
+    assert computed == corpus
+    computed.clear()
+    queries = [cfmt.apply_scale_rotate(h, 2, -3) for h in corpus + corpus]
+    for k, query in enumerate(queries):
+        descriptor(query, pair)
+        for entry in corpus:
+            result = register(entry, query, pair)
+            assert (result.steps == (2, -3)) == (entry is corpus[k % 3])
+    # each query once, by its descriptor, and each corpus entry once more, by
+    # its first registration
+    assert [id(h) for h in computed] == [id(h) for h in queries[:1] + corpus + queries[1:]]
+
+
+def test_register_planes_give_cold_results_and_die_with_the_signal():
     image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
     center = (63.5, 63.5)
     rgb = np.stack([blob_image(128, seed=s) for s in (58, 59, 60)], axis=-1)
@@ -611,10 +660,10 @@ def test_register_cache_gives_cold_results_and_dies_with_the_signal():
                for angle, scale in ((0.3, 1.1), (-2.0, 0.9), (1.0, 1.0))]
     queries.append(random_signal(image_geo, CL02, seed=61))
     for query in queries:
-        imaging._CENTRED_SPECTRA.clear()
+        imaging._REGISTERED_PLANES.clear()
         cold = register(base, query)
         warm = register(base, query)
-        assert base in imaging._CENTRED_SPECTRA and query in imaging._CENTRED_SPECTRA
+        assert base in imaging._REGISTERED_PLANES and query in imaging._REGISTERED_PLANES
         assert warm == cold
         steps, matched, confidence = correlation_register(
             channelwise_correlation(base, query), image_geo
@@ -623,17 +672,22 @@ def test_register_cache_gives_cold_results_and_dies_with_the_signal():
         assert cold.matched == matched
         assert cold.confidence == pytest.approx(confidence, rel=1e-12)
 
-    spectrum = imaging._centred_spectrum(base)
-    assert not spectrum.flags.writeable
+    planes, norm = imaging._registered_planes(base, default_pair(CL02))
+    assert not planes.flags.writeable
     with pytest.raises(ValueError):
-        spectrum[0, 0, 0] = 0.0
+        planes[0, 0, 0] = 0.0
+    centred = base.samples - base.samples.mean(axis=(0, 1))
+    # the Cl(0,2) default pair's split basis is sqrt(2) times an orthogonal one
+    assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(centred), rel=1e-12)
 
-    imaging._CENTRED_SPECTRA.clear()
+    imaging._REGISTERED_PLANES.clear()
     h = random_signal(image_geo, CL02, seed=62)
+    descriptor(h, default_pair(CL02))
     register(h, h)
-    assert len(imaging._CENTRED_SPECTRA) == 1
+    assert len(imaging._REGISTERED_PLANES) == 1 and h in cfmt._FAST_PLANES
     alive = weakref.ref(h)
     del h
     gc.collect()
     assert alive() is None
-    assert len(imaging._CENTRED_SPECTRA) == 0
+    assert len(imaging._REGISTERED_PLANES) == 0
+    assert len(cfmt._FAST_PLANES) == 0

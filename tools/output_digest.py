@@ -50,7 +50,11 @@ The families:
   centroids; the bytes of every ``to_log_polar`` signal, and of each image
   resampled about the fixed center under one custom channel-to-blade
   mapping; every descriptor, every pairwise distance and every ordered
-  pairwise ``register`` result, wrong and gray-vs-RGB pairs included.
+  pairwise ``register`` result, wrong and gray-vs-RGB pairs included, with
+  its confidence and its score where the checkout reports one.
+* ``registration-verdicts``: of the same ``register`` results, only the
+  steps, matched, scale and angle, which stay fixed when a change moves the
+  confidence at roundoff.
 * ``cli-descriptor``, ``cli-register``: the CSV that ``descriptor`` writes
   and the ``register`` summary without its config, with the exit codes.
 
@@ -288,8 +292,8 @@ def image_digests(workdir: str) -> dict:
 
     geo = GridGeometry(64, 64, math.log(2.0), math.log(55.0))
     pair = default_pair(CL02)
-    digests = {name: Digest()
-               for name in ("resample", "descriptors", "distances", "registrations")}
+    digests = {name: Digest() for name in
+               ("resample", "descriptors", "distances", "registrations", "registration-verdicts")}
     paths, signals = [], []
     for name, pixels in _images():
         path = os.path.join(workdir, name + (".pgm" if pixels.ndim == 2 else ".ppm"))
@@ -310,9 +314,10 @@ def image_digests(workdir: str) -> dict:
     for h1 in signals:
         for h2 in signals:
             r = imaging.register(h1, h2, pair)
-            digests["registrations"].add(
-                struct.pack("<ddd?ii", r.scale, r.angle, r.confidence, r.matched, *r.steps)
-            )
+            verdict = struct.pack("<dd?ii", r.scale, r.angle, r.matched, *r.steps)
+            digests["registration-verdicts"].add(verdict)
+            score = struct.pack("<d", r.score) if hasattr(r, "score") else b""
+            digests["registrations"].add(verdict + struct.pack("<d", r.confidence) + score)
     return digests, paths
 
 
