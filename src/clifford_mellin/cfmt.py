@@ -32,22 +32,25 @@ routes are provided:
   exp(-g v s), so both kernels act in the commutative subalgebra generated
   by g.  Each eigenspace is one R_g-complex plane (see split); in the basis
   (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and the
-  2-D FFT of both planes does the work, the + plane read with its rows
-  reversed.  Those FFT planes (_split_planes) are also what imaging.register
-  correlates; cfmt_fast memoises its last signal's planes for it.
+  2-D FFT of both planes does the work, the + plane's rows then gathered in
+  place to run at -j.  Those planes (_split_planes) are the one layout of the
+  split spectra: cfmt_fast memoises its last signal's planes and maps them
+  as they are, and imaging.register correlates them through _plane_norm and
+  _plane_correlation, which alone read the layout.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane basis,
 viewed as complex without a copy, are the two planes.  A route is its in-place
 FFT passes between real 4x4 plane maps, one stacked matmul each, and no other
-pass over the grid.  A radial pass is one call over both planes; an angular
-pass is one call per plane, on a strided view of it, since one call over both
-runs numpy's FFT loop once per radial row.  On an even grid fftshift is a swap
-of halves, so a map reads its source with halves swapped; the s_min phase and
-the scale are a per-row rotation of each plane in the map beside the radial
-pass.  The last map's fresh array becomes the result uncopied, through
-signal._Fresh.  The bases come from the pair's plan (RootPair.plan), the
-rotations are built once per grid and route, and a call only forms the product
-of a basis and the rotations.
+pass over the grid but cfmt_fast's one row gather of plane 0.  A radial pass
+is one call over both planes; an angular pass is one call per plane, on a
+strided view of it, since one call over both runs numpy's FFT loop once per
+radial row.  On an even grid fftshift is a swap of halves, so a map reads its
+source with halves swapped; the s_min phase and the scale are a per-row
+rotation of each plane in the map beside the radial pass.  The last map's
+fresh array becomes the result uncopied, through signal._Fresh.  The bases
+come from the pair's plan (RootPair.plan), the rotations are built once per
+grid and route, and a call only forms the product of a basis and the
+rotations.
 
 The inverse carries the weight dv/(2pi) = 1/span per radial frequency bin,
 which makes the discrete pair exactly unitary; spectral norms use the
@@ -247,16 +250,39 @@ def cfmt_inverse(spectrum: Spectrum) -> LogPolarSignal:
 
 
 def _split_planes(h: LogPolarSignal, pair: RootPair) -> np.ndarray:
-    """Read-only (n_s, n_theta, 2) complex fft2 of h's split planes under pair,
-    as fft2 runs it (the angular pass, then the radial pass): plane 0 holds
-    x_+ and plane 1 holds x_-, each with R_g acting as i, and plane 0's rows
-    are not yet reversed."""
+    """Read-only (n_s, n_theta, 2) complex planes that cfmt_fast maps: fft2 of
+    h's split-basis coordinates under pair, as fft2 runs it (the angular pass,
+    then the radial pass), with plane 0's row j read from row -j mod n_s.
+    Plane 0 holds x_+ and plane 1 holds x_-, each with R_g acting as i; both
+    planes' DC bins stay at [0, 0]."""
     pair.require_algebra(h.signature, "signal")
     z = _map(h.samples, pair.plan.inv_split).view(complex)
     _angular_pass(z, np.fft.fft)  # fft2's own order, last axis first: same bits
     np.fft.fft(z, axis=0, out=z)
+    z[1:, :, 0] = z[:0:-1, :, 0]  # row j from row -j; numpy copies an overlapping source
     z.flags.writeable = False
     return z
+
+
+def _plane_norm(planes: np.ndarray) -> float:
+    """Parseval norm of the signal behind _split_planes' planes with both DC
+    bins left out, that is of the mean-removed signal in the split basis."""
+    varying = planes.reshape(-1)[2:]  # plane 0's and plane 1's DC bins lead
+    return math.sqrt(np.vdot(varying, varying).real / (planes.shape[0] * planes.shape[1]))
+
+
+def _plane_correlation(planes1: np.ndarray, planes2: np.ndarray) -> np.ndarray:
+    """Cyclic cross-correlation of two signals' mean-removed split planes, a
+    fresh (n_s, n_theta) real array: the cross-power conj(planes2) * planes1,
+    plane 0's read back at -j, summed over the planes, its DC bin zeroed,
+    and the real part of one ifft2."""
+    cross = np.conj(planes2)
+    cross *= planes1
+    power = np.empty(cross.shape[:2], complex)
+    np.add(cross[0, :, 0], cross[0, :, 1], out=power[0])
+    np.add(cross[:0:-1, :, 0], cross[1:, :, 1], out=power[1:])
+    power[0, 0] = 0.0
+    return np.fft.ifft2(power).real
 
 
 # signal -> (pair, planes) of the last cfmt_fast call, a one-signal memo whose
@@ -279,12 +305,11 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     In the plan's split basis, plane 0 holds x_+ and plane 1 holds x_-,
     each as a complex function with R_g acting as i.  Both get the angular
     kernel exp(-i k theta); the radial kernel is exp(+i v s) on plane 0 and
-    exp(-i v s) on plane 1.  So one 2-D FFT serves both (_split_planes), and
-    plane 0 reads its rows at -j, which turns the negative-sign radial DFT
-    into the positive one.  The planes stay as the FFT left them, memoised
-    for register (_fast_planes), and the reversal writes a copy.  The cost is
-    that of cfmt_forward with one 4x4 map fewer and one copy of the planes
-    more.
+    exp(-i v s) on plane 1.  So one 2-D FFT serves both, and plane 0 reads
+    its rows at -j, which turns the negative-sign radial DFT into the
+    positive one (_split_planes).  Those planes are memoised for register
+    (_fast_planes) and mapped as they are.  The cost is that of cfmt_forward
+    with one 4x4 map fewer and one row gather on a single plane more.
     """
     geo = h.geometry
     planes = _split_planes(h, pair)  # computed on every call, so timings stay honest
@@ -292,10 +317,7 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     _FAST_PLANES[h] = (pair, planes)
     plan = pair.plan
     rows = plan.split @ _radial_rotations(geo, False, geo.ds * geo.dtheta / TWO_PI, (1.0, -1.0))
-
-    z = planes.copy()
-    z[1:, :, 0] = planes[:0:-1, :, 0]  # row j from row -j mod n_s
-    return Spectrum(geo, pair, _Fresh(_map(z, rows, swap=(True, True))))
+    return Spectrum(geo, pair, _Fresh(_map(planes, rows, swap=(True, True))))
 
 
 def _kernel_values(root: RootOfMinusOne, angles: np.ndarray) -> np.ndarray:

@@ -26,15 +26,15 @@ into the channel's blade.
 
 register correlates the split planes of cfmt's quasi-complex route, the same
 per-signal spectra that a descriptor's cfmt_fast call computes, so a query is
-transformed once for its descriptor and its registration.  Two caches hold
-them, each as a read-only (n_s, n_theta, 2) complex array, 32 bytes per node
-(128 KB at 64x64):
+transformed once for its descriptor and its registration; cfmt owns their
+layout and the correlation and norm that read it.  Two caches hold them, each
+as a read-only array of 32 bytes per node (128 KB at 64x64):
 
 * cfmt_fast keeps the planes of its last signal, under that call's pair, in
   a one-signal memo (cfmt._FAST_PLANES); the entry goes at the next
   cfmt_fast call or when its signal dies.
 * register keeps, for every signal it has seen, the planes under the pair it
-  was last registered with and their Parseval norm with the DC bins left out
+  was last registered with and their norm with the DC bins left out
   (_REGISTERED_PLANES), for as long as the signal lives, since signals are
   immutable and a corpus entry is registered against many queries.  An entry
   taken from the memo shares its array, so a query costs no second copy.
@@ -354,15 +354,13 @@ _REGISTERED_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _registered_planes(h: LogPolarSignal, pair: RootPair) -> tuple:
     """(planes, norm) of h under pair: the read-only split-plane spectrum,
-    from cfmt_fast's memo when h was its last signal, and the Parseval norm
-    of every bin but the two planes' DC bins, that is of the mean-removed
-    planes.  Computed once per signal object and pair object."""
+    from cfmt_fast's memo when h was its last signal, and the norm of the
+    mean-removed planes (cfmt._plane_norm).  Computed once per signal object
+    and pair object."""
     entry = _REGISTERED_PLANES.get(h)
     if entry is None or entry[0] is not pair:
         planes = cfmt._fast_planes(h, pair)
-        varying = planes.reshape(-1)[2:]  # plane 0's and plane 1's DC bins lead
-        norm = math.sqrt(np.vdot(varying, varying).real / (planes.shape[0] * planes.shape[1]))
-        entry = _REGISTERED_PLANES[h] = (pair, planes, norm)
+        entry = _REGISTERED_PLANES[h] = (pair, planes, cfmt._plane_norm(planes))
     return entry[1], entry[2]
 
 
@@ -385,11 +383,11 @@ def register(
     default_pair when None), the 2-D spectra that cfmt_fast computes: the
     planes' cross-power is summed, its DC bin zeroed (which removes the
     means), and the real part of one complex ifft2 is the cyclic
-    cross-correlation.  An integer shift multiplies each plane spectrum by a
-    phase, so the correlation peaks at the shift under any pair.  Under a
-    default_pair, whose split basis is sqrt(2) times an orthogonal one in
-    Cl(0,2) and orthogonal otherwise, it is the channel-summed correlation
-    of the mean-removed signals times 2 or 1.
+    cross-correlation (cfmt._plane_correlation).  An integer shift multiplies
+    each plane spectrum by a phase, so the correlation peaks at the shift
+    under any pair.  Under a default_pair, whose split basis is sqrt(2)
+    times an orthogonal one in Cl(0,2) and orthogonal otherwise, it is the
+    channel-summed correlation of the mean-removed signals times 2 or 1.
     Confidence is the ratio of the peak to the second peak, measured outside
     the main lobe (a cyclic neighborhood of one sixteenth of each axis);
     below MIN_CONFIDENCE the result reports no match, and with no positive
@@ -404,11 +402,7 @@ def register(
         pair = default_pair(h1.signature)
     planes1, norm1 = _registered_planes(h1, pair)
     planes2, norm2 = _registered_planes(h2, pair)
-    cross = np.conj(planes2)
-    cross *= planes1
-    power = cross[:, :, 0] + cross[:, :, 1]
-    power[0, 0] = 0.0
-    corr = np.fft.ifft2(power).real
+    corr = cfmt._plane_correlation(planes1, planes2)
     pi, pt = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[pi, pt])
     score = peak / (norm1 * norm2) if peak > 0.0 else 0.0

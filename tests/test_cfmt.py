@@ -251,6 +251,22 @@ def test_direct_spectrum_memory_is_bounded_by_its_output():
     assert peak < 4 * out.coeffs.nbytes
 
 
+def test_fast_route_memory_is_bounded_by_its_output():
+    # a warm call holds its split planes, which it memoises and maps as they
+    # are, beside its output, each 32 bytes a node; a copy of the planes for
+    # the map would peak at about 3.1 outputs
+    h = random_signal(default_geometry(256), CL11, seed=101)
+    pair = RootPair(*random_roots(CL11, 2, seed=8))
+    cfmt.cfmt_fast(h, pair)
+    tracemalloc.start()
+    try:
+        out = cfmt.cfmt_fast(h, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * out.coeffs.nbytes
+
+
 def test_direct_sums_refuse_a_signal_from_another_algebra():
     h = random_signal(default_geometry(8), CL20, seed=1)
     with pytest.raises(SignatureMismatchError):

@@ -574,17 +574,22 @@ def test_register_recovers_grid_shifts_under_any_pair():
 
 
 def test_split_planes_are_what_cfmt_fast_transforms():
-    # the planes are fft2 of the split-basis coordinates, and cfmt_fast's memo
-    # hands register them unreversed and unmodified
+    # the planes are fft2 of the split-basis coordinates with plane 0's rows
+    # read at -j, and cfmt_fast's memo hands register them unmodified
     image_geo = GridGeometry(32, 32, np.log(2.0), np.log(55.0))
     grays, rgbs = _image_signals((71, 72, 73, 74), image_geo, (63.5, 63.5))
     large = random_signal(image_geo, CL02, seed=77)
     signals = grays + rgbs + [random_signal(image_geo, CL02, seed=75),
                               large.with_samples(1e6 * large.samples)]
+    reversal = (-np.arange(32)) % 32
     for pair in (default_pair(CL02), wild_pairs(CL02, 1, seed=78)[0]):
+        unreversed = []
         for h in signals:
             coords = cfmt._map(h.samples, pair.plan.inv_split).view(complex)
-            want = np.fft.fft2(coords, axes=(0, 1))
+            fft_order = np.fft.fft2(coords, axes=(0, 1))
+            unreversed.append(fft_order)
+            want = fft_order.copy()
+            want[:, :, 0] = fft_order[reversal, :, 0]
             planes = cfmt._split_planes(h, pair)
             assert planes.shape == (32, 32, 2) and planes.dtype == complex
             assert not planes.flags.writeable
@@ -600,6 +605,20 @@ def test_split_planes_are_what_cfmt_fast_transforms():
             assert cfmt._fast_planes(h, equal_pair) is not memo
             assert cfmt._fast_planes(h, equal_pair).tobytes() == want.tobytes()
         assert len(cfmt._FAST_PLANES) == 1
+        # the correlation reads plane 0 back at -j: bit for bit the cross-power
+        # of the planes in FFT order, so a missing or doubled reversal shows
+        for k, (h1, p1) in enumerate(zip(signals, unreversed)):
+            for h2, p2 in zip(signals[k:k + 3], unreversed[k:k + 3]):
+                cross = np.conj(p2) * p1
+                power = cross[:, :, 0] + cross[:, :, 1]
+                power[0, 0] = 0.0
+                want = np.fft.ifft2(power).real
+                got = cfmt._plane_correlation(cfmt._split_planes(h1, pair),
+                                              cfmt._split_planes(h2, pair))
+                assert got.tobytes() == want.tobytes()
+            varying = p1.reshape(-1)[2:]
+            norm = np.sqrt(np.vdot(varying, varying).real / 32 ** 2)
+            assert cfmt._plane_norm(cfmt._split_planes(h1, pair)) == pytest.approx(norm, rel=1e-15)
 
 
 def test_register_reports_no_match_on_flat_correlation():
