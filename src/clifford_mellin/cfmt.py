@@ -36,7 +36,9 @@ routes are provided:
   place to run at -j.  Those planes (_split_planes) are the one layout of the
   split spectra: cfmt_fast memoises its last signal's planes and maps them
   as they are, and imaging.register correlates them through _plane_norm and
-  _plane_correlation, which alone read the layout.
+  _plane_correlation, which alone read the layout.  The correlation sums the
+  planes' cross-power into one fresh array and inverts it there by two
+  in-place 1-D passes in ifft2's order, as _split_planes runs fft2's.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane basis,
 viewed as complex without a copy, are the two planes.  A route is its in-place
@@ -275,14 +277,18 @@ def _plane_correlation(planes1: np.ndarray, planes2: np.ndarray) -> np.ndarray:
     """Cyclic cross-correlation of two signals' mean-removed split planes, a
     fresh (n_s, n_theta) real array: the cross-power conj(planes2) * planes1,
     plane 0's read back at -j, summed over the planes, its DC bin zeroed,
-    and the real part of one ifft2."""
+    and the real part of its inverse 2-D FFT, run in place as two 1-D passes
+    in ifft2's own order (the angular pass, then the radial pass): same bits."""
     cross = np.conj(planes2)
     cross *= planes1
     power = np.empty(cross.shape[:2], complex)
     np.add(cross[0, :, 0], cross[0, :, 1], out=power[0])
     np.add(cross[:0:-1, :, 0], cross[1:, :, 1], out=power[1:])
     power[0, 0] = 0.0
-    return np.fft.ifft2(power).real
+    # 1-D passes: np.fft.ifft2 ignores its out argument in numpy 2.4.6
+    np.fft.ifft(power, axis=1, out=power)
+    np.fft.ifft(power, axis=0, out=power)
+    return power.real
 
 
 # signal -> (pair, planes) of the last cfmt_fast call, a one-signal memo whose

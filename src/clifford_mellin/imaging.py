@@ -27,8 +27,11 @@ into the channel's blade.
 register correlates the split planes of cfmt's quasi-complex route, the same
 per-signal spectra that a descriptor's cfmt_fast call computes, so a query is
 transformed once for its descriptor and its registration; cfmt owns their
-layout and the correlation and norm that read it.  Two caches hold them, each
-as a read-only array of 32 bytes per node (128 KB at 64x64):
+layout and the correlation and norm that read it.  The correlation is
+inverted in place in the cross-power array it sums, by two 1-D passes, and
+register masks the peak's lobe in the real part of that array.  A descriptor
+distance is one BLAS dot of the flat magnitude difference.  Two caches hold
+the planes, each as a read-only array of 32 bytes per node (128 KB at 64x64):
 
 * cfmt_fast keeps the planes of its last signal, under that call's pair, in
   a one-signal memo (cfmt._FAST_PLANES); the entry goes at the next
@@ -333,10 +336,14 @@ class Descriptor:
         object.__setattr__(self, "magnitudes", magnitudes)
 
     def l2_distance(self, other: "Descriptor") -> float:
+        """Euclidean distance of the magnitudes: with d the flat difference
+        self.magnitudes - other.magnitudes, math.sqrt(np.dot(d, d)), one BLAS
+        dot.  Its bits can depend on the BLAS thread count: with OpenBLAS
+        0.3.31, one and two threads gave the same bits up to 10 000 bins and
+        different bits on some longer vectors.  A 64x64 grid has 4096."""
         _check_mixable(self, other, "descriptors")
-        diff = np.subtract(self.magnitudes, other.magnitudes)
-        np.multiply(diff, diff, out=diff)
-        return math.sqrt(np.add.reduce(diff, axis=None))
+        diff = np.subtract(self.magnitudes, other.magnitudes).reshape(-1)
+        return math.sqrt(np.dot(diff, diff))
 
 
 def descriptor(signal: LogPolarSignal, pair: RootPair) -> Descriptor:
@@ -382,11 +389,12 @@ def register(
     The signals are correlated in the split planes of pair (the signals'
     default_pair when None), the 2-D spectra that cfmt_fast computes: the
     planes' cross-power is summed, its DC bin zeroed (which removes the
-    means), and the real part of one complex ifft2 is the cyclic
-    cross-correlation (cfmt._plane_correlation).  An integer shift multiplies
-    each plane spectrum by a phase, so the correlation peaks at the shift
-    under any pair.  Under a default_pair, whose split basis is sqrt(2)
-    times an orthogonal one in Cl(0,2) and orthogonal otherwise, it is the
+    means), and the real part of its inverse 2-D FFT, two 1-D passes in
+    place in the summed array, is the cyclic cross-correlation
+    (cfmt._plane_correlation).  An integer shift multiplies each plane
+    spectrum by a phase, so the correlation peaks at the shift under any
+    pair.  Under a default_pair, whose split basis is sqrt(2) times an
+    orthogonal one in Cl(0,2) and orthogonal otherwise, it is the
     channel-summed correlation of the mean-removed signals times 2 or 1.
     Confidence is the ratio of the peak to the second peak, measured outside
     the main lobe (a cyclic neighborhood of one sixteenth of each axis);

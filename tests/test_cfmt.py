@@ -568,12 +568,15 @@ def test_magnitude_is_bitwise_the_four_channel_sum():
         ("fft2", {"axes": (0, 1)}),
         ("ifft", {"axis": 0, "norm": "forward"}),
         ("ifft", {"axis": 1, "norm": "forward"}),
+        ("ifft", {"axis": 1}),
+        ("ifft", {"axis": 0}),
     ],
 )
 def test_in_place_fft_call_forms_fill_their_out(name, kwargs):
     # the routes run these forms on their own (n_s, n_theta, 2) planes, an
     # angular (axis 1) form on one strided plane view per call, and read the
-    # result from the array they passed as out
+    # result from the array they passed as out; the plane correlation runs
+    # the default-norm ifft, axis 1 then axis 0, on its 2-D power array
     original = np.random.default_rng(72).standard_normal((6, 10, 4)).view(complex)
     want = getattr(np.fft, name)(original.copy(), **kwargs)
     planes = original.copy()
@@ -586,6 +589,11 @@ def test_in_place_fft_call_forms_fill_their_out(name, kwargs):
             got = getattr(np.fft, name)(view, out=view, **kwargs)
             assert got is view
         assert planes.tobytes() == want.tobytes()
+    power = original[:, :, 0].copy()
+    want = getattr(np.fft, name)(power.copy(), **kwargs)
+    got = getattr(np.fft, name)(power, out=power, **kwargs)
+    assert got is power
+    assert power.tobytes() == want.tobytes()
 
 
 def test_half_turn_rotation_alternates_sign():

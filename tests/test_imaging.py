@@ -1,6 +1,7 @@
 """Image parsing, log-polar resampling, descriptors, and registration."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -395,7 +396,14 @@ def test_descriptor_magnitudes_are_read_only():
     assert mine.flags.writeable and not np.shares_memory(mine, given.magnitudes)
 
 
-def test_l2_distance_is_bitwise_the_sum_of_squares_formula():
+def test_l2_distance_is_bitwise_the_dot_of_the_flat_difference():
+    # one BLAS dot of the flat difference, the same bits as its own formula;
+    # against numpy's pairwise sum of squares only within roundoff: each of
+    # the two sums of N non-negative squares is within gamma_N = N u / (1 - N u)
+    # of the exact one (products included, in any summation order), and
+    # each sqrt halves that and adds u, so the two differ by at most about
+    # (N + 2) u of the result; (N + 3) u covers the second-order terms
+    unit = np.finfo(float).eps / 2
     rng = np.random.default_rng(57)
     pair = default_pair(CL02)
     for k in range(1000):
@@ -406,9 +414,13 @@ def test_l2_distance_is_bitwise_the_sum_of_squares_formula():
         if k % 10 == 0:
             b = a.copy()
         got = Descriptor(a, geo, pair).l2_distance(Descriptor(b, geo, pair))
-        want = float(np.sqrt(np.sum((a - b) ** 2)))
+        d = (a - b).reshape(-1)
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(got).tobytes() == np.float64(math.sqrt(np.dot(d, d))).tobytes()
+        if k % 10 == 0:
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        pairwise = float(np.sqrt(np.sum((a - b) ** 2)))
+        assert abs(got - pairwise) <= (d.size + 3) * unit * pairwise
 
 
 # -- registration ------------------------------------------------------------------------

@@ -55,8 +55,14 @@ The families:
 * ``registration-verdicts``: of the same ``register`` results, only the
   steps, matched, scale and angle, which stay fixed when a change moves the
   confidence at roundoff.
+* ``distance-ranks``: for each descriptor, the stable ``argsort`` of its row
+  of distances, which stays fixed when a change moves the distances at
+  roundoff but not their order.
 * ``cli-descriptor``, ``cli-register``: the CSV that ``descriptor`` writes
   and the ``register`` summary without its config, with the exit codes.
+* ``cli-register-verdicts``: of the same summaries, only the exit code,
+  ``matched``, ``scale`` and ``angle_rad``, without ``score`` or
+  ``confidence``.
 
 Each line reads ``family digest count``, where count is the number of items
 hashed.  The run takes about half a minute and peaks near 140 MB.
@@ -293,7 +299,8 @@ def image_digests(workdir: str) -> dict:
     geo = GridGeometry(64, 64, math.log(2.0), math.log(55.0))
     pair = default_pair(CL02)
     digests = {name: Digest() for name in
-               ("resample", "descriptors", "distances", "registrations", "registration-verdicts")}
+               ("resample", "descriptors", "distances", "distance-ranks", "registrations",
+                "registration-verdicts")}
     paths, signals = [], []
     for name, pixels in _images():
         path = os.path.join(workdir, name + (".pgm" if pixels.ndim == 2 else ".ppm"))
@@ -310,7 +317,9 @@ def image_digests(workdir: str) -> dict:
     for desc in descs:
         digests["descriptors"].add_array(desc.magnitudes)
     for a in descs:
-        digests["distances"].add_array(np.array([a.l2_distance(b) for b in descs]))
+        row = np.array([a.l2_distance(b) for b in descs])
+        digests["distances"].add_array(row)
+        digests["distance-ranks"].add_array(np.argsort(row, kind="stable"))
     for h1 in signals:
         for h2 in signals:
             r = imaging.register(h1, h2, pair)
@@ -322,7 +331,8 @@ def image_digests(workdir: str) -> dict:
 
 
 def cli_digests(cli, workdir: str, paths: list) -> dict:
-    digests = {name: Digest() for name in ("cli-descriptor", "cli-register")}
+    digests = {name: Digest() for name in
+               ("cli-descriptor", "cli-register", "cli-register-verdicts")}
     csv = os.path.join(workdir, "descriptor.csv")
     for path in paths[::3]:
         code, _ = _cli(cli, ["descriptor", path, "--out", csv,
@@ -335,6 +345,9 @@ def cli_digests(cli, workdir: str, paths: list) -> dict:
             summary = json.loads(out)
             del summary["config"]
             digests["cli-register"].add(f"{code}\n{json.dumps(summary, sort_keys=True)}".encode())
+            verdict = json.dumps({key: summary[key] for key in ("matched", "scale", "angle_rad")},
+                                 sort_keys=True)
+            digests["cli-register-verdicts"].add(f"{code}\n{verdict}".encode())
     return digests
 
 
