@@ -34,11 +34,23 @@ routes are provided:
   (u_+, R_g u_+, u_-, R_g u_-) the split is part of the input map and the
   2-D FFT of both planes does the work, the + plane's rows then gathered in
   place to run at -j.  Those planes (_split_planes) are the one layout of the
-  split spectra: cfmt_fast memoises its last signal's planes and maps them
-  as they are, and imaging.register correlates them through _plane_norm and
-  _plane_correlation, which alone read the layout.  The correlation sums the
-  planes' cross-power into one fresh array and inverts it there by two
-  in-place 1-D passes in ifft2's order, as _split_planes runs fft2's.
+  split spectra: cfmt_fast maps them as they are, and imaging.register
+  correlates them through _kept_planes and _plane_correlation, which with
+  _plane_norm alone read the layout.  The correlation sums the planes'
+  cross-power into one fresh array and inverts it there by two in-place 1-D
+  passes in ifft2's order, as _split_planes runs fft2's.
+
+The planes are kept by two rules, each entry keyed by its signal object,
+read-only, 32 bytes per node (128 KB at 64x64), and gone when its signal
+dies.  cfmt_fast keeps its last signal's planes under that call's pair, a
+one-signal memo (_FAST_PLANES) that its next call replaces.  _kept_planes
+keeps, for every signal register correlates, the planes under the pair last
+asked for and their norm without the DC bins (_KEPT_PLANES), for the
+signal's lifetime: signals are frozen, and a corpus entry meets many
+queries.  An entry taken from the memo shares its array, and a descriptor
+alone keeps no planes beyond the memo's.  Both rules match pairs by
+identity, so an equal pair built anew recomputes the planes with the same
+bits.
 
 The FFT routes share one core: (n_s, n_theta, 4) coordinates in a plane basis,
 viewed as complex without a copy, are the two planes.  A route is its in-place
@@ -116,19 +128,24 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Spectrum:
     """Transform coefficients on centered frequency axes.
 
     coeffs[i, t] holds the multivector at v = 2*pi*j/span with
     j = i - n_s/2 and integer angular frequency k = t - n_theta/2.
     The spectrum remembers the root pair that produced it; combining
-    spectra from different pairs is a contract error.
+    spectra from different pairs is a contract error.  Frozen, and hashed
+    and compared by identity, like LogPolarSignal.
     """
 
-    def __init__(self, geometry: GridGeometry, pair: RootPair, coeffs: np.ndarray):
-        self.geometry = geometry
-        self.pair = pair
-        self.coeffs = _grid_array(geometry, coeffs, "spectrum coefficients")
+    geometry: GridGeometry
+    pair: RootPair
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        coeffs = _grid_array(self.geometry, self.coeffs, "spectrum coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def signature(self) -> Signature:
@@ -291,18 +308,22 @@ def _plane_correlation(planes1: np.ndarray, planes2: np.ndarray) -> np.ndarray:
     return power.real
 
 
-# signal -> (pair, planes) of the last cfmt_fast call, a one-signal memo whose
-# entry dies with its signal
+# signal -> (pair, planes) of the last cfmt_fast call, a one-signal memo
 _FAST_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# signal -> (pair, planes, _plane_norm) of every signal _kept_planes has seen
+_KEPT_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _fast_planes(h: LogPolarSignal, pair: RootPair) -> np.ndarray:
-    """_split_planes(h, pair), taken from the last cfmt_fast call when that
-    call was on h under this very pair object."""
-    entry = _FAST_PLANES.get(h)
-    if entry is not None and entry[0] is pair:
-        return entry[1]
-    return _split_planes(h, pair)
+def _kept_planes(h: LogPolarSignal, pair: RootPair) -> tuple[np.ndarray, float]:
+    """(planes, norm) of h under this very pair object: _split_planes(h, pair),
+    taken from the kept map, else from cfmt_fast's memo, else computed, and
+    _plane_norm of them; kept from then on for as long as h lives."""
+    entry = _KEPT_PLANES.get(h)
+    if entry is None or entry[0] is not pair:
+        memo = _FAST_PLANES.get(h)
+        planes = memo[1] if memo is not None and memo[0] is pair else _split_planes(h, pair)
+        entry = _KEPT_PLANES[h] = (pair, planes, _plane_norm(planes))
+    return entry[1], entry[2]
 
 
 def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
@@ -314,7 +335,7 @@ def cfmt_fast(h: LogPolarSignal, pair: RootPair) -> Spectrum:
     exp(-i v s) on plane 1.  So one 2-D FFT serves both, and plane 0 reads
     its rows at -j, which turns the negative-sign radial DFT into the
     positive one (_split_planes).  Those planes are memoised for register
-    (_fast_planes) and mapped as they are.  The cost is that of cfmt_forward
+    (_kept_planes) and mapped as they are.  The cost is that of cfmt_forward
     with one 4x4 map fewer and one row gather on a single plane more.
     """
     geo = h.geometry

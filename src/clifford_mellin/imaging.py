@@ -26,33 +26,17 @@ into the channel's blade.
 
 register correlates the split planes of cfmt's quasi-complex route, the same
 per-signal spectra that a descriptor's cfmt_fast call computes, so a query is
-transformed once for its descriptor and its registration; cfmt owns their
-layout and the correlation and norm that read it.  The correlation is
-inverted in place in the cross-power array it sums, by two 1-D passes, and
+transformed once for its descriptor and its registration.  cfmt owns their
+layout, their correlation and norm, and how long they are kept (cfmt's
+module docstring); every output is what the uncached computation gives.  The
+correlation is inverted in place in the cross-power array it sums, and
 register masks the peak's lobe in the real part of that array.  A descriptor
-distance is one BLAS dot of the flat magnitude difference.  Two caches hold
-the planes, each as a read-only array of 32 bytes per node (128 KB at 64x64):
-
-* cfmt_fast keeps the planes of its last signal, under that call's pair, in
-  a one-signal memo (cfmt._FAST_PLANES); the entry goes at the next
-  cfmt_fast call or when its signal dies.
-* register keeps, for every signal it has seen, the planes under the pair it
-  was last registered with and their norm with the DC bins left out
-  (_REGISTERED_PLANES), for as long as the signal lives, since signals are
-  immutable and a corpus entry is registered against many queries.  An entry
-  taken from the memo shares its array, so a query costs no second copy.
-
-So a corpus whose descriptors are built holds no planes beyond the memo's
-one until it is registered against.  Both caches compare pairs by identity,
-so an equal pair built anew recomputes the planes with the same bits.  Every
-cache hands out read-only arrays, and every output, the public arrays'
-(..., 4) layout included, is what the uncached computation gives.
+distance is one BLAS dot of the flat magnitude difference.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -354,23 +338,6 @@ def descriptor(signal: LogPolarSignal, pair: RootPair) -> Descriptor:
     return Descriptor(_Fresh(spectrum.magnitude()), signal.geometry, pair)
 
 
-# signal -> (pair, split planes, norm of the mean-removed signal in them) for
-# every signal register has seen; an entry dies with its signal
-_REGISTERED_PLANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _registered_planes(h: LogPolarSignal, pair: RootPair) -> tuple:
-    """(planes, norm) of h under pair: the read-only split-plane spectrum,
-    from cfmt_fast's memo when h was its last signal, and the norm of the
-    mean-removed planes (cfmt._plane_norm).  Computed once per signal object
-    and pair object."""
-    entry = _REGISTERED_PLANES.get(h)
-    if entry is None or entry[0] is not pair:
-        planes = cfmt._fast_planes(h, pair)
-        entry = _REGISTERED_PLANES[h] = (pair, planes, cfmt._plane_norm(planes))
-    return entry[1], entry[2]
-
-
 @dataclass(frozen=True)
 class RegistrationResult:
     scale: float
@@ -387,10 +354,11 @@ def register(
     """Estimate (scale a, angle phi) with h2(s, theta) ~ h1(s + ln a, theta + phi).
 
     The signals are correlated in the split planes of pair (the signals'
-    default_pair when None), the 2-D spectra that cfmt_fast computes: the
-    planes' cross-power is summed, its DC bin zeroed (which removes the
-    means), and the real part of its inverse 2-D FFT, two 1-D passes in
-    place in the summed array, is the cyclic cross-correlation
+    default_pair when None), the 2-D spectra that cfmt_fast computes, kept
+    as cfmt's module docstring states (cfmt._kept_planes): the planes'
+    cross-power is summed, its DC bin zeroed (which removes the means), and
+    the real part of its inverse 2-D FFT, two 1-D passes in place in the
+    summed array, is the cyclic cross-correlation
     (cfmt._plane_correlation).  An integer shift multiplies each plane
     spectrum by a phase, so the correlation peaks at the shift under any
     pair.  Under a default_pair, whose split basis is sqrt(2) times an
@@ -408,8 +376,8 @@ def register(
     geo = h1.geometry
     if pair is None:
         pair = default_pair(h1.signature)
-    planes1, norm1 = _registered_planes(h1, pair)
-    planes2, norm2 = _registered_planes(h2, pair)
+    planes1, norm1 = cfmt._kept_planes(h1, pair)
+    planes2, norm2 = cfmt._kept_planes(h2, pair)
     corr = cfmt._plane_correlation(planes1, planes2)
     pi, pt = np.unravel_index(int(np.argmax(corr)), corr.shape)
     peak = float(corr[pi, pt])

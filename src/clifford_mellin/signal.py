@@ -6,9 +6,9 @@ window [s_min, s_max) is treated as periodic with period S = s_max - s_min,
 and the integration measure dtheta dr/r becomes the uniform weight ds*dtheta,
 which keeps the discrete transform pair exactly invertible.
 
-Signals are immutable after construction.  Reductions (inner products,
-norms) run as single numpy sums over the fixed row-major layout, so results
-are deterministic run to run.
+Signals are frozen after construction.  Reductions (inner products, norms)
+run as single numpy sums over the fixed row-major layout, so results are
+deterministic run to run.
 
 The (n_s, n_theta, 4) grid array has one validator, _grid_array, shared with
 cfmt.Spectrum (and, for (n_s, n_theta) magnitudes, imaging.Descriptor), and
@@ -59,6 +59,10 @@ class GridGeometry:
                 raise GeometryError(f"{label} must be finite, got {bound!r}")
         if not self.s_max > self.s_min:
             raise GeometryError(f"need s_max > s_min, got [{self.s_min}, {self.s_max}]")
+        span = float(self.s_max) - float(self.s_min)  # Python floats overflow without a warning
+        for value, label in ((span, "span"), (span / self.n_s, "ds"), (TWO_PI / span, "dv")):
+            if not 0.0 < value < np.inf:
+                raise GeometryError(f"{label} must be a finite positive float, got {value!r}")
 
     @property
     def span(self) -> float:
@@ -128,13 +132,18 @@ def _grid_array(geometry: GridGeometry, values, what: str, channels: tuple = (4,
     return arr
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class LogPolarSignal:
-    """Multivector samples on a GridGeometry, stored as an (n_s, n_theta, 4) array."""
+    """Multivector samples on a GridGeometry, stored as an (n_s, n_theta, 4) array.
+    Frozen, and hashed and compared by identity, since caches key on it."""
 
-    def __init__(self, geometry: GridGeometry, signature: Signature, samples: np.ndarray):
-        self.geometry = geometry
-        self.signature = signature
-        self.samples = _grid_array(geometry, samples, "signal samples")
+    geometry: GridGeometry
+    signature: Signature
+    samples: np.ndarray
+
+    def __post_init__(self):
+        samples = _grid_array(self.geometry, self.samples, "signal samples")
+        object.__setattr__(self, "samples", samples)
 
     @classmethod
     def from_channels(cls, geometry, signature, m0=0.0, m1=0.0, m2=0.0, m12=0.0):

@@ -1,5 +1,6 @@
 """Transform theorems: inversion, oracle equivalence, covariances, symmetry."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -1041,6 +1042,27 @@ def test_symmetry_rejects_bad_inputs():
 
 
 # -- spectra as values -------------------------------------------------------------------
+
+
+def test_spectra_are_frozen_and_keyed_by_identity():
+    pair = default_pair(CL02)
+    spectrum = cfmt.cfmt_forward(random_signal(GEO, CL02, seed=57), pair)
+    other = cfmt.cfmt_forward(random_signal(GEO, CL02, seed=58), pair)
+    for name, value in (("coeffs", other.coeffs), ("geometry", default_geometry(16)),
+                        ("pair", wild_pairs(CL02, 1, seed=58)[0])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spectrum, name, value)
+    by_position = cfmt.Spectrum(GEO, pair, other.coeffs)
+    by_keyword = cfmt.Spectrum(geometry=GEO, pair=pair, coeffs=other.coeffs)
+    for built in (by_position, by_keyword):
+        assert built.geometry is GEO and built.pair is pair and built.signature is CL02
+        assert built.coeffs is not other.coeffs and not built.coeffs.flags.writeable
+        assert built.coeffs.tobytes() == other.coeffs.tobytes()
+    with pytest.raises(DomainError, match="spectrum coefficients must be finite"):
+        cfmt.Spectrum(GEO, pair, np.full_like(other.coeffs, np.nan))
+    assert by_position != by_keyword and len({by_position: 0, by_keyword: 1}) == 2
+    assert weakref.ref(spectrum)() is spectrum
+    assert repr(spectrum).startswith("<clifford_mellin.cfmt.Spectrum object at 0x")
 
 
 def test_spectrum_pair_mixing_guard():

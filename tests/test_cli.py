@@ -6,6 +6,7 @@ import io
 import json
 import pathlib
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,11 @@ def test_exit_codes(tmp_path, capsys, signal_file):
     broken = tmp_path / "broken.clms"
     broken.write_bytes(b"algebra=Cl(0,2)\nns=4\n")
     assert cli.main(["transform", str(broken)]) == 2
+    # format: a header whose window's span overflows
+    overflow = tmp_path / "overflow.clms"
+    overflow.write_bytes(b"algebra=Cl(0,2)\nns=4\nntheta=4\nsmin=-1e308\nsmax=1e308\n"
+                         + bytes(4 * 4 * 4 * 8))
+    assert cli.main(["transform", str(overflow)]) == 2
     # contract: --f does not square to -1
     assert cli.main(["transform", str(signal_file), "--f", "1,1,0,0"]) == 3
 
@@ -388,6 +394,20 @@ def test_verify_tolerance_override_can_fail(capsys):
     code, out = run(capsys, "verify", "--ns", "16", "--ntheta", "16", "--tol", "1e-18")
     assert code == 3
     assert json.loads(out)["failures"] > 0
+
+
+def test_verify_refuses_a_window_whose_dv_overflows_before_any_transform(capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("verify ran its rows")
+
+    monkeypatch.setattr(properties, "verify_rows", no_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify", "--ns", "8", "--ntheta", "8", "--smin=0", "--smax=1e-320"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "dv must be a finite positive float" in captured.err
 
 
 def test_verify_accepts_a_zero_tolerance(capsys):

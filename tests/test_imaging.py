@@ -607,15 +607,15 @@ def test_split_planes_are_what_cfmt_fast_transforms():
             assert not planes.flags.writeable
             assert planes.tobytes() == want.tobytes()
             cfmt.cfmt_fast(h, pair)
-            memo = cfmt._fast_planes(h, pair)
-            assert memo is cfmt._FAST_PLANES[h][1]
+            memo = cfmt._FAST_PLANES[h][1]
+            assert cfmt._kept_planes(h, pair)[0] is memo
             assert memo.tobytes() == want.tobytes()
             with pytest.raises(ValueError):
                 memo[1, 0, 0] = 0.0
             # only the last signal, and only under the very pair object
             equal_pair = make_pair(pair.f.value, pair.g.value)
-            assert cfmt._fast_planes(h, equal_pair) is not memo
-            assert cfmt._fast_planes(h, equal_pair).tobytes() == want.tobytes()
+            assert cfmt._kept_planes(h, equal_pair)[0] is not memo
+            assert cfmt._kept_planes(h, equal_pair)[0].tobytes() == want.tobytes()
         assert len(cfmt._FAST_PLANES) == 1
         # the correlation reads plane 0 back at -j: bit for bit the cross-power
         # of the planes in FFT order, so a missing or doubled reversal shows
@@ -665,6 +665,8 @@ def test_register_transforms_each_signal_once(monkeypatch):
     for h in corpus:
         descriptor(h, pair)
     assert computed == corpus
+    # a descriptor keeps no planes beyond cfmt_fast's one-signal memo
+    assert not any(h in cfmt._KEPT_PLANES for h in corpus)
     computed.clear()
     queries = [cfmt.apply_scale_rotate(h, 2, -3) for h in corpus + corpus]
     for k, query in enumerate(queries):
@@ -691,10 +693,10 @@ def test_register_planes_give_cold_results_and_die_with_the_signal():
                for angle, scale in ((0.3, 1.1), (-2.0, 0.9), (1.0, 1.0))]
     queries.append(random_signal(image_geo, CL02, seed=61))
     for query in queries:
-        imaging._REGISTERED_PLANES.clear()
+        cfmt._KEPT_PLANES.clear()
         cold = register(base, query)
         warm = register(base, query)
-        assert base in imaging._REGISTERED_PLANES and query in imaging._REGISTERED_PLANES
+        assert base in cfmt._KEPT_PLANES and query in cfmt._KEPT_PLANES
         assert warm == cold
         steps, matched, confidence = correlation_register(
             channelwise_correlation(base, query), image_geo
@@ -703,7 +705,7 @@ def test_register_planes_give_cold_results_and_die_with_the_signal():
         assert cold.matched == matched
         assert cold.confidence == pytest.approx(confidence, rel=1e-12)
 
-    planes, norm = imaging._registered_planes(base, default_pair(CL02))
+    planes, norm = cfmt._kept_planes(base, default_pair(CL02))
     assert not planes.flags.writeable
     with pytest.raises(ValueError):
         planes[0, 0, 0] = 0.0
@@ -711,14 +713,14 @@ def test_register_planes_give_cold_results_and_die_with_the_signal():
     # the Cl(0,2) default pair's split basis is sqrt(2) times an orthogonal one
     assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(centred), rel=1e-12)
 
-    imaging._REGISTERED_PLANES.clear()
+    cfmt._KEPT_PLANES.clear()
     h = random_signal(image_geo, CL02, seed=62)
     descriptor(h, default_pair(CL02))
     register(h, h)
-    assert len(imaging._REGISTERED_PLANES) == 1 and h in cfmt._FAST_PLANES
+    assert len(cfmt._KEPT_PLANES) == 1 and h in cfmt._FAST_PLANES
     alive = weakref.ref(h)
     del h
     gc.collect()
     assert alive() is None
-    assert len(imaging._REGISTERED_PLANES) == 0
+    assert len(cfmt._KEPT_PLANES) == 0
     assert len(cfmt._FAST_PLANES) == 0

@@ -1,5 +1,9 @@
 """Signal-space inner products, norms, splits, and the CLMS file format."""
 
+import dataclasses
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,49 @@ def test_geometry_accepts_python_and_numpy_real_bounds():
     for bounds in ((0, 1), (np.int64(-2), np.float32(1.5)), (np.float64(-1.0), 2.0)):
         geo = GridGeometry(4, 4, *bounds)
         assert geo.span == float(bounds[1]) - float(bounds[0])
+
+
+@pytest.mark.parametrize("bounds, label", [
+    ((-1e308, 1e308), "span"), ((np.float64(-1e308), np.float64(1e308)), "span"),
+    ((0.0, 1e-320), "dv"), ((0.0, 5e-324), "ds"),
+])
+def test_geometry_refuses_a_window_whose_steps_are_not_finite_and_positive(bounds, label):
+    # finite bounds whose span, ds or dv overflows or underflows, refused
+    # without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=f"{label} must be a finite positive float"):
+            GridGeometry(4, 4, *bounds)
+
+
+def test_signals_are_frozen_and_keyed_by_identity():
+    h = random_signal(GEO, CL02, seed=1)
+    other = random_signal(GEO, CL02, seed=2)
+    for name, value in (("samples", other.samples), ("geometry", default_geometry(16)),
+                        ("signature", CL20)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, value)
+    assert h.samples.tobytes() != other.samples.tobytes()
+
+    by_position = LogPolarSignal(GEO, CL02, other.samples)
+    by_keyword = LogPolarSignal(geometry=GEO, signature=CL02, samples=other.samples)
+    for built in (by_position, by_keyword, other.with_samples(other.samples)):
+        assert built.geometry is GEO and built.signature is CL02
+        assert built.samples is not other.samples and not built.samples.flags.writeable
+        assert built.samples.tobytes() == other.samples.tobytes()
+    channels = LogPolarSignal.from_channels(GEO, CL20, m1=2.0, m12=other.samples[..., 0])
+    assert channels.signature is CL20
+    zero = np.zeros((32, 32))
+    assert np.array_equal(channels.samples,
+                          np.stack([zero, zero + 2.0, zero, other.samples[..., 0]], axis=-1))
+    with pytest.raises(GeometryError):
+        LogPolarSignal(GEO, CL02, other.samples[:16])
+
+    # equal samples make a distinct key; the repr is object's
+    assert by_position != by_keyword and hash(by_position) != hash(by_keyword)
+    assert len({by_position: 0, by_keyword: 1}) == 2
+    assert weakref.ref(h)() is h
+    assert repr(h).startswith("<clifford_mellin.signal.LogPolarSignal object at 0x")
 
 
 def test_constant_inner_product():
@@ -219,6 +266,11 @@ def test_clms_header_errors(tmp_path):
         read_clms(path)
     path.write_bytes(b"algebra=Cl(0,2)\nns 4\nntheta=4\nsmin=0\nsmax=1\n")
     with pytest.raises(FormatError, match="malformed header line 'ns 4'"):
+        read_clms(path)
+    # finite bounds whose span overflows: a format error at read
+    path.write_bytes(b"algebra=Cl(0,2)\nns=4\nntheta=4\nsmin=-1e308\nsmax=1e308\n"
+                     + bytes(4 * 4 * 4 * 8))
+    with pytest.raises(FormatError, match="span must be a finite positive float"):
         read_clms(path)
     good = random_signal(GridGeometry(4, 4, -1.0, 1.0), CL02, seed=1)
     write_clms(path, good)
