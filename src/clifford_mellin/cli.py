@@ -97,8 +97,10 @@ def _pair(sig: Signature, f, g) -> RootPair:
     )
 
 
-def _grid(args) -> GridGeometry:
-    return GridGeometry(args.ns, args.ntheta, args.smin, args.smax)
+def _grid(args, n: int = 64) -> GridGeometry:
+    """default_geometry(n) with each grid flag given (not None) in its place."""
+    flags = {"n_s": args.ns, "n_theta": args.ntheta, "s_min": args.smin, "s_max": args.smax}
+    return replace(default_geometry(n), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _echo(args, sig=None, pair=None, geo=None, center=None) -> dict:
@@ -169,9 +171,7 @@ def _load_signal(args) -> tuple[LogPolarSignal, tuple[float, float] | None]:
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic in (b"P5", b"P6"):
-        grid = {"n_s": args.ns, "n_theta": args.ntheta, "s_min": args.smin, "s_max": args.smax}
-        geometry = replace(default_geometry(), **{k: v for k, v in grid.items() if v is not None})
-        return _image_signal(path, args.algebra or CL02, geometry, args.center)
+        return _image_signal(path, args.algebra or CL02, _grid(args), args.center)
     flags = [f"--{name}" for name in _IMAGE_ONLY if getattr(args, name) is not None]
     if flags:
         raise UsageError(f"{' '.join(flags)}: for image inputs only; "
@@ -228,7 +228,7 @@ def cmd_invert(args) -> int:
 
 def cmd_fast_bench(args) -> int:
     pair = _pair(args.algebra, args.f, args.g)
-    h = random_signal(_grid(args), args.algebra, seed=args.seed)
+    h = random_signal(_grid(args, 256), args.algebra, seed=args.seed)
 
     start = time.perf_counter()
     fast = cfmt.cfmt_fast(h, pair)
@@ -244,7 +244,7 @@ def cmd_fast_bench(args) -> int:
     peak = float(np.max(np.abs(direct.coeffs)))
     _emit(
         {
-            "config": _echo(args, args.algebra, pair),
+            "config": _echo(args, args.algebra, pair, h.geometry),
             "time_fast_s": time_fast,
             "time_fast_warm_s": min(warm),
             "time_direct_s": time_direct,
@@ -295,7 +295,7 @@ def cmd_descriptor(args) -> int:
 
 
 def cmd_register(args) -> int:
-    geometry = _grid(args)
+    geometry = _grid(args, 64)
     # the images fill blade channels, which the default pair's split basis,
     # orthogonal up to a factor, correlates as they are
     pair = default_pair(CL02)
@@ -304,7 +304,7 @@ def cmd_register(args) -> int:
     result = register(*signals, pair)
     _emit(
         {
-            "config": {**_echo(args, CL02, pair), "centers": [list(c) for c in centers]},
+            "config": {**_echo(args, CL02, pair, geometry), "centers": [list(c) for c in centers]},
             "scale": result.scale,
             "angle_rad": result.angle,
             # infinite when nothing outside the main lobe correlates positively
@@ -320,9 +320,10 @@ def cmd_register(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = properties.verify_rows(_grid(args), args.seed, args.tol, args.pair_degenerate)
+    geometry = _grid(args, 32)
+    rows = properties.verify_rows(geometry, args.seed, args.tol, args.pair_degenerate)
     failures = sum(1 for row in rows if row["pass"] is False)
-    report = {"config": _echo(args), "results": rows, "failures": failures}
+    report = {"config": _echo(args, geo=geometry), "results": rows, "failures": failures}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -346,13 +347,11 @@ def _add_pair(p) -> None:
                    help="second root of -1, same format and default rule")
 
 
-def _add_grid(p, n: int | None) -> None:
-    """n=None leaves the grid unset, for commands whose CLMS input fixes it."""
-    s_min, s_max = (None, None) if n is None else (-np.pi, np.pi)
-    p.add_argument("--ns", type=int, default=n, help=f"radial sample count (even; default {n or 64})")
-    p.add_argument("--ntheta", type=int, default=n, help=f"angular sample count (even; default {n or 64})")
-    p.add_argument("--smin", type=float, default=s_min, help="lower log-radius bound (default -pi)")
-    p.add_argument("--smax", type=float, default=s_max, help="upper log-radius bound (default pi)")
+def _add_grid(p, n: int) -> None:
+    p.add_argument("--ns", type=int, help=f"radial sample count (even; default {n})")
+    p.add_argument("--ntheta", type=int, help=f"angular sample count (even; default {n})")
+    p.add_argument("--smin", type=float, help="lower log-radius bound (default -pi)")
+    p.add_argument("--smax", type=float, help="upper log-radius bound (default pi)")
 
 
 def _add_center(p) -> None:
@@ -376,7 +375,7 @@ def _add_signal_command(sub, name: str, text: str) -> None:
     _add_out(p)
     _add_pair(p)
     _add_algebra(p, None)
-    _add_grid(p, None)
+    _add_grid(p, 64)
     _add_center(p)
 
 

@@ -2,9 +2,9 @@
 
 The grid discretizes (r, theta) through s = ln r: scaling the source becomes
 a cyclic shift along s and rotation a cyclic shift along theta.  The radial
-window [s_min, s_max) is treated as periodic with period S = s_max - s_min,
-and the integration measure dtheta dr/r becomes the uniform weight ds*dtheta,
-which keeps the discrete transform pair exactly invertible.
+window [s_min, s_max), its bounds held as Python floats, is periodic with
+period S = s_max - s_min, and the measure dtheta dr/r becomes the uniform
+weight ds*dtheta, which keeps the discrete transform pair exactly invertible.
 
 Signals are frozen after construction.  Reductions (inner products, norms)
 run as single numpy sums over the fixed row-major layout, so results are
@@ -38,8 +38,8 @@ class GridGeometry:
     """Uniform periodic grid in (s = ln r, theta).
 
     theta spans [0, 2*pi) with step 2*pi/n_theta; s spans [s_min, s_max)
-    with step (s_max - s_min)/n_s and is treated as cyclic with period
-    span = s_max - s_min.
+    with step span/n_s and is cyclic with period span = s_max - s_min.
+    The bounds are held as Python floats, whatever real type they came in.
     """
 
     n_s: int
@@ -55,12 +55,17 @@ class GridGeometry:
             real = isinstance(bound, (int, float, np.integer, np.floating))
             if isinstance(bound, bool) or not real:
                 raise GeometryError(f"{label} must be a real number, got {bound!r}")
-            if not np.isfinite(bound):
+            try:
+                value = float(bound)  # Python floats overflow without a warning
+            except OverflowError:  # an int that no float holds
+                value = np.inf
+            if not np.isfinite(value):
                 raise GeometryError(f"{label} must be finite, got {bound!r}")
+            object.__setattr__(self, label, value)
         if not self.s_max > self.s_min:
             raise GeometryError(f"need s_max > s_min, got [{self.s_min}, {self.s_max}]")
-        span = float(self.s_max) - float(self.s_min)  # Python floats overflow without a warning
-        for value, label in ((span, "span"), (span / self.n_s, "ds"), (TWO_PI / span, "dv")):
+        for label in ("span", "ds", "dv"):
+            value = getattr(self, label)
             if not 0.0 < value < np.inf:
                 raise GeometryError(f"{label} must be a finite positive float, got {value!r}")
 

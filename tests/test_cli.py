@@ -797,3 +797,60 @@ def test_the_reused_parser_runs_the_current_handler_and_echoes_each_call(capsys,
     monkeypatch.setattr(cli, "cmd_invert", lambda args: seen.append(args.inputs) or 0)
     assert cli.main(["invert", "spy.clmf"]) == 0
     assert seen == [["spy.clmf"]]
+
+
+GRID_ECHOES = {
+    # a grid flag left out takes that value of the command's default grid
+    "verify": (["verify", "--ns", "16"], (16, 32, -np.pi, np.pi)),
+    "fast-bench": (["fast-bench", "--ns", "8", "--ntheta", "8"], (8, 8, -np.pi, np.pi)),
+    "fast-bench --smin 0": (["fast-bench", "--ns", "8", "--ntheta", "8", "--smin", "0"],
+                            (8, 8, 0.0, np.pi)),
+    "register": (["register", "{pgm}", "{pgm}", "--ns", "32"], (32, 64, -np.pi, np.pi)),
+    "transform": (["transform", "{pgm}", "--ns", "32"], (32, 64, -np.pi, np.pi)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_ECHOES))
+def test_each_grid_command_echoes_the_grid_it_ran_on(tmp_path, capsys, monkeypatch, case):
+    pgm = tmp_path / "blob.pgm"
+    write_pgm(pgm, blob_image(64, seed=1))
+    used = []
+
+    def spy(module, name, geometries):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            used.extend(geometries(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(properties, "verify_rows", lambda geo, *rest: [geo])
+    spy(cfmt, "cfmt_fast", lambda h, pair: [h.geometry])
+    spy(cli, "register", lambda h1, h2, pair: [h1.geometry, h2.geometry])
+    template, (n_s, n_theta, s_min, s_max) = GRID_ECHOES[case]
+    code, out = run(capsys, *(a.format(pgm=pgm) for a in template))
+    assert code == 0
+    assert used and set(used) == {GridGeometry(n_s, n_theta, s_min, s_max)}
+    config = json.loads(out)["config"]
+    assert (config["ns"], config["ntheta"], config["smin"], config["smax"]) == (
+        n_s, n_theta, s_min, s_max)
+
+
+def test_a_zero_grid_flag_reaches_the_geometry(capsys):
+    assert cli.main(["verify", "--ns", "0"]) == 3
+    assert "n_s must be an even integer >= 2, got 0" in capsys.readouterr().err
+    assert cli.main(["fast-bench", "--smin", "0", "--smax", "0"]) == 3
+    assert "need s_max > s_min, got [0.0, 0.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n", [("verify", 32), ("fast-bench", 256), ("register", 64),
+                                        ("transform", 64), ("descriptor", 64)])
+def test_help_names_each_commands_default_grid(capsys, command, n):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"radial sample count (even; default {n})" in text
+    assert f"angular sample count (even; default {n})" in text
+    assert "(default -pi)" in text and "(default pi)" in text

@@ -81,3 +81,23 @@ def test_cli_exits_2_on_a_non_finite_payload(valid_files, tmp_path, capsys, comm
     path.write_bytes(data[:-8] + np.array([value], dtype="<f8").tobytes())
     assert cli.main([command, str(path)]) == 2
     assert "format error: invalid payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [(np.log(2.0), np.log(22.0)), (np.float32(0.1), np.float32(2.9))],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("kind", list(FORMATS))
+def test_a_window_given_as_numpy_scalars_round_trips(tmp_path, kind, bounds):
+    # the header holds the float64 reprs of the bounds, which read back to
+    # the same geometry, and the file written again is the same bytes
+    geometry = GridGeometry(16, 16, *bounds)
+    h = random_signal(geometry, CL02, seed=2)
+    write, read, _ = FORMATS[kind]
+    value = h if kind == "clms" else cfmt.cfmt_forward(h, default_pair(CL02))
+    path, again = tmp_path / f"window.{kind}", tmp_path / f"again.{kind}"
+    write(path, value)
+    data = path.read_bytes()
+    assert f"smin={float(bounds[0])!r}\nsmax={float(bounds[1])!r}\n".encode() in data
+    loaded = read(path)
+    assert loaded.geometry == geometry
+    write(again, loaded)
+    assert again.read_bytes() == data

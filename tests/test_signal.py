@@ -69,6 +69,7 @@ def test_geometry_refuses_bounds_that_are_not_real_numbers(bounds, label):
 @pytest.mark.parametrize("bounds, label", [
     ((np.nan, 1.0), "s_min"), ((0.0, np.nan), "s_max"),
     ((-np.inf, 1.0), "s_min"), ((0.0, np.inf), "s_max"), ((0.0, float("-inf")), "s_max"),
+    ((0, 10**400), "s_max"),  # an int that no float holds
 ])
 def test_geometry_refuses_bounds_that_are_not_finite(bounds, label):
     with pytest.raises(GeometryError, match=f"{label} must be finite"):
@@ -76,14 +77,27 @@ def test_geometry_refuses_bounds_that_are_not_finite(bounds, label):
 
 
 def test_geometry_accepts_python_and_numpy_real_bounds():
-    for bounds in ((0, 1), (np.int64(-2), np.float32(1.5)), (np.float64(-1.0), 2.0)):
+    for bounds in ((0, 1), (np.int64(-2), np.float32(1.5)), (np.float64(-1.0), 2.0), (0, 2**63)):
         geo = GridGeometry(4, 4, *bounds)
+        assert type(geo.s_min) is float and type(geo.s_max) is float
+        assert (geo.s_min, geo.s_max) == (float(bounds[0]), float(bounds[1]))
         assert geo.span == float(bounds[1]) - float(bounds[0])
+
+
+def test_float32_bounds_give_float64_steps_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = GridGeometry(4, 4, np.float32(-1e38), np.float32(3e38))
+    # in float32 this span would overflow
+    assert type(wide.span) is float and np.isfinite(wide.span)
+    geo = GridGeometry(4, 4, np.float32(0.1), np.float32(2.9))
+    assert type(geo.dv) is float
+    assert geo.dv == 2 * np.pi / (float(np.float32(2.9)) - float(np.float32(0.1)))
 
 
 @pytest.mark.parametrize("bounds, label", [
     ((-1e308, 1e308), "span"), ((np.float64(-1e308), np.float64(1e308)), "span"),
-    ((0.0, 1e-320), "dv"), ((0.0, 5e-324), "ds"),
+    ((0.0, 1e-320), "dv"), ((0.0, 5e-324), "ds"), ((-10**308, 10**308), "span"),
 ])
 def test_geometry_refuses_a_window_whose_steps_are_not_finite_and_positive(bounds, label):
     # finite bounds whose span, ds or dv overflows or underflows, refused

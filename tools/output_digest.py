@@ -26,6 +26,10 @@ The families:
   of each signal.
 * ``spectrum-csv``: the text of ``spectrum_csv_rows`` of each of those
   forward spectra.
+* ``grid-files``: the bytes of the CLMS file that ``write_clms`` writes for
+  each signal and of the CLMF file that ``write_clmf`` writes for its forward
+  spectrum, for the same windows, algebras and pairs on the 8x8 and 6x10
+  grids.
 * ``direct``: the bytes of the literal-sum oracle, ``direct_spectrum``, and
   of ``cfmt_direct`` at three real points off the grid, on the grids of
   ``DIRECT_GRIDS`` in all three algebras, under the default pair, a random
@@ -135,27 +139,30 @@ def verify_digests(cli) -> dict:
     return digests
 
 
-def transform_digests() -> dict:
-    from clifford_mellin import cfmt
+def _transform_cases(grids):
+    """(h, pair) on each (n_s, n_theta) grid, with both radial windows, in
+    all three algebras, under the default pair and one random pair."""
     from clifford_mellin.algebra import SIGNATURES
     from clifford_mellin.roots import RootPair, default_pair, random_roots
-    from clifford_mellin.signal import GridGeometry, random_signal, split_signal
+    from clifford_mellin.signal import GridGeometry, random_signal
 
-    def cases(grids):
-        """(h, pair) on each (n_s, n_theta) grid, with both radial windows, in
-        all three algebras, under the default pair and one random pair."""
-        for n_s, n_theta in grids:
-            for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
-                geo = GridGeometry(n_s, n_theta, *window)
-                for k, sig in enumerate(SIGNATURES):
-                    h = random_signal(geo, sig, seed=1000 * n_s + k)
-                    f, g = random_roots(sig, 2, seed=n_theta + k)
-                    for pair in (default_pair(sig), RootPair(f, g)):
-                        yield h, pair
+    for n_s, n_theta in grids:
+        for window in ((-math.pi, math.pi), (math.log(2.0), math.log(55.0))):
+            geo = GridGeometry(n_s, n_theta, *window)
+            for k, sig in enumerate(SIGNATURES):
+                h = random_signal(geo, sig, seed=1000 * n_s + k)
+                f, g = random_roots(sig, 2, seed=n_theta + k)
+                for pair in (default_pair(sig), RootPair(f, g)):
+                    yield h, pair
+
+
+def transform_digests() -> dict:
+    from clifford_mellin import cfmt
+    from clifford_mellin.signal import split_signal
 
     names = ("forward", "inverse", "fast", "split", "spectrum-csv", "routes-rect")
     digests = {name: Digest() for name in names}
-    for h, pair in cases((n, n) for n in GRID_SIZES):
+    for h, pair in _transform_cases((n, n) for n in GRID_SIZES):
         spectrum = cfmt.cfmt_forward(h, pair)
         digests["forward"].add_array(spectrum.coeffs)
         digests["inverse"].add_array(cfmt.cfmt_inverse(spectrum).samples)
@@ -168,12 +175,26 @@ def transform_digests() -> dict:
         for row in cfmt.spectrum_csv_rows(spectrum):
             csv.update(row.encode() + b"\n")
         digests["spectrum-csv"].add(csv.digest())
-    for h, pair in cases(RECT_GRIDS):
+    for h, pair in _transform_cases(RECT_GRIDS):
         spectrum = cfmt.cfmt_forward(h, pair)
         digests["routes-rect"].add_array(spectrum.coeffs)
         digests["routes-rect"].add_array(cfmt.cfmt_inverse(spectrum).samples)
         digests["routes-rect"].add_array(cfmt.cfmt_fast(h, pair).coeffs)
     return digests
+
+
+def grid_file_digests(workdir: str) -> dict:
+    from clifford_mellin import cfmt
+    from clifford_mellin.signal import write_clms
+
+    digest = Digest()
+    path = os.path.join(workdir, "grid-file")
+    for h, pair in _transform_cases(((8, 8), (6, 10))):
+        for write, value in ((write_clms, h), (cfmt.write_clmf, cfmt.cfmt_forward(h, pair))):
+            write(path, value)
+            with open(path, "rb") as fh:
+                digest.add(fh.read())
+    return {"grid-files": digest}
 
 
 def direct_digests() -> dict:
@@ -368,6 +389,7 @@ def main(argv=None) -> int:
     digests.update(product_digests())
     digests.update(exp_digests())
     with tempfile.TemporaryDirectory() as workdir:
+        digests.update(grid_file_digests(workdir))
         images, paths = image_digests(workdir)
         digests.update(images)
         digests.update(cli_digests(cli, workdir, paths))
