@@ -15,13 +15,8 @@ from .algebra import (
     Multivector,
     Signature,
     basis,
-    geometric_product,
-    grade_part,
     inverse,
-    modulus,
     outer_product,
-    principal_reverse,
-    reverse,
     scalar_product,
 )
 from .cfmt import (
@@ -93,6 +88,6 @@ from .signal import (
     split_signal,
     write_clms,
 )
-from .split import SplitPair, exp_swap_check, f_split, mixed_scalar, recombine, split
+from .split import SplitPair, exp_swap_check, f_split, mixed_scalar, split
 
 __version__ = "0.1.0"

@@ -147,11 +147,6 @@ def gp(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def reverse_signs(sig: Signature) -> np.ndarray:
-    """Per-blade signs of the reverse: grades 0 and 1 fixed, grade 2 negated."""
-    return np.array([1.0, 1.0, 1.0, -1.0])
-
-
 def principal_reverse_signs(sig: Signature) -> np.ndarray:
     """Per-blade signs of the principal reverse (bar then reverse)."""
     e1, e2 = sig.squares
@@ -283,7 +278,8 @@ class Multivector:
         return Multivector(self.signature, out)
 
     def reverse(self) -> "Multivector":
-        return Multivector(self.signature, self.coeffs * reverse_signs(self.signature))
+        # grades 0 and 1 fixed, grade 2 negated
+        return Multivector(self.signature, self.coeffs * np.array([1.0, 1.0, 1.0, -1.0]))
 
     def principal_reverse(self) -> "Multivector":
         return Multivector(
@@ -299,15 +295,7 @@ def basis(sig: Signature) -> tuple[Multivector, Multivector, Multivector, Multiv
     return tuple(Multivector.blade(sig, i) for i in range(4))
 
 
-# -- operation surface ---------------------------------------------------------
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def grade_part(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
+# -- operations with no method form -------------------------------------------
 
 
 def scalar_product(a: Multivector, b: Multivector) -> float:
@@ -320,18 +308,6 @@ def outer_product(a: Multivector, b: Multivector) -> Multivector:
     the product with both squares set to zero."""
     a._check_same(b)
     return Multivector(a.signature, _product((0, 0), a.coeffs.tolist(), b.coeffs.tolist()))
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def principal_reverse(a: Multivector) -> Multivector:
-    return a.principal_reverse()
-
-
-def modulus(a: Multivector) -> float:
-    return a.modulus()
 
 
 def inverse(a: Multivector) -> Multivector:

@@ -101,32 +101,6 @@ from .signal import (
 )
 from .split import split_array
 
-__all__ = [
-    "Spectrum",
-    "SymmetryComponents",
-    "DerivativeCheck",
-    "cfmt_forward",
-    "cfmt_direct",
-    "direct_spectrum",
-    "cfmt_inverse",
-    "cfmt_fast",
-    "check_linearity",
-    "apply_scale_rotate",
-    "predicted_shift_spectrum",
-    "reflect_circle",
-    "reverse_rotation",
-    "modulate",
-    "check_derivative_theorems",
-    "check_power_scaling",
-    "plancherel_check",
-    "parseval_check",
-    "symmetry_decompose",
-    "write_clmf",
-    "read_clmf",
-    "frequency_csv_rows",
-    "spectrum_csv_rows",
-]
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Spectrum:

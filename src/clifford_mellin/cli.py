@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
     rows = properties.verify_rows(geometry, args.seed, args.tol, args.pair_degenerate)
     failures = sum(1 for row in rows if row["pass"] is False)
     report = {"config": _echo(args, geo=geometry), "results": rows, "failures": failures}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         _write_text(args.out, text)
     sys.stdout.write(text)

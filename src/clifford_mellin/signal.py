@@ -57,8 +57,8 @@ class GridGeometry:
                 raise GeometryError(f"{label} must be a real number, got {bound!r}")
             try:
                 value = float(bound)  # Python floats overflow without a warning
-            except OverflowError:  # an int that no float holds
-                value = np.inf
+            except OverflowError:  # an int that no float holds, maybe too long to print
+                raise GeometryError(f"{label} must be finite, got an int past float range") from None
             if not np.isfinite(value):
                 raise GeometryError(f"{label} must be finite, got {bound!r}")
             object.__setattr__(self, label, value)

@@ -26,18 +26,13 @@ class SplitPair:
 
     plus: Multivector
     minus: Multivector
-    pair: RootPair
 
 
 def split(x: Multivector, pair: RootPair) -> SplitPair:
     """x_pm = (x +- f x g)/2."""
     pair.require_algebra(x.signature, "value")
     sandwich = pair.f.value * x * pair.g.value
-    return SplitPair(0.5 * (x + sandwich), 0.5 * (x - sandwich), pair)
-
-
-def recombine(sp: SplitPair) -> Multivector:
-    return sp.plus + sp.minus
+    return SplitPair(0.5 * (x + sandwich), 0.5 * (x - sandwich))
 
 
 def split_array(samples: np.ndarray, pair: RootPair) -> tuple[np.ndarray, np.ndarray]:

@@ -410,6 +410,21 @@ def test_verify_refuses_a_window_whose_dv_overflows_before_any_transform(capsys,
     assert "dv must be a finite positive float" in captured.err
 
 
+def test_verify_report_is_strict_json_when_residuals_overflow(capsys):
+    def refuse(constant):
+        raise AssertionError(f"non-finite {constant} in the report")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # as the CLI runs by default
+        code, out = run(capsys, "verify", "--ns", "8", "--ntheta", "8",
+                        "--smin=-1e300", "--smax=1e300")
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 3
+    assert report["failures"] == 75
+    unmeasured = [r for r in report["results"] if r.get("status", "").startswith("residual is")]
+    assert unmeasured and all(r["residual"] is None for r in unmeasured)
+
+
 def test_verify_accepts_a_zero_tolerance(capsys):
     code, out = run(capsys, "verify", "--ns", "8", "--ntheta", "8", "--tol", "0")
     report = json.loads(out)

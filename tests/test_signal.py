@@ -70,6 +70,7 @@ def test_geometry_refuses_bounds_that_are_not_real_numbers(bounds, label):
     ((np.nan, 1.0), "s_min"), ((0.0, np.nan), "s_max"),
     ((-np.inf, 1.0), "s_min"), ((0.0, np.inf), "s_max"), ((0.0, float("-inf")), "s_max"),
     ((0, 10**400), "s_max"),  # an int that no float holds
+    ((0, 10**5000), "s_max"), ((-10**5000, 0), "s_min"),  # ints too long to print
 ])
 def test_geometry_refuses_bounds_that_are_not_finite(bounds, label):
     with pytest.raises(GeometryError, match=f"{label} must be finite"):
