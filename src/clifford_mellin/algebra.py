@@ -17,17 +17,21 @@ the identity.  Every involution reduces to a per-blade sign flip, and
 a^-1 = conj(a) / (a conj(a)) with a conj(a) a scalar.  All values are
 immutable and every operation is a pure function, so the module is safe to
 use from any number of threads.
+
+Numbers from callers (coefficients, samples, pixels, frequencies, grid sizes,
+orders, counts) pass one of two rules: the real rule _real (a finite float64
+array of what numpy converts) or the count rule _count (an int, not a bool, in
+bounds), each raising the caller's error naming the argument, never its digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, SignatureMismatchError, SingularElementError
+from .errors import DomainError, GeometryError, SignatureMismatchError, SingularElementError
 
 BLADE_NAMES = ("1", "e1", "e2", "e12")
 
@@ -174,14 +178,43 @@ def right_matrix(sig: Signature, a: np.ndarray) -> np.ndarray:
     return gp(sig, np.eye(4), a).T
 
 
-def _coerce_coeffs(values: Iterable[float]) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(-1)
-    if arr.shape != (4,):
-        raise DomainError(f"expected 4 blade coefficients, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise DomainError("coefficients must be finite")
-    arr.flags.writeable = False
+@dataclass(frozen=True)
+class _Fresh:
+    """A float array its maker hands over, keeping no reference: the real rule takes it uncopied."""
+
+    array: np.ndarray
+
+
+def _real(values, name: str, error: type = DomainError, clip: tuple | None = None,
+          shape: tuple | None = None) -> np.ndarray:
+    """The real rule: values as a new float64 array (0-d for a scalar) or a _Fresh's array,
+    read-only if a shape is given, which it must have (else GeometryError), and clipped in
+    place into clip if given; raises error naming name unless all are finite reals."""
+    try:
+        arr = values.array if type(values) is _Fresh else np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's messages print no int
+        raise error(f"{name} must be finite and real: {exc}") from None
+    if shape is not None:  # a grid array
+        if arr.shape != shape:
+            raise GeometryError(f"{name} shape {arr.shape} does not match grid {shape}")
+        arr.flags.writeable = False
+    if clip is not None:
+        np.clip(arr, *clip, out=arr)
+    if not (all(map(math.isfinite, arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
+        raise error(f"{name} must be finite")
     return arr
+
+
+def _count(value, name: str, error: type = DomainError, low=None, high=None, even=False) -> int:
+    """The count rule: value, an int or numpy integer but not a bool, in [low,
+    high] (None: unbounded) and even if asked, as a Python int; else error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (even and value % 2)
+            or (low is not None and value < low) or (high is not None and value > high)):
+        big = isinstance(value, int) and value.bit_length() > 64  # maybe too long to print
+        shown = f"an int of {value.bit_length()} bits" if big else repr(value)
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise error(f"{name} must be {'an even' if even else 'an'} integer{bounds}, got {shown}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,17 +225,21 @@ class Multivector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
+        coeffs = _real(self.coeffs, "coefficients").ravel()
+        if coeffs.shape != (4,):
+            raise DomainError(f"expected 4 blade coefficients, got shape {coeffs.shape}")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def scalar(cls, sig: Signature, value: float) -> "Multivector":
-        return cls(sig, (float(value), 0.0, 0.0, 0.0))
+        return cls(sig, (value, 0.0, 0.0, 0.0))
 
     @classmethod
     def blade(cls, sig: Signature, index: int, coefficient: float = 1.0) -> "Multivector":
-        coeffs = np.zeros(4)
+        coeffs = np.zeros(4, dtype=object)  # so the real rule, not this store, converts it
         coeffs[index] = coefficient
         return cls(sig, coeffs)
 

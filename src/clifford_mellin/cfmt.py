@@ -61,7 +61,7 @@ strided view of it, since one call over both runs numpy's FFT loop once per
 radial row.  On an even grid fftshift is a swap of halves, so a map reads its
 source with halves swapped; the s_min phase and the scale are a per-row
 rotation of each plane in the map beside the radial pass.  The last map's
-fresh array becomes the result uncopied, through signal._Fresh.  The bases
+fresh array becomes the result uncopied, through algebra._Fresh.  The bases
 come from the pair's plan (RootPair.plan), the rotations are built once per
 grid and route, and a call only forms the product of a basis and the
 rotations.
@@ -85,15 +85,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Multivector, Signature, gp
-from .errors import ContractError, DomainError, FormatError, GeometryError, NotARootError
+from .algebra import Multivector, Signature, _count, _real, gp
+from .errors import ContractError, FormatError, GeometryError, NotARootError
 from .roots import RootOfMinusOne, RootPair, make_pair
 from .signal import (
     GridGeometry,
     LogPolarSignal,
     TWO_PI,
     _Fresh,
-    _grid_array,
     _read_grid_file,
     _write_grid_file,
     norm as signal_norm,
@@ -118,7 +117,8 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = _grid_array(self.geometry, self.coeffs, "spectrum coefficients")
+        geo = self.geometry
+        coeffs = _real(self.coeffs, "spectrum coefficients", shape=(geo.n_s, geo.n_theta, 4))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -393,7 +393,7 @@ def cfmt_direct(h: LogPolarSignal, pair: RootPair, v: float, k: float) -> Multiv
     product, never through a plane basis or an FFT.  This is _direct_sums at
     one point.
     """
-    return Multivector(h.signature, _direct_sums(h, pair, v, k))
+    return Multivector(h.signature, _direct_sums(h, pair, _real(v, "v"), _real(k, "k")))
 
 
 def direct_spectrum(h: LogPolarSignal, pair: RootPair) -> Spectrum:
@@ -485,10 +485,9 @@ def apply_scale_rotate(h: LogPolarSignal, a_steps: int, phi_steps: int) -> LogPo
     and phi = phi_steps*dtheta.  Fractional shifts require resampling and are
     rejected here.
     """
-    for steps, label in ((a_steps, "a_steps"), (phi_steps, "phi_steps")):
-        if not isinstance(steps, (int, np.integer)):
-            raise ContractError(f"{label} must be an integer number of grid steps")
-    return h.with_samples(np.roll(h.samples, shift=(-a_steps, -phi_steps), axis=(0, 1)))
+    shift = (-_count(a_steps, "a_steps", ContractError) % h.geometry.n_s,
+             -_count(phi_steps, "phi_steps", ContractError) % h.geometry.n_theta)
+    return h.with_samples(np.roll(h.samples, shift=shift, axis=(0, 1)))
 
 
 def predicted_shift_spectrum(spectrum: Spectrum, a_steps: int, phi_steps: int) -> Spectrum:
@@ -540,11 +539,10 @@ def modulate(h: LogPolarSignal, pair: RootPair, v0: float, k0: int) -> LogPolarS
     radial band edge is also multiplied on the left by exp(-2*pi*w*c f)."""
     pair.require_algebra(h.signature, "signal")
     geo = h.geometry
+    v0, k0 = float(_real(v0, "v0")), float(_real(_count(k0, "k0", ContractError), "k0"))
     steps = v0 / geo.dv
     if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
         raise ContractError(f"v0 = {v0} is not a grid frequency (dv = {geo.dv})")
-    if not isinstance(k0, (int, np.integer)):
-        raise ContractError(f"k0 must be an integer, got {k0!r}")
     return h.with_samples(_kernel_sandwich(
         h.signature, _kernel_values(pair.f, v0 * geo.s_values), h.samples,
         _kernel_values(pair.g, k0 * geo.theta_values)))
@@ -606,8 +604,7 @@ def check_derivative_theorems(h: LogPolarSignal, pair: RootPair, n: int) -> Deri
     The derivatives are taken spectrally on the grid, which is exact for
     band-limited input; non-band-limited input only sets the warning flag.
     """
-    if n < 0 or n > 2:
-        raise DomainError(f"derivative order must be 0..2, got {n}")
+    n = _count(n, "derivative order n", low=0, high=2)
     pair.require_algebra(h.signature, "signal")
     derivatives = {n: _spectral_derivatives(h, n)}
     return _derivative_checks(cfmt_forward(h, pair), derivatives, _band_limited(h))[n]
@@ -665,8 +662,8 @@ def check_power_scaling(h: LogPolarSignal, pair: RootPair, m: int, n: int) -> fl
     v and 1e-3 in k); the theta multiplication is not periodic, so for n > 0
     signals carrying energy on the theta seam are rejected.
     """
-    if not (0 <= m <= 2 and 0 <= n <= 2):
-        raise DomainError(f"power-scaling orders must be 0..2, got ({m}, {n})")
+    m = _count(m, "power-scaling order m", low=0, high=2)
+    n = _count(n, "power-scaling order n", low=0, high=2)
     pair.require_algebra(h.signature, "signal")
     if n > 0 and (fraction := _seam_fraction(h)) is not None:
         raise ContractError(

@@ -43,11 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import cfmt
-from .algebra import Signature
+from .algebra import Signature, _count, _real
 from .cfmt import _check_mixable, cfmt_fast
 from .errors import DomainError, FormatError, GeometryError, ImageParseError
 from .roots import RootPair, default_pair
-from .signal import GridGeometry, LogPolarSignal, _check_compatible, _Fresh, _grid_array
+from .signal import GridGeometry, LogPolarSignal, _check_compatible, _Fresh
 
 GRAY_TO_SCALAR = (0,)
 RGB_TO_VECTOR_BLADES = (1, 2, 3)
@@ -77,22 +77,19 @@ SAMPLING_PLAN_CACHE_SIZE = 4
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Pixel raster with values clamped to [0, 1]; gray (h, w) or RGB (h, w, 3).
-    The pixels are copied, unless they come as a _Fresh array, which is
-    clamped in place."""
+    """Pixel raster, gray (h, w) or RGB (h, w, 3), under the real rule: copied
+    unless a _Fresh array, clamped to [0, 1] in place (+-inf too), NaN refused."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        pixels = self.pixels
-        arr = pixels.array if isinstance(pixels, _Fresh) else np.array(pixels, dtype=float)
+        arr = _real(self.pixels, "pixels", clip=(0.0, 1.0))
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise DomainError(f"expected (h, w) or (h, w, 3) pixels, got {arr.shape}")
         if arr.shape[0] < 8 or arr.shape[1] < 8:
             raise DomainError(f"image must be at least 8x8, got {arr.shape[:2]}")
-        np.clip(arr, 0.0, 1.0, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
@@ -214,9 +211,8 @@ class ImageSignalSource:
                 f"mapping has {len(self.mapping)} entries for"
                 f" {self.image.channels} image channels"
             )
-        if len(set(self.mapping)) != len(self.mapping) or any(
-            not 0 <= b <= 3 for b in self.mapping
-        ):
+        blades = {_count(b, "mapping entry", low=0, high=3) for b in self.mapping}
+        if len(blades) < len(self.mapping):
             raise DomainError(f"mapping {self.mapping} must be distinct blade indices 0..3")
 
 
@@ -316,7 +312,8 @@ class Descriptor:
     pair: RootPair
 
     def __post_init__(self):
-        magnitudes = _grid_array(self.geometry, self.magnitudes, "magnitudes", channels=())
+        geo = self.geometry
+        magnitudes = _real(self.magnitudes, "magnitudes", shape=(geo.n_s, geo.n_theta))
         object.__setattr__(self, "magnitudes", magnitudes)
 
     def l2_distance(self, other: "Descriptor") -> float:

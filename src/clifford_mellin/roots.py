@@ -29,8 +29,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import (
-    CL11, Multivector, Signature, left_matrix, principal_reverse_signs, right_matrix,
-    scalar_product_array)
+    CL11, Multivector, Signature, _count, _real, left_matrix, principal_reverse_signs,
+    right_matrix, scalar_product_array)
 from .errors import ContractError, NotARootError, OffManifoldError, SignatureMismatchError
 
 ROOT_TOL = 1e-12
@@ -137,6 +137,7 @@ def sample_root(sig: Signature, b1: float, b2: float, branch: int) -> RootOfMinu
     """
     if branch not in (1, -1):
         raise OffManifoldError(f"branch must be +1 or -1, got {branch!r}")
+    b1, b2 = _real((b1, b2), "(b1, b2)")
     beta_sq = manifold_beta_squared(sig, b1, b2)
     if beta_sq < 0.0:
         raise OffManifoldError(
@@ -154,8 +155,7 @@ def random_roots(sig: Signature, n: int, seed: int) -> list[RootOfMinusOne]:
     is unbounded, so b2 is drawn first with 1 <= |b2| <= 10 and b1 within the
     induced bound; Cl(2,0) uses the window [-10, 10]^2.
     """
-    if n < 1:
-        raise OffManifoldError(f"need n >= 1 roots, got {n}")
+    n = _count(n, "n", OffManifoldError, low=1)
     rng = np.random.default_rng(seed)
     if sig.squares == (-1, -1):
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
@@ -303,8 +303,7 @@ def export_manifold(sig: Signature, resolution: int) -> list[tuple[float, float,
     transverse coordinate.  Duplicate points and the redundant branch row at
     beta = 0 are dropped, so resolution 2 yields the minimal cloud.
     """
-    if resolution < 2:
-        raise OffManifoldError(f"resolution must be >= 2, got {resolution}")
+    resolution = _count(resolution, "resolution", OffManifoldError, low=2)
     points: list[tuple[float, float, float]] = []
     if sig == CL11:
         # both b2 sheets swept in the transverse coordinate w, where beta = w

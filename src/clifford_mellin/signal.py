@@ -10,12 +10,12 @@ Signals are frozen after construction.  Reductions (inner products, norms)
 run as single numpy sums over the fixed row-major layout, so results are
 deterministic run to run.
 
-The (n_s, n_theta, 4) grid array has one validator, _grid_array, shared with
-cfmt.Spectrum (and, for (n_s, n_theta) magnitudes, imaging.Descriptor), and
-one file codec, _write_grid_file/_read_grid_file: a key=value header
-(algebra, grid, then any extra keys) followed by exactly n_s * n_theta * 4
-little-endian float64 values.  The codec turns every error in a file, the
-validator's included, into a FormatError.  CLMS stores a signal with no extra
+The (n_s, n_theta, 4) grid array passes the real rule with its grid shape,
+as cfmt.Spectrum's does (and, for (n_s, n_theta) magnitudes,
+imaging.Descriptor's), and has one file codec, _write_grid_file and
+_read_grid_file: a key=value header (algebra, grid, then any extra keys)
+followed by exactly n_s * n_theta * 4 little-endian float64 values.  The
+codec turns every error in a file, the rule's included, into a FormatError.  CLMS stores a signal with no extra
 keys; cfmt's CLMF stores a spectrum with its roots as f= and g=.
 """
 
@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, Signature, gp, principal_reverse_signs, scalar_product_array
+from .algebra import (
+    Multivector, Signature, _count, _Fresh, _real, gp, principal_reverse_signs,
+    scalar_product_array)
 from .errors import DomainError, FormatError, GeometryError, SignatureMismatchError
 from .roots import RootPair
 from .split import split_array
@@ -39,7 +41,8 @@ class GridGeometry:
 
     theta spans [0, 2*pi) with step 2*pi/n_theta; s spans [s_min, s_max)
     with step span/n_s and is cyclic with period span = s_max - s_min.
-    The bounds are held as Python floats, whatever real type they came in.
+    The sizes are held as Python ints and the bounds as Python floats,
+    whatever integer or real type they came in.
     """
 
     n_s: int
@@ -48,20 +51,15 @@ class GridGeometry:
     s_max: float
 
     def __post_init__(self):
-        for n, label in ((self.n_s, "n_s"), (self.n_theta, "n_theta")):
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
-                raise GeometryError(f"{label} must be an even integer >= 2, got {n!r}")
-        for bound, label in ((self.s_min, "s_min"), (self.s_max, "s_max")):
-            real = isinstance(bound, (int, float, np.integer, np.floating))
-            if isinstance(bound, bool) or not real:
-                raise GeometryError(f"{label} must be a real number, got {bound!r}")
-            try:
-                value = float(bound)  # Python floats overflow without a warning
-            except OverflowError:  # an int that no float holds, maybe too long to print
-                raise GeometryError(f"{label} must be finite, got an int past float range") from None
-            if not np.isfinite(value):
-                raise GeometryError(f"{label} must be finite, got {bound!r}")
-            object.__setattr__(self, label, value)
+        for label in ("n_s", "n_theta"):
+            n = _count(getattr(self, label), label, GeometryError, 2, even=True)
+            object.__setattr__(self, label, n)
+        for label in ("s_min", "s_max"):
+            value = getattr(self, label)  # a number: the real rule alone reads "0" and True
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise GeometryError(f"{label} must be a real number, got {value!r}")
+            object.__setattr__(self, label, float(_real(value, label, GeometryError)))
         if not self.s_max > self.s_min:
             raise GeometryError(f"need s_max > s_min, got [{self.s_min}, {self.s_max}]")
         for label in ("span", "ds", "dv"):
@@ -114,29 +112,6 @@ def default_geometry(n: int = 64) -> GridGeometry:
     return GridGeometry(n, n, -np.pi, np.pi)
 
 
-@dataclass(frozen=True)
-class _Fresh:
-    """A float array handed over by the code that made it and holds no other
-    reference to it, so _grid_array (or RasterImage) takes it in place
-    instead of copying."""
-
-    array: np.ndarray
-
-
-def _grid_array(geometry: GridGeometry, values, what: str, channels: tuple = (4,)) -> np.ndarray:
-    """A read-only float copy of values, or the array of a _Fresh, checked to
-    be finite and shaped (n_s, n_theta) + channels on the geometry; what
-    names the array in errors."""
-    arr = values.array if isinstance(values, _Fresh) else np.array(values, dtype=float)
-    expected = (geometry.n_s, geometry.n_theta) + channels
-    if arr.shape != expected:
-        raise GeometryError(f"{what} shape {arr.shape} does not match grid {expected}")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class LogPolarSignal:
     """Multivector samples on a GridGeometry, stored as an (n_s, n_theta, 4) array.
@@ -147,7 +122,8 @@ class LogPolarSignal:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _grid_array(self.geometry, self.samples, "signal samples")
+        geo = self.geometry
+        samples = _real(self.samples, "signal samples", shape=(geo.n_s, geo.n_theta, 4))
         object.__setattr__(self, "samples", samples)
 
     @classmethod

@@ -770,9 +770,9 @@ def test_derivative_theorems_band_limited(sig, order):
 def test_theorem_checks_refuse_orders_above_two():
     pair = default_pair(CL02)
     h = random_signal(default_geometry(8), CL02, seed=40, band_limit=2)
-    with pytest.raises(DomainError, match="derivative order must be 0..2"):
+    with pytest.raises(DomainError, match="derivative order n must be an integer in 0..2"):
         cfmt.check_derivative_theorems(h, pair, 3)
-    with pytest.raises(DomainError, match="power-scaling orders must be 0..2"):
+    with pytest.raises(DomainError, match="power-scaling order m must be an integer in 0..2"):
         cfmt.check_power_scaling(h, pair, 3, 0)
 
 

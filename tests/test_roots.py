@@ -120,7 +120,7 @@ def test_random_roots_square_to_minus_one(sig):
 
 @pytest.mark.parametrize("sig", SIGNATURES)
 def test_random_roots_refuses_an_empty_draw(sig):
-    with pytest.raises(OffManifoldError, match="need n >= 1 roots"):
+    with pytest.raises(OffManifoldError, match="n must be an integer >= 1"):
         random_roots(sig, 0, seed=1)
 
 

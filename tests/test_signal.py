@@ -46,7 +46,10 @@ def test_geometry_validation():
     assert geo.k_values[geo.n_theta // 2] == 0.0
 
 
-@pytest.mark.parametrize("sizes", [(4.0, 4), (4, 8.0), (True, 4), (4, np.float64(4)), ("4", 4)])
+@pytest.mark.parametrize("sizes", [
+    (4.0, 4), (4, 8.0), (True, 4), (4, np.float64(4)), ("4", 4),
+    (10**5000 + 1, 4), (4, -10**5000),  # ints too long to print
+])
 def test_geometry_refuses_sizes_that_are_not_integers(sizes):
     with pytest.raises(GeometryError, match="must be an even integer >= 2"):
         GridGeometry(*sizes, -1.0, 1.0)

@@ -67,9 +67,14 @@ The families:
 * ``cli-register-verdicts``: of the same summaries, only the exit code,
   ``matched``, ``scale`` and ``angle_rad``, without ``score`` or
   ``confidence``.
+* ``refusals``: for each call in ``REFUSAL_PROBES``, numbers that the
+  library refuses, one line that reads ``refusals CALL -> OUTCOME``, with
+  the outcome the exception's type and message, or ``accepted`` for a call
+  that returns, with the count of warnings it raised.  These lines are not
+  hashed, so a diff of two listings shows each refusal that moved.
 
-Each line reads ``family digest count``, where count is the number of items
-hashed.  The run takes about half a minute and peaks near 140 MB.
+Each other line reads ``family digest count``, where count is the number of
+items hashed.  The run takes about half a minute and peaks near 140 MB.
 """
 
 from __future__ import annotations
@@ -102,6 +107,37 @@ CENTER = (63.5, 63.5)
 WARPS = ((0.0, 1.0), (0.7, 1.1), (-2.1, 0.92))
 # channels -> a mapping other than the default one
 CUSTOM_MAPPINGS = {1: (3,), 3: (2, 0, 3)}
+# library calls with a number that the library refuses; refusal_lines runs each
+# with h an 8x8 Cl(0,2) signal, pair its default pair and img an 8x8 image
+REFUSAL_PROBES = (
+    "GridGeometry(10**5000 + 1, 4, 0, 1)",
+    "GridGeometry(4, 4, 0, 10**5000)",
+    "Multivector(CL20, (10**400, 0, 0, 0))",
+    "Multivector.scalar(CL20, 10**400)",
+    "Multivector.blade(CL20, 1, 10**400)",
+    "Multivector(CL20, ('a', 0, 0, 0))",
+    "LogPolarSignal(default_geometry(2), CL20, np.full((2, 2, 4), 10**400, dtype=object))",
+    "RasterImage(np.full((8, 8), 10**400, dtype=object))",
+    "RasterImage(np.full((8, 8), np.nan))",
+    "sample_root(CL20, 10**400, 0.0, 1)",
+    "cfmt_direct(h, pair, 10**400, 0.0)",
+    "modulate(h, pair, 10**400, 0)",
+    "modulate(h, pair, 0.0, 10**400)",
+    "modulate(h, pair, 0.0, True)",
+    "apply_scale_rotate(h, True, 0)",
+    "apply_scale_rotate(h, 0.5, 0)",
+    "check_derivative_theorems(h, pair, 1.5)",
+    "check_power_scaling(h, pair, 0.5, 0)",
+    "check_power_scaling(h, pair, 1.0, 0)",
+    "check_power_scaling(h, pair, 10**5000, 0)",
+    "random_roots(CL20, 2.5, 1)",
+    "random_roots(CL20, True, 1)",
+    "random_roots(CL20, 0, 1)",
+    "export_manifold(CL20, 2.5)",
+    "ImageSignalSource(img, CL02, (1.0,))",
+    "ImageSignalSource(img, CL02, (True,))",
+    "ImageSignalSource(img, CL02, (4,))",
+)
 
 
 class Digest:
@@ -372,6 +408,35 @@ def cli_digests(cli, workdir: str, paths: list) -> dict:
     return digests
 
 
+def refusal_lines() -> list:
+    """One line per call of REFUSAL_PROBES: the exception it raised, or that
+    it returned, and the warnings it raised; each message is cut at 200
+    characters."""
+    import warnings
+
+    import numpy as np
+    import clifford_mellin as lib
+    from clifford_mellin import cfmt, imaging, roots, signal
+
+    namespace = {"np": np}
+    for module in (lib, cfmt, imaging, roots, signal):
+        namespace.update(vars(module))
+    namespace.update(h=lib.random_signal(lib.default_geometry(8), lib.CL02, seed=1, band_limit=2),
+                     pair=lib.default_pair(lib.CL02), img=imaging.RasterImage(np.zeros((8, 8))))
+    lines = []
+    for call in REFUSAL_PROBES:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                eval(call, namespace)
+                outcome = "accepted"
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {str(exc)[:200]}"
+        warned = f" ({len(caught)} warnings)" if caught else ""
+        lines.append(f"refusals {call} -> {outcome}{warned}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
@@ -395,6 +460,7 @@ def main(argv=None) -> int:
         digests.update(cli_digests(cli, workdir, paths))
     for name, digest in digests.items():
         print(f"{name} {digest.hash.hexdigest()} {digest.count}")
+    print("\n".join(refusal_lines()))
     return 0
 
 
