@@ -239,8 +239,8 @@ class Multivector:
 
     @classmethod
     def blade(cls, sig: Signature, index: int, coefficient: float = 1.0) -> "Multivector":
-        coeffs = np.zeros(4, dtype=object)  # so the real rule, not this store, converts it
-        coeffs[index] = coefficient
+        coeffs = [0.0] * 4  # so the real rule, not this store, converts it
+        coeffs[_count(index, "index", low=0, high=3)] = coefficient
         return cls(sig, coeffs)
 
     # -- ring structure -------------------------------------------------------

@@ -72,8 +72,7 @@ measure dv per v-bin and weight 1 per k.
 
 Spectra share the signal module's grid-array codec: Spectrum validates its
 coefficients with the same check as LogPolarSignal, and CLMF v1 is the CLMS
-grid file with f= and g= header lines added.  Spectrum CSV and the imaging
-descriptor CSV are both rendered by frequency_csv_rows.
+grid file with f= and g= header lines added.
 """
 
 from __future__ import annotations
@@ -833,7 +832,7 @@ def symmetry_decompose(h: LogPolarSignal, pair: RootPair) -> SymmetryComponents:
     )
 
 
-# -- CLMF v1 file format and CSV export -----------------------------------------------
+# -- CLMF v1 file format ----------------------------------------------------------------
 
 
 def write_clmf(path, spectrum: Spectrum) -> None:
@@ -855,22 +854,3 @@ def read_clmf(path) -> Spectrum:
 
     return _read_grid_file(path, load, ("f", "g"))
 
-
-def frequency_csv_rows(geometry: GridGeometry, values: np.ndarray, columns: str):
-    """CSV rows with header j,k,v,<columns>, then one row per bin of the
-    (n_s, n_theta, m) values in centered order: j, k, v = dv*j and the bin's
-    m values, each float as its repr.  The ",k," fields are made once per
-    call and v's repr once per radial row."""
-    yield f"j,k,v,{columns}"
-    k_fields = [f",{k}," for k in range(-geometry.n_theta // 2, geometry.n_theta // 2)]
-    m = values.shape[-1]
-    rows = values.reshape(geometry.n_s, -1).tolist()
-    for j, row in zip(range(-geometry.n_s // 2, geometry.n_s // 2), rows):
-        v = repr(float(geometry.dv * j))
-        cells = map(",".join, zip(*[map(repr, row)] * m))  # m reprs per bin, in order
-        yield from map(str.__add__, [f"{j}{k_field}{v}," for k_field in k_fields], cells)
-
-
-def spectrum_csv_rows(spectrum: Spectrum):
-    """Rows for the CSV export with header j,k,v,m0,m1,m2,m12."""
-    return frequency_csv_rows(spectrum.geometry, spectrum.coeffs, "m0,m1,m2,m12")

@@ -287,8 +287,14 @@ def cmd_descriptor(args) -> int:
     pair = _pair(h.signature, args.f, args.g)
     desc = descriptor(h, pair)
     geo = h.geometry
-    text = "\n".join(cfmt.frequency_csv_rows(geo, desc.magnitudes[..., None], "mag")) + "\n"
-    _write_text(args.out, text)
+    # one row per bin in centred order, v = dv*j, each float as its repr; the
+    # ",k," fields are made once and v's repr once per radial row
+    k_fields = [f",{k}," for k in range(-geo.n_theta // 2, geo.n_theta // 2)]
+    lines = ["j,k,v,mag"]
+    for j, row in zip(range(-geo.n_s // 2, geo.n_s // 2), desc.magnitudes.tolist()):
+        v = repr(geo.dv * j)
+        lines += [f"{j}{k_field}{v},{mag!r}" for k_field, mag in zip(k_fields, row)]
+    _write_text(args.out, "\n".join(lines) + "\n")
     _emit({"config": _echo(args, h.signature, pair, geo, center),
            "bins": int(desc.magnitudes.size)}, None if args.out else sys.stderr)
     return 0

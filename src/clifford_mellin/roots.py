@@ -135,8 +135,8 @@ def sample_root(sig: Signature, b1: float, b2: float, branch: int) -> RootOfMinu
     branch must be +1 or -1; it is never chosen at random so sampled roots
     are reproducible.
     """
-    if branch not in (1, -1):
-        raise OffManifoldError(f"branch must be +1 or -1, got {branch!r}")
+    if _count(branch, "branch", OffManifoldError, low=-1, high=1) == 0:
+        raise OffManifoldError("branch must be +1 or -1, got 0")
     b1, b2 = _real((b1, b2), "(b1, b2)")
     beta_sq = manifold_beta_squared(sig, b1, b2)
     if beta_sq < 0.0:
@@ -156,7 +156,7 @@ def random_roots(sig: Signature, n: int, seed: int) -> list[RootOfMinusOne]:
     induced bound; Cl(2,0) uses the window [-10, 10]^2.
     """
     n = _count(n, "n", OffManifoldError, low=1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", OffManifoldError, low=0))
     if sig.squares == (-1, -1):
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
         angle = rng.uniform(0.0, 2.0 * math.pi, size=n)

@@ -196,7 +196,7 @@ def random_signal(
 ) -> LogPolarSignal:
     """Deterministic random signal; band_limit keeps only |frequency| <= limit
     on both axes (the mask is symmetric, so samples stay real)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     arr = np.zeros((geometry.n_s, geometry.n_theta, 4))
     if band_limit is not None:
         fs = np.fft.fftfreq(geometry.n_s, d=1.0 / geometry.n_s)

@@ -1118,14 +1118,3 @@ def test_clmf_rejects_bad_roots(tmp_path, f_line):
     with pytest.raises(FormatError):
         cfmt.read_clmf(path)
 
-
-def test_spectrum_csv_rows():
-    pair = default_pair(CL02)
-    h = random_signal(GridGeometry(4, 4, -1.0, 1.0), CL02, seed=60)
-    spectrum = cfmt.cfmt_forward(h, pair)
-    rows = list(cfmt.spectrum_csv_rows(spectrum))
-    assert rows[0] == "j,k,v,m0,m1,m2,m12"
-    assert len(rows) == 1 + 16
-    first = rows[1].split(",")
-    assert first[0] == "-2" and first[1] == "-2"
-    assert float(first[2]) == pytest.approx(-2 * spectrum.geometry.dv)

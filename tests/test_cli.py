@@ -563,6 +563,29 @@ def test_descriptor_csv_renders_every_bin(tmp_path, capsys):
     assert out_path.read_text() == "\n".join(lines) + "\n"
 
 
+def test_descriptor_csv_reads_back_to_the_descriptor(tmp_path, capsys):
+    # on a non-square, shifted grid: each row read back is its bin on the
+    # grid's centred axes, and its mag the descriptor's magnitude bit for bit
+    path = tmp_path / "rect.clms"
+    h = random_signal(GridGeometry(6, 10, -1.0, 2.5), CL20, seed=9)
+    write_clms(path, h)
+    out_path = tmp_path / "desc.csv"
+    code, _ = run(capsys, "descriptor", str(path), "--out", str(out_path))
+    assert code == 0
+    with open(out_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["j", "k", "v", "mag"]
+    geo = h.geometry
+    mags = descriptor(h, default_pair(CL20)).magnitudes
+    assert len(rows) == mags.size
+    for row, (i, t) in zip(rows, np.ndindex(mags.shape)):
+        j = i - geo.n_s // 2
+        assert (int(row["j"]), int(row["k"])) == (j, t - geo.n_theta // 2)
+        assert row["v"] == repr(geo.dv * j)
+        assert np.float64(row["mag"]).tobytes() == mags[i, t].tobytes()
+
+
 GOLDEN_REPORTS = {
     "verify_seed0": ["--seed", "0"],
     "verify_seed7_degenerate": ["--seed", "7", "--pair-degenerate"],

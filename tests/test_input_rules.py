@@ -28,6 +28,10 @@ REFUSALS = {
         lambda: Multivector.scalar(CL20, 10**400), DomainError, "coefficients"),
     "int-blade-coefficient-past-float": (
         lambda: Multivector.blade(CL20, 1, 10**400), DomainError, "coefficients"),
+    "negative-blade-index": (lambda: Multivector.blade(CL20, -1), DomainError, "index"),
+    "float-blade-index-of-a-multivector": (
+        lambda: Multivector.blade(CL20, 1.0), DomainError, "index"),
+    "blade-index-past-e12": (lambda: Multivector.blade(CL20, 4), DomainError, "index"),
     "text-coefficient": (
         lambda: Multivector(CL20, ("a", 0, 0, 0)), DomainError, "coefficients"),
     "int-samples-past-float": (
@@ -38,6 +42,8 @@ REFUSALS = {
     "nan-pixels": (lambda: RasterImage(np.full((8, 8), np.nan)), DomainError, "pixels"),
     "int-chart-point-past-float": (
         lambda: sample_root(CL20, 10**400, 0.0, 1), DomainError, "(b1, b2)"),
+    "bool-branch": (lambda: sample_root(CL20, 0.0, 0.0, True), OffManifoldError, "branch"),
+    "float-branch": (lambda: sample_root(CL20, 0.0, 0.0, 1.0), OffManifoldError, "branch"),
     "int-direct-frequency-past-float": (
         lambda: cfmt.cfmt_direct(H, PAIR, 10**400, 0.0), DomainError, "v"),
     "int-modulation-frequency-past-float": (
@@ -58,6 +64,15 @@ REFUSALS = {
         "power-scaling order n"),
     "fractional-root-count": (lambda: random_roots(CL20, 2.5, 1), OffManifoldError, "n"),
     "bool-root-count": (lambda: random_roots(CL20, True, 1), OffManifoldError, "n"),
+    "fractional-root-seed": (lambda: random_roots(CL20, 2, 2.5), OffManifoldError, "seed"),
+    "negative-root-seed": (lambda: random_roots(CL20, 2, -1), OffManifoldError, "seed"),
+    "bool-root-seed": (lambda: random_roots(CL20, 2, True), OffManifoldError, "seed"),
+    "fractional-signal-seed": (
+        lambda: random_signal(default_geometry(2), CL20, 2.5), DomainError, "seed"),
+    "negative-signal-seed": (
+        lambda: random_signal(default_geometry(2), CL20, -1), DomainError, "seed"),
+    "bool-signal-seed": (
+        lambda: random_signal(default_geometry(2), CL20, True), DomainError, "seed"),
     "fractional-resolution": (
         lambda: export_manifold(CL20, 2.5), OffManifoldError, "resolution"),
     "float-blade-index": (

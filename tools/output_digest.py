@@ -24,8 +24,6 @@ The families:
 * ``split``: on the same grids, signals and pairs, the plus and minus parts
   of ``Spectrum.split()`` of each forward spectrum and of ``split_signal``
   of each signal.
-* ``spectrum-csv``: the text of ``spectrum_csv_rows`` of each of those
-  forward spectra.
 * ``grid-files``: the bytes of the CLMS file that ``write_clms`` writes for
   each signal and of the CLMF file that ``write_clmf`` writes for its forward
   spectrum, for the same windows, algebras and pairs on the 8x8 and 6x10
@@ -74,7 +72,7 @@ The families:
   hashed, so a diff of two listings shows each refusal that moved.
 
 Each other line reads ``family digest count``, where count is the number of
-items hashed.  The run takes about half a minute and peaks near 140 MB.
+items hashed.  The run takes about 5 s on 2 CPUs and peaks near 120 MB.
 """
 
 from __future__ import annotations
@@ -115,11 +113,16 @@ REFUSAL_PROBES = (
     "Multivector(CL20, (10**400, 0, 0, 0))",
     "Multivector.scalar(CL20, 10**400)",
     "Multivector.blade(CL20, 1, 10**400)",
+    "Multivector.blade(CL20, -1)",
+    "Multivector.blade(CL20, 1.0)",
+    "Multivector.blade(CL20, 4)",
     "Multivector(CL20, ('a', 0, 0, 0))",
     "LogPolarSignal(default_geometry(2), CL20, np.full((2, 2, 4), 10**400, dtype=object))",
     "RasterImage(np.full((8, 8), 10**400, dtype=object))",
     "RasterImage(np.full((8, 8), np.nan))",
     "sample_root(CL20, 10**400, 0.0, 1)",
+    "sample_root(CL20, 0.0, 0.0, True)",
+    "sample_root(CL20, 0.0, 0.0, 1.0)",
     "cfmt_direct(h, pair, 10**400, 0.0)",
     "modulate(h, pair, 10**400, 0)",
     "modulate(h, pair, 0.0, 10**400)",
@@ -133,6 +136,12 @@ REFUSAL_PROBES = (
     "random_roots(CL20, 2.5, 1)",
     "random_roots(CL20, True, 1)",
     "random_roots(CL20, 0, 1)",
+    "random_roots(CL20, 2, 2.5)",
+    "random_roots(CL20, 2, -1)",
+    "random_roots(CL20, 2, True)",
+    "random_signal(default_geometry(2), CL20, 2.5)",
+    "random_signal(default_geometry(2), CL20, -1)",
+    "random_signal(default_geometry(2), CL20, True)",
     "export_manifold(CL20, 2.5)",
     "ImageSignalSource(img, CL02, (1.0,))",
     "ImageSignalSource(img, CL02, (True,))",
@@ -196,7 +205,7 @@ def transform_digests() -> dict:
     from clifford_mellin import cfmt
     from clifford_mellin.signal import split_signal
 
-    names = ("forward", "inverse", "fast", "split", "spectrum-csv", "routes-rect")
+    names = ("forward", "inverse", "fast", "split", "routes-rect")
     digests = {name: Digest() for name in names}
     for h, pair in _transform_cases((n, n) for n in GRID_SIZES):
         spectrum = cfmt.cfmt_forward(h, pair)
@@ -207,10 +216,6 @@ def transform_digests() -> dict:
             digests["split"].add_array(part.coeffs)
         for part in split_signal(h, pair):
             digests["split"].add_array(part.samples)
-        csv = hashlib.sha256()  # line by line: a 512x512 CSV is ~25 MB
-        for row in cfmt.spectrum_csv_rows(spectrum):
-            csv.update(row.encode() + b"\n")
-        digests["spectrum-csv"].add(csv.digest())
     for h, pair in _transform_cases(RECT_GRIDS):
         spectrum = cfmt.cfmt_forward(h, pair)
         digests["routes-rect"].add_array(spectrum.coeffs)
